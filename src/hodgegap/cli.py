@@ -5,6 +5,7 @@ print the exact curve coefficients."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -19,9 +20,9 @@ from .curves import (
     default_spec,
     second_chart_closed_form,
     genus,
+    has_prime_order,
     hyperelliptic_family,
     is_relatively_smooth,
-    map_order,
     map_preserves_curve,
     reduce_model,
     reduction_target,
@@ -69,6 +70,12 @@ class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
     summary: Optional[dict] = None
 
+    def add(self, check: CheckResult) -> None:
+        """Append a check; ids are unique within a report."""
+        if any(c.id == check.id for c in self.checks):
+            raise ValueError(f"duplicate check id {check.id}")
+        self.checks.append(check)
+
     def failed(self) -> list[CheckResult]:
         return [c for c in self.checks if c.status == FAIL]
 
@@ -100,34 +107,35 @@ class VerificationReport:
 
 
 def build_report(p: int) -> VerificationReport:
-    """Run the full check sequence for one odd prime."""
+    """Run the full check sequence for one odd prime.  Shared objects are
+    built lazily and once, so a failure to build one fails only its checks."""
     report = VerificationReport(p)
-    ids = set()
 
-    def record(cid: str, statement: str, fn) -> bool:
-        assert cid not in ids, f"duplicate check id {cid}"
-        ids.add(cid)
+    def record(cid: str, statement: str, fn) -> None:
         try:
             ok, witness = fn()
             status = PASS if ok else FAIL
         except Exception as exc:  # a failing check must not kill the report
             status, witness = FAIL, f"error: {exc}"
-        report.checks.append(CheckResult(cid, statement, status, witness))
-        return status == PASS
+        report.add(CheckResult(cid, statement, status, witness))
 
     def skip(cid: str, statement: str, reason: str) -> None:
-        ids.add(cid)
-        report.checks.append(CheckResult(cid, statement, SKIPPED, reason))
+        report.add(CheckResult(cid, statement, SKIPPED, reason))
 
     spec = default_spec(p)
     g = 4 if p == 3 else (p - 1) // 2
-    family = None
 
+    @functools.cache
     def _family():
-        nonlocal family
-        if family is None:
-            family = hyperelliptic_family(p, spec)
-        return family
+        return hyperelliptic_family(p, spec)
+
+    @functools.cache
+    def _reduced():
+        return reduce_model(_family(), spec)
+
+    def _genus():
+        found = genus(_family())
+        return found == g, found
 
     record(
         "curve.integrality",
@@ -137,11 +145,7 @@ def build_report(p: int) -> VerificationReport:
             f"{len(_family().f.coeffs)} power-basis coefficients, denominator 1",
         ),
     )
-    record(
-        "curve.genus",
-        f"the family has genus {g}",
-        lambda: (genus(_family()) == g, genus(_family())),
-    )
+    record("curve.genus", f"the family has genus {g}", _genus)
     record(
         "curve.smoothness",
         "f is squarefree on both fibres and of odd degree, so the model is "
@@ -153,17 +157,14 @@ def build_report(p: int) -> VerificationReport:
     record(
         "curve.reduction",
         f"reduction mod pi is v^2 = {target.render()}",
-        lambda: (
-            reduce_model(_family(), spec).f == target,
-            reduce_model(_family(), spec).f.render(),
-        ),
+        lambda: (_reduced().f == target, _reduced().f.render()),
     )
     if p == 3:
         record(
             "curve.substitution",
             "x = pi*u + 1, y = v turns y^2 = (x^3-1)^3/pi^9 + (x^3-1)/pi^3 "
             "into v^2 = f(u)",
-            lambda: (substitution_check_p3(spec), "exact polynomial identity"),
+            lambda: (substitution_check_p3(spec, _family()), "exact polynomial identity"),
         )
         skip(
             "curve.chart2",
@@ -175,13 +176,13 @@ def build_report(p: int) -> VerificationReport:
         record(
             "curve.substitution",
             "x = pi*u + 1, y = v turns pi^p y^2 = x^p - 1 into v^2 = f(u)",
-            lambda: (substitution_check(p, spec), "exact polynomial identity"),
+            lambda: (substitution_check(p, spec, _family()), "exact polynomial identity"),
         )
         record(
             "curve.chart2",
             "u = 1/s, v = t/s^((p+1)/2) lands on the second chart "
             "v^2 = sum binom(p,i)/pi^i s^(i+1)",
-            lambda: (chart_transition_check(p, spec), "exact polynomial identity"),
+            lambda: (chart_transition_check(p, spec, _family()), "exact polynomial identity"),
         )
 
     sigma = sigma_generic(p, spec)
@@ -198,15 +199,16 @@ def build_report(p: int) -> VerificationReport:
         lambda: (
             (spec.residue(sigma.alpha), spec.residue(sigma.beta), spec.residue(sigma.gamma))
             == (sigma0.alpha, sigma0.beta, sigma0.gamma)
-            and map_preserves_curve(reduce_model(_family(), spec), sigma0),
+            and map_preserves_curve(_reduced(), sigma0),
             None,
         ),
     )
-    record(
-        "action.sigma_order",
-        f"sigma has exact order {p}",
-        lambda: (map_order(sigma) == p, map_order(sigma)),
-    )
+
+    def _sigma_order():
+        ok = has_prime_order(sigma, p)
+        return ok, p if ok else "sigma is the identity or sigma^p is not"
+
+    record("action.sigma_order", f"sigma has exact order {p}", _sigma_order)
 
     conj_exp = 2 if p == 3 else 4
     tau = tau_special(p, spec)
@@ -215,7 +217,7 @@ def build_report(p: int) -> VerificationReport:
         f"tau = ({tau.alpha}u, {tau.gamma}v) is an automorphism of the special "
         f"fibre conjugating sigma to sigma^{conj_exp}",
         lambda: (
-            map_preserves_curve(reduce_model(_family(), spec), tau)
+            map_preserves_curve(_reduced(), tau)
             and conjugacy_check(tau, sigma0, conj_exp),
             None,
         ),
@@ -225,43 +227,37 @@ def build_report(p: int) -> VerificationReport:
         "sigma fixes no affine point of the special fibre, only the point "
         "at infinity",
         lambda: (
-            affine_fixed_points(sigma0, reduce_model(_family(), spec)) == ([], True),
+            affine_fixed_points(sigma0, _reduced()) == ([], True),
             "fixed locus = {infinity}",
         ),
     )
 
-    ell_state: dict = {}
-
+    @functools.cache
     def _elliptic():
-        if "curve" not in ell_state:
-            if p == 3:
-                curve, pt = find_p3_curve()
-            else:
-                curve = find_ordinary_with_trace_one(p)
-                pt = torsion_point_of_exact_order(curve, p)
-            ell_state["curve"], ell_state["pt"] = curve, pt
-        return ell_state["curve"], ell_state["pt"]
+        if p == 3:
+            return find_p3_curve()
+        curve = find_ordinary_with_trace_one(p)
+        return curve, torsion_point_of_exact_order(curve, p)
+
+    def _point_count():
+        curve = _elliptic()[0]
+        n = count_points(curve)
+        ok = n % 3 == 0 and (curve.q + 1 - n) % 3 != 0 if p == 3 else n == p
+        return ok, f"{curve!r} with {n} points"
 
     if p == 3:
         record(
             "elliptic.ordinary_with_torsion",
             "an ordinary elliptic curve over F_9 with a rational point of "
             "exact order 3 exists",
-            lambda: (
-                count_points(_elliptic()[0]) % 3 == 0
-                and (_elliptic()[0].q + 1 - count_points(_elliptic()[0])) % 3 != 0,
-                f"{_elliptic()[0]!r} with {count_points(_elliptic()[0])} points",
-            ),
+            _point_count,
         )
     else:
         record(
             "elliptic.trace_one",
             f"an ordinary elliptic curve over F_{p} with exactly {p} rational "
             "points exists (Weil polynomial x^2 - x + p), so its group is Z/p",
-            lambda: (
-                count_points(_elliptic()[0]) == p,
-                f"{_elliptic()[0]!r} with {count_points(_elliptic()[0])} points",
-            ),
+            _point_count,
         )
     record(
         "elliptic.torsion_point",
@@ -286,12 +282,9 @@ def build_report(p: int) -> VerificationReport:
         ),
     )
 
-    hodge: dict = {}
-
+    @functools.cache
     def _hodge():
-        if "pair" not in hodge:
-            hodge["pair"] = hodge30_pair(p)
-        return hodge["pair"]
+        return hodge30_pair(p)
 
     def _hodge_ok():
         h_x, h_y = _hodge()
@@ -328,12 +321,9 @@ def build_report(p: int) -> VerificationReport:
             lambda: (witness_form_check(p), "weights 2 + 4*(p-1)/2 = 2p = 0 mod p"),
         )
 
-    h1: dict = {}
-
+    @functools.cache
     def _h1():
-        if "rep" not in h1:
-            h1["rep"] = h1_de_rham_report(p)
-        return h1["rep"]
+        return h1_de_rham_report(p)
 
     record(
         "derham.h1",
@@ -391,21 +381,9 @@ def _banner(out) -> None:
 
 
 def cmd_verify(args, out) -> int:
-    p = args.p
-    if p == 2:
-        print(
-            "p = 2 is not supported: the construction needs odd characteristic "
-            "(a characteristic-2 analogue over Suzuki-type curves is an open "
-            "problem)",
-            file=sys.stderr,
-        )
-        return 2
-    if p < 3 or not is_prime(p):
-        print(f"invalid input: {p} is not an odd prime", file=sys.stderr)
-        return 2
     if not args.no_banner:
         _banner(out)
-    report = build_report(p)
+    report = build_report(args.p)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2), file=out)
     else:
@@ -439,17 +417,6 @@ def cmd_table(args, out) -> int:
 
 def cmd_curve(args, out) -> int:
     p = args.p
-    if p == 2:
-        print(
-            "p = 2 is not supported: the construction needs odd characteristic "
-            "(a characteristic-2 analogue over Suzuki-type curves is an open "
-            "problem)",
-            file=sys.stderr,
-        )
-        return 2
-    if p < 3 or not is_prime(p):
-        print(f"invalid input: {p} is not an odd prime", file=sys.stderr)
-        return 2
     if not args.no_banner:
         _banner(out)
     spec = default_spec(p)
@@ -499,6 +466,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     out = sys.stdout
+    if args.command != "table" and (args.p < 3 or not is_prime(args.p)):
+        print(
+            "p = 2 is not supported: the construction needs odd characteristic "
+            "(a characteristic-2 analogue over Suzuki-type curves is an open "
+            "problem)" if args.p == 2 else f"invalid input: {args.p} is not an odd prime",
+            file=sys.stderr,
+        )
+        return 2
     if args.command == "verify":
         return cmd_verify(args, out)
     if args.command == "table":

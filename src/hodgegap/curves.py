@@ -29,7 +29,7 @@ from .algebra import (
     fq_sqrt,
     is_prime,
 )
-from .cyclotomic import CyclotomicField, PiSpec, try_divide_exact
+from .cyclotomic import CyclotomicField, PiSpec
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,11 @@ def hyperelliptic_family(p: int, spec: Optional[PiSpec] = None) -> Hyperelliptic
         g = u_poly**3 + u_poly.scale(omega**2 - 1) * u_poly + u_poly.scale(-(omega**2))
         return HyperellipticModel(g**3 + g)
     coeffs = [k.zero] * (p + 1)
-    pi_pow = k.one
     for i in range(p):
-        c = try_divide_exact(k.from_int(binomial(p, i)), pi_pow, integral=True)
-        if c is None:
+        c = spec.over_pi(binomial(p, i), i)
+        if not c.is_integral:
             raise ArithmeticError(f"binom({p},{i})/pi^{i} is not integral")
         coeffs[p - i] = c
-        pi_pow = pi_pow * spec.pi
     return HyperellipticModel(Polynomial(k, coeffs))
 
 
@@ -141,10 +139,10 @@ def xy_model(p: int, spec: Optional[PiSpec] = None) -> HyperellipticModel:
     if p == 3:
         cubed = Polynomial(k, [-k.one, k.zero, k.zero, k.one])  # x^3 - 1
         return HyperellipticModel(
-            (cubed**3).scale((spec.pi**9).inv()) + cubed.scale((spec.pi**3).inv()),
+            (cubed**3).scale(spec.over_pi(1, 9)) + cubed.scale(spec.over_pi(1, 3)),
             label="xy-coordinates",
         )
-    scale = (spec.pi**p).inv()
+    scale = spec.over_pi(1, p)
     coeffs = [k.zero] * (p + 1)
     coeffs[0] = -scale
     coeffs[p] = scale
@@ -182,10 +180,8 @@ def second_chart_closed_form(p: int, spec: PiSpec) -> Polynomial:
     """sum_{i=0}^{p-1} binom(p,i)/pi^i * s^(i+1), the other affine chart."""
     k = spec.field
     coeffs = [k.zero] * (p + 1)
-    pi_pow = k.one
     for i in range(p):
-        coeffs[i + 1] = k.from_int(binomial(p, i)) * pi_pow.inv()
-        pi_pow = pi_pow * spec.pi
+        coeffs[i + 1] = spec.over_pi(binomial(p, i), i)
     return Polynomial(k, coeffs)
 
 
@@ -301,16 +297,28 @@ def map_inverse(m: AffineCurveMap) -> AffineCurveMap:
 
 
 def map_power(m: AffineCurveMap, k: int) -> AffineCurveMap:
+    """m^k by square-and-multiply (powers of one map commute)."""
     if k < 0:
         return map_power(map_inverse(m), -k)
     acc = identity_map(m.ring)
-    for _ in range(k):
-        acc = map_compose(m, acc)
+    while k:
+        if k & 1:
+            acc = map_compose(m, acc)
+        m = map_compose(m, m)
+        k >>= 1
     return acc
 
 
+def has_prime_order(m: AffineCurveMap, p: int) -> bool:
+    """Exact order p, for p prime: m is not the identity and m^p is."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return not m.is_identity() and map_power(m, p).is_identity()
+
+
 def map_order(m: AffineCurveMap, bound: int = 512) -> int:
-    """Order in the affine-map group, by iterated composition."""
+    """Order by iterated composition up to ``bound``: the tests' oracle,
+    independent of :func:`map_power`.  Reports use :func:`has_prime_order`."""
     acc = m
     for k in range(1, bound + 1):
         if acc.is_identity():

@@ -13,10 +13,11 @@ positive denominator.  Invariants kept by every constructor:
 On top of the field arithmetic this module provides the local data at the
 ramified prime above p: the uniformizer pi (zeta_p - 1, or zeta_12^4 - 1 for
 the p = 3 engine inside Q(zeta_12)), exact pi-adic valuations and the residue
-map onto F_p resp. F_9.  Valuations are computed by repeated exact division
-by pi, which is correct here because a single prime sits above p, so an
-element is divisible by pi in the ring of integers iff its valuation is
-positive.
+map onto F_p resp. F_9.  Every division by pi multiplies by cached powers of
+one inverse of pi, checked when the engine is built (:meth:`PiSpec.over_pi`).
+Valuations are computed by repeated exact division by pi, which is correct
+here because a single prime sits above p, so an element is divisible by pi in
+the ring of integers iff its valuation is positive.
 
 Conductors outside {prime p, 12} are accepted by the field constructor on a
 best-effort basis; the local (valuation/residue) machinery is only built for
@@ -353,6 +354,9 @@ class PiSpec:
         self.residue_field = residue_field
         self.zeta_image = zeta_image
         self.pi_inv = pi.inv()
+        if pi * self.pi_inv != field.one:
+            raise ArithmeticError("cached inverse of pi does not satisfy pi * pi_inv == 1")
+        self._pi_inv_powers = [field.one, self.pi_inv]
         # the image of zeta must kill both Phi_n and pi
         mod_image = sum(
             (residue_field.from_int(c) * zeta_image**k for k, c in enumerate(field.modulus)),
@@ -385,6 +389,15 @@ class PiSpec:
 
     # -- local arithmetic -----------------------------------------------------
 
+    def over_pi(self, z, k: int = 1) -> CycloElement:
+        """z / pi^k for k >= 0, by the cached powers of the checked ``pi_inv``."""
+        if k < 0:
+            raise ValueError("over_pi needs k >= 0")
+        powers = self._pi_inv_powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.pi_inv)
+        return self.field.coerce(z) * powers[k]
+
     def valuation(self, z: CycloElement) -> Union[int, float]:
         """Exact pi-adic valuation; +inf for zero.
 
@@ -401,7 +414,7 @@ class PiSpec:
             v -= self.e
         cur = self.field.element(z.num)
         while True:
-            nxt = cur * self.pi_inv
+            nxt = self.over_pi(cur)
             if not nxt.is_integral:
                 return v
             v += 1

@@ -77,7 +77,8 @@ def count_points(curve: EllipticCurve) -> int:
         sq_count[s] = sq_count.get(s, 0) + 1
     n = 1 + sum(sq_count.get(curve.rhs(x), 0) for x in curve.field)
     q = curve.q
-    assert (q + 1 - n) ** 2 <= 4 * q, "Hasse bound violated (bug)"
+    if (q + 1 - n) ** 2 > 4 * q:
+        raise ArithmeticError(f"Hasse bound violated: {n} points over F_{q} (bug)")
     return n
 
 

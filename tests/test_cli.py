@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hodgegap import cli, curves
 from hodgegap.cli import VerificationReport, build_report, main
 
 
@@ -49,6 +50,12 @@ def test_verify_rejects_composite(capsys):
     assert "not an odd prime" in err
 
 
+def test_curve_rejects_composite(capsys):
+    code, _, err = _run(capsys, ["curve", "--p", "9", "--no-banner"])
+    assert code == 2
+    assert "not an odd prime" in err
+
+
 def test_verify_rejects_two_with_explanation(capsys):
     code, _, err = _run(capsys, ["verify", "--p", "2", "--no-banner"])
     assert code == 2
@@ -65,6 +72,28 @@ def test_check_ids_are_unique_and_ordered():
     assert "hodge.h30.pair" in ids
     assert ids.index("curve.reduction") < ids.index("curve.substitution")
     assert ids.index("hodge.h30.pair") < ids.index("derham.h1")
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_report_builds_the_family_once(monkeypatch, p):
+    calls = []
+    real = curves.hyperelliptic_family
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "hyperelliptic_family", counting)
+    monkeypatch.setattr(cli, "hyperelliptic_family", counting)
+    assert not build_report(p).failed()
+    assert len(calls) == 1
+
+
+def test_duplicate_check_id_raises(monkeypatch):
+    real = cli.CheckResult
+    monkeypatch.setattr(cli, "CheckResult", lambda cid, *rest: real("same.id", *rest))
+    with pytest.raises(ValueError, match="duplicate check id same.id"):
+        build_report(3)
 
 
 def test_report_round_trips_through_json():
@@ -143,6 +172,15 @@ def test_console_module_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "p\thX\thY\tgap"
+
+
+def test_optimised_interpreter_gives_the_same_report():
+    # python -O strips assert statements; no check may depend on one
+    argv = ["-m", "hodgegap", "verify", "--p", "5", "--format", "json", "--no-banner"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True)
+    optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
+    assert plain.returncode == optimised.returncode == 0
+    assert optimised.stdout == plain.stdout
 
 
 def test_bad_subcommand_exits_two():

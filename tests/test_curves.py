@@ -11,6 +11,7 @@ from hodgegap.curves import (
     conjugacy_check,
     default_spec,
     genus,
+    has_prime_order,
     hyperelliptic_family,
     identity_map,
     is_relatively_smooth,
@@ -27,7 +28,7 @@ from hodgegap.curves import (
     substitution_check_p3,
     tau_special,
 )
-from hodgegap.cyclotomic import PiSpec
+from hodgegap.cyclotomic import PiSpec, cyclotomic_field
 
 SUPPORTED = (3, 5, 7, 11, 13)
 
@@ -52,6 +53,15 @@ def test_family_coefficients_p5():
     assert f.coeff(1) == spec.field.from_int(5) * (spec.pi**4).inv()
     assert f.coeff(0) == 0
     assert all(c.is_integral for c in f.coeffs)
+
+
+def test_family_rejects_a_non_integral_coefficient():
+    # 2*pi generates no prime ideal: binom(5,1)/(2*pi) has denominator 2
+    k = cyclotomic_field(5)
+    f5 = FiniteField(5)
+    wide = PiSpec(k, 2 * (k.zeta - 1), 5, 4, f5, f5.one)
+    with pytest.raises(ArithmeticError):
+        hyperelliptic_family(5, wide)
 
 
 def test_family_coefficients_integral_p7():
@@ -209,6 +219,30 @@ def test_map_group_basics():
     assert map_power(sigma, 5).is_identity()
     with pytest.raises(RuntimeError):
         map_order(AffineCurveMap(spec.field.from_int(2), spec.field.zero, spec.field.one), bound=16)
+
+
+def test_map_power_matches_iterated_composition():
+    f7 = FiniteField(7)
+    m = AffineCurveMap(f7.from_int(3), f7.from_int(5), f7.from_int(6))
+    acc = identity_map(f7)
+    for k in range(20):
+        assert map_power(m, k) == acc
+        assert map_power(m, -k) == map_inverse(acc)
+        acc = map_compose(m, acc)
+
+
+def test_prime_order_check_past_the_scan_bound():
+    spec = PiSpec.for_prime(521)
+    sigma, sigma0 = sigma_generic(521, spec), sigma_special(spec)
+    with pytest.raises(RuntimeError):
+        map_order(sigma0)  # the linear scan stops at 512
+    assert has_prime_order(sigma, 521)
+    assert has_prime_order(sigma0, 521)
+    # controls: the identity, and sigma with v -> -v, of order 2p
+    assert not has_prime_order(identity_map(spec.field), 521)
+    assert not has_prime_order(AffineCurveMap(sigma.alpha, sigma.beta, -spec.field.one), 521)
+    with pytest.raises(ValueError):
+        has_prime_order(sigma0, 9)
 
 
 @pytest.mark.parametrize("p,k", [(5, 4), (7, 4), (11, 4), (13, 4), (3, 2)])

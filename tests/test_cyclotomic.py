@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from hodgegap.algebra import FiniteField
 from hodgegap.cyclotomic import (
+    CycloElement,
     PiSpec,
     canonicalize,
     cyclotomic_field,
@@ -189,3 +191,25 @@ def test_integrality_flag_matches_denominator():
     pi = SPEC5.pi
     assert (K5.from_int(5) / pi**4).is_integral  # a unit
     assert not (K5.one / pi).is_integral
+
+
+@pytest.mark.parametrize("spec", [SPEC12, SPEC5, PiSpec.for_prime(13)], ids=["n12", "p5", "p13"])
+def test_over_pi_undoes_multiplication_by_pi_powers(spec):
+    rng = random.Random(spec.n)
+    k = spec.field
+    for e in range(spec.p + 2):
+        z = k.element([rng.randint(-20, 20) for _ in range(k.degree)], rng.randint(1, 6))
+        q = spec.over_pi(z, e)
+        assert spec.pi**e * q == z
+        assert q == try_divide_exact(z, spec.pi**e)
+    with pytest.raises(ValueError):
+        spec.over_pi(k.one, -1)
+
+
+def test_pispec_rejects_a_wrong_inverse_of_pi(monkeypatch):
+    k = cyclotomic_field(5)
+    f5 = FiniteField(5)
+    PiSpec(k, k.zeta - 1, 5, 4, f5, f5.one)
+    monkeypatch.setattr(CycloElement, "inv", lambda self: self.field.one)
+    with pytest.raises(ArithmeticError):
+        PiSpec(k, k.zeta - 1, 5, 4, f5, f5.one)

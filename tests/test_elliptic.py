@@ -37,6 +37,13 @@ def test_singular_input_rejected():
         EllipticCurve(F5, 0, 0, 0)  # y^2 = x^3 has a cusp
 
 
+def test_count_points_raises_past_the_hasse_bound(monkeypatch):
+    curve = EllipticCurve(F5, 0, -1, 0)
+    monkeypatch.setattr(curve, "rhs", lambda x: F5.one)  # 2 points over every x
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        count_points(curve)
+
+
 def test_hasse_bound_over_f7():
     f7 = FiniteField(7)
     for a in range(7):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from hodgegap import invariants
 from hodgegap.algebra import primes_upto
 from hodgegap.invariants import (
     DiagonalAction,
@@ -78,6 +79,13 @@ def test_hodge_pairs():
     assert hodge30_pair(13) == (0, 4)
     with pytest.raises(ValueError):
         hodge30_pair(2)
+
+
+@pytest.mark.parametrize("count", [1, 0], ids=["hX-nonzero", "hY-zero"])
+def test_hodge30_pair_raises_on_impossible_counts(monkeypatch, count):
+    monkeypatch.setattr(invariants, "kunneth_h30_invariant_dim", lambda *args: count)
+    with pytest.raises(ArithmeticError):
+        hodge30_pair(7)
 
 
 def test_hx_vanishes_for_all_tested_primes():
