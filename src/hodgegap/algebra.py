@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 
@@ -445,23 +444,30 @@ def kernel_dim_mod_p(m: MatrixModP) -> int:
 
 
 def kernel_dim_rational(entries) -> int:
-    """dim over Q of the kernel of an integer matrix, via Fraction elimination."""
-    a = [[Fraction(e) for e in row] for row in entries]
+    """dim over Q of the kernel of an integer matrix, by fraction-free
+    (Bareiss) elimination.
+
+    After each pivot, every entry below it is a minor of the input, so the
+    division by the previous pivot is exact (Sylvester's identity) and the
+    entries stay integers of bounded size.
+    """
+    a = [list(row) for row in entries]
     if not a:
         return 0
     rows, cols = len(a), len(a[0])
     rank = 0
+    prev = 1
     for col in range(cols):
         pivot = next((i for i in range(rank, rows) if a[i][col]), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        piv = top[col]
+        for i in range(rank + 1, rows):
+            f = a[i][col]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = piv
         rank += 1
         if rank == rows:
             break

@@ -18,6 +18,7 @@ special fibre.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,12 @@ class HyperellipticModel:
     @property
     def ring(self):
         return self.f.ring
+
+    @functools.cached_property
+    def squarefree(self) -> bool:
+        """Whether f has no repeated root; the model is frozen, so the gcd
+        behind this verdict runs once per model."""
+        return discriminant_squarefree(self.f)[0]
 
 
 @dataclass(frozen=True)
@@ -106,8 +113,7 @@ def hyperelliptic_family(p: int, spec: Optional[PiSpec] = None) -> Hyperelliptic
 
 def genus(model: HyperellipticModel) -> int:
     """floor((deg f - 1)/2); demands squarefree f."""
-    ok, _ = discriminant_squarefree(model.f)
-    if not ok:
+    if not model.squarefree:
         raise ValueError("genus of a singular model")
     return (model.f.degree - 1) // 2
 
@@ -238,10 +244,10 @@ def is_relatively_smooth(model: HyperellipticModel, spec: Optional[PiSpec] = Non
             raise ValueError("a PiSpec is needed to check the special fibre")
         if not all(c.is_integral for c in f.coeffs):
             return False
-        if not discriminant_squarefree(f)[0]:
+        if not model.squarefree:
             return False
-        return discriminant_squarefree(reduce_model(model, spec).f)[0]
-    return discriminant_squarefree(f)[0]
+        return reduce_model(model, spec).squarefree
+    return model.squarefree
 
 
 # ---------------------------------------------------------------------------

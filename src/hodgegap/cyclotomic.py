@@ -10,6 +10,11 @@ positive denominator.  Invariants kept by every constructor:
   * den == 1 exactly when the element is an algebraic integer, because the
     power basis is an integral basis for Z[zeta_n].
 
+Arithmetic never leaves the integers.  The inverse is the Galois-norm one:
+a^{-1} = prod_{k in (Z/n)^*, k != 1} sigma_k(a) / N(a), where sigma_k sends
+z to z^k, which only re-indexes coordinates modulo n (Washington,
+*Introduction to Cyclotomic Fields*, ch. 2).
+
 On top of the field arithmetic this module provides the local data at the
 ramified prime above p: the uniformizer pi (zeta_p - 1, or zeta_12^4 - 1 for
 the p = 3 engine inside Q(zeta_12)), exact pi-adic valuations and the residue
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import FiniteField, FqElement, is_prime
@@ -105,25 +109,29 @@ class CyclotomicField:
         raise TypeError(f"cannot coerce {x!r} into Q(zeta_{self.n})")
 
     def _reduce(self, coords: Sequence[int]) -> list[int]:
-        c = list(coords)
-        d = self.degree
+        # fold modulo z^n - 1 first (a multiple of Phi_n), so that only the
+        # n - phi(n) top coordinates need the division by Phi_n
+        n, d = self.n, self.degree
+        c = list(coords[:n])
+        c += [0] * (n - len(c))
+        for i in range(n, len(coords)):
+            c[i % n] += coords[i]
         mod = self.modulus
-        for i in range(len(c) - 1, d - 1, -1):
+        for i in range(n - 1, d - 1, -1):
             t = c[i]
             if t:
-                c[i] = 0
                 for j in range(d):
                     c[i - d + j] -= t * mod[j]
-        if len(c) < d:
-            c += [0] * (d - len(c))
         return c[:d]
 
-    def _from_fractions(self, fracs: Sequence[Fraction]) -> "CycloElement":
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        coords = [int(f * den) for f in fracs]
-        return CycloElement(self, tuple(coords), den)
+    def _mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """Reduced product of two integer coordinate vectors."""
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return self._reduce(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CyclotomicField) and other.n == self.n
@@ -185,35 +193,37 @@ class CycloElement:
 
     def __mul__(self, other):
         o = self._co(other)
-        n = self.field.degree
-        out = [0] * (2 * n - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(o.num):
-                    out[i + j] += a * b
         return CycloElement(
-            self.field, tuple(self.field._reduce(out)), self.den * o.den
+            self.field, tuple(self.field._mul(self.num, o.num)), self.den * o.den
         )
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloElement":
-        """Field inverse via the extended Euclidean algorithm against Phi_n."""
+        """Field inverse through the norm, in integer arithmetic only.
+
+        With a = num/den and sigma_k: z -> z^k the Galois automorphisms,
+        c = prod_{k in (Z/n)^*, k != 1} sigma_k(num) is an algebraic integer
+        and num * c = N(num), the norm, a nonzero rational integer; so
+        a^{-1} = den * c / N(num).  Applying sigma_k only re-indexes the
+        coordinates (i -> i*k mod n) before reducing modulo Phi_n.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        a = [Fraction(c) for c in self.num]
-        b = [Fraction(c) for c in self.field.modulus]
-        # track s with s*num == r (mod Phi_n)
-        s_a, s_b = [Fraction(1)], [Fraction(0)]
-        while any(b):
-            q, r = _frac_poly_divmod(a, b)
-            s_a, s_b = s_b, _frac_poly_sub(s_a, _frac_poly_mul(q, s_b))
-            a, b = b, r
-        # a is now a nonzero constant gcd (Phi_n is irreducible over Q)
-        lead = next(c for c in a if c)
-        inv_coeffs = [c / lead * self.den for c in s_a]
-        inv_coeffs += [Fraction(0)] * (self.field.degree - len(inv_coeffs))
-        return self.field._from_fractions(inv_coeffs[: self.field.degree])
+        field = self.field
+        n = field.n
+        acc = [1]
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                conj = [0] * n
+                for i, c in enumerate(self.num):
+                    conj[i * k % n] += c
+                # conjugate first: _mul skips its zeros, and it is as sparse as self
+                acc = field._mul(field._reduce(conj), acc)
+        norm = field._mul(self.num, acc)
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError(f"conjugate product of {self} is not a nonzero rational")
+        return CycloElement(field, tuple(c * self.den for c in acc), norm[0])
 
     def __truediv__(self, other):
         return self * self._co(other).inv()
@@ -278,36 +288,6 @@ class CycloElement:
         if self.den == 1:
             return body
         return f"({body})/{self.den}"
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db] / b[db]
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    return q, a[:db] if db else [Fraction(0)]
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return a
 
 
 def canonicalize(raw: Sequence[int], n: int) -> CycloElement:

@@ -8,6 +8,7 @@ coefficients in the field's canonical order, so results are deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -69,12 +70,20 @@ class EllipticCurve:
         return f"E[y^2 = x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6}) / GF({self.q})]"
 
 
+@functools.cache
+def _square_counts(field: FiniteField) -> dict[FqElement, int]:
+    """How many y in the field have y^2 = s, for each square s; built once
+    per field and only read."""
+    counts: dict[FqElement, int] = {}
+    for y in field:
+        s = y * y
+        counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
 def count_points(curve: EllipticCurve) -> int:
     """Exact number of rational points, point at infinity included."""
-    sq_count: dict[FqElement, int] = {}
-    for y in curve.field:
-        s = y * y
-        sq_count[s] = sq_count.get(s, 0) + 1
+    sq_count = _square_counts(curve.field)
     n = 1 + sum(sq_count.get(curve.rhs(x), 0) for x in curve.field)
     q = curve.q
     if (q + 1 - n) ** 2 > 4 * q:

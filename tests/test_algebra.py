@@ -143,6 +143,20 @@ def test_rational_kernel():
     assert kernel_dim_rational([[1, 0], [0, 1]]) == 0
     assert kernel_dim_rational([[0, 0], [0, 0]]) == 2
     assert kernel_dim_rational([[1, 2], [2, 4]]) == 1
+    # L = [I_k; random] and R = [I_k | random] make L*R of rank exactly k;
+    # shuffled rows and columns move the pivots off the diagonal
+    rng = random.Random(2024)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        k = rng.randint(0, min(rows, cols))
+        left = [[int(i == j) for j in range(k)] for i in range(k)]
+        left += [[rng.randint(-9, 9) for _ in range(k)] for _ in range(rows - k)]
+        right = [[int(i == j) for j in range(k)] + [rng.randint(-9, 9) for _ in range(cols - k)] for i in range(k)]
+        m = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+        rng.shuffle(m)
+        perm = rng.sample(range(cols), cols)
+        m = [[row[j] for j in perm] for row in m]
+        assert kernel_dim_rational(m) == cols - k
 
 
 def test_sqrt_examples():

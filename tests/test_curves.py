@@ -185,6 +185,36 @@ def test_smoothness_rejects_degenerate_models():
     assert not is_relatively_smooth(HyperellipticModel(Polynomial(f5, [])))
 
 
+def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
+    from hodgegap import curves
+
+    spec = default_spec(5)
+    model = hyperelliptic_family(5, spec)
+    real = curves.discriminant_squarefree
+    seen = []
+
+    def counting(f):
+        seen.append(f)
+        return real(f)
+
+    monkeypatch.setattr(curves, "discriminant_squarefree", counting)
+    assert is_relatively_smooth(model, spec)
+    assert genus(model) == 2
+    assert sum(f is model.f for f in seen) == 1
+
+
+@pytest.mark.parametrize("p", [19, 23])
+def test_repeated_root_is_rejected_beyond_the_shipped_primes(p):
+    # control: f * (u - 2)^2 keeps odd degree and integral coefficients
+    spec = default_spec(p)
+    k = spec.field
+    linear = Polynomial(k, [k.from_int(-2), k.one])
+    model = HyperellipticModel(_family(p).f * linear * linear)
+    assert not is_relatively_smooth(model, spec)
+    with pytest.raises(ValueError, match="singular"):
+        genus(model)
+
+
 @pytest.mark.parametrize("p", SUPPORTED)
 def test_sigma_preserves_family_on_both_fibres(p):
     spec = default_spec(p)

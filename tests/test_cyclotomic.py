@@ -6,6 +6,7 @@ import pytest
 from hodgegap.algebra import FiniteField
 from hodgegap.cyclotomic import (
     CycloElement,
+    CyclotomicField,
     PiSpec,
     canonicalize,
     cyclotomic_field,
@@ -88,6 +89,35 @@ def test_inverse_of_random_nonzero_elements():
             continue
         assert a * a.inv() == 1
         done += 1
+
+
+@pytest.mark.parametrize("n", [5, 12, 17, 23])
+def test_inverse_of_wide_random_elements(n):
+    # a * a.inv() == 1 is a complete certificate: inverses in a field are unique
+    k = cyclotomic_field(n)
+    rng = random.Random(n)
+    done = 0
+    while done < 12:
+        coords = [rng.choice((0, rng.randint(-(2**64), 2**64))) for _ in range(k.degree)]
+        a = k.element(coords, rng.randint(2, 2**64))
+        if a.den == 1:
+            continue
+        assert a * a.inv() == 1
+        done += 1
+
+
+def test_inverse_raises_when_the_conjugate_product_is_not_rational(monkeypatch):
+    a = K5.element([3, -1, 0, 2], 7)
+    reduce = CyclotomicField._reduce
+
+    def broken(self, coords):
+        out = reduce(self, coords)
+        out[1] = 1
+        return out
+
+    monkeypatch.setattr(CyclotomicField, "_reduce", broken)
+    with pytest.raises(ArithmeticError, match="not a nonzero rational"):
+        a.inv()
 
 
 def _valuation_by_division(z, spec):

@@ -44,6 +44,17 @@ def test_count_points_raises_past_the_hasse_bound(monkeypatch):
         count_points(curve)
 
 
+def test_count_points_builds_one_squares_table_per_field():
+    from hodgegap import elliptic
+
+    f7 = FiniteField(7)
+    elliptic._square_counts.cache_clear()
+    for b in range(1, 7):
+        count_points(EllipticCurve(f7, 0, 0, b))
+    count_points(EllipticCurve(FiniteField(7), 0, 0, 1))
+    assert elliptic._square_counts.cache_info().misses == 1
+
+
 def test_hasse_bound_over_f7():
     f7 = FiniteField(7)
     for a in range(7):
