@@ -5,7 +5,6 @@ print the exact curve coefficients."""
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -17,39 +16,29 @@ from .curves import (
     affine_fixed_points,
     chart_transition_check,
     conjugacy_check,
+    construction,
     default_spec,
-    second_chart_closed_form,
     genus,
     has_prime_order,
     hyperelliptic_family,
     is_relatively_smooth,
     map_preserves_curve,
-    reduce_model,
     reduction_target,
     second_chart_polynomial,
     sigma_generic,
     sigma_special,
     substitution_check,
-    substitution_check_p3,
     tau_special,
 )
-from .elliptic import (
-    count_points,
-    find_ordinary_with_trace_one,
-    find_p3_curve,
-    torsion_point_of_exact_order,
-    translation_is_fixed_point_free,
-)
+from .elliptic import count_points, translation_is_fixed_point_free
 from .invariants import (
     discrepancy_series,
     form_weights,
-    hodge30_pair,
     invariant_pair_witnesses,
     least_squares_slope,
     witness_form_check,
     DiagonalAction,
 )
-from .modularrep import h1_de_rham_report
 
 __version__ = "0.1.0"
 
@@ -107,11 +96,17 @@ class VerificationReport:
 
 
 def build_report(p: int) -> VerificationReport:
-    """Run the full check sequence for one odd prime.  Shared objects are
+    """Run the full check sequence for one odd prime.  Every per-prime datum
+    and shared object comes from :func:`construction`, whose objects are
     built lazily and once, so a failure to build one fails only its checks."""
     report = VerificationReport(p)
+    c = construction(p)
 
     def record(cid: str, statement: str, fn) -> None:
+        if cid in c.skips:
+            statement, reason = c.skips[cid]
+            report.add(CheckResult(cid, statement, SKIPPED, reason))
+            return
         try:
             ok, witness = fn()
             status = PASS if ok else FAIL
@@ -119,30 +114,18 @@ def build_report(p: int) -> VerificationReport:
             status, witness = FAIL, f"error: {exc}"
         report.add(CheckResult(cid, statement, status, witness))
 
-    def skip(cid: str, statement: str, reason: str) -> None:
-        report.add(CheckResult(cid, statement, SKIPPED, reason))
-
-    spec = default_spec(p)
-    g = 4 if p == 3 else (p - 1) // 2
-
-    @functools.cache
-    def _family():
-        return hyperelliptic_family(p, spec)
-
-    @functools.cache
-    def _reduced():
-        return reduce_model(_family(), spec)
+    spec, g = c.spec, c.genus
 
     def _genus():
-        found = genus(_family())
+        found = genus(c.family)
         return found == g, found
 
     record(
         "curve.integrality",
         "every coefficient of v^2 = f(u) lies in the ring of integers",
         lambda: (
-            all(c.is_integral for c in _family().f.coeffs),
-            f"{len(_family().f.coeffs)} power-basis coefficients, denominator 1",
+            all(x.is_integral for x in c.family.f.coeffs),
+            f"{len(c.family.f.coeffs)} power-basis coefficients, denominator 1",
         ),
     )
     record("curve.genus", f"the family has genus {g}", _genus)
@@ -150,47 +133,33 @@ def build_report(p: int) -> VerificationReport:
         "curve.smoothness",
         "f is squarefree on both fibres and of odd degree, so the model is "
         "smooth on both charts",
-        lambda: (is_relatively_smooth(_family(), spec), None),
+        lambda: (is_relatively_smooth(c.family, spec), None),
     )
 
     target = reduction_target(p, spec)
     record(
         "curve.reduction",
         f"reduction mod pi is v^2 = {target.render()}",
-        lambda: (_reduced().f == target, _reduced().f.render()),
+        lambda: (c.reduced.f == target, c.reduced.f.render()),
     )
-    if p == 3:
-        record(
-            "curve.substitution",
-            "x = pi*u + 1, y = v turns y^2 = (x^3-1)^3/pi^9 + (x^3-1)/pi^3 "
-            "into v^2 = f(u)",
-            lambda: (substitution_check_p3(spec, _family()), "exact polynomial identity"),
-        )
-        skip(
-            "curve.chart2",
-            "second affine chart in closed form",
-            "no closed-form second chart at p = 3; smoothness already covers "
-            "the point at infinity",
-        )
-    else:
-        record(
-            "curve.substitution",
-            "x = pi*u + 1, y = v turns pi^p y^2 = x^p - 1 into v^2 = f(u)",
-            lambda: (substitution_check(p, spec, _family()), "exact polynomial identity"),
-        )
-        record(
-            "curve.chart2",
-            "u = 1/s, v = t/s^((p+1)/2) lands on the second chart "
-            "v^2 = sum binom(p,i)/pi^i s^(i+1)",
-            lambda: (chart_transition_check(p, spec, _family()), "exact polynomial identity"),
-        )
+    record(
+        "curve.substitution",
+        f"x = pi*u + 1, y = v turns {c.xy_text} into v^2 = f(u)",
+        lambda: (substitution_check(p, spec, c.family), "exact polynomial identity"),
+    )
+    record(
+        "curve.chart2",
+        "u = 1/s, v = t/s^((p+1)/2) lands on the second chart "
+        "v^2 = sum binom(p,i)/pi^i s^(i+1)",
+        lambda: (chart_transition_check(p, spec, c.family), "exact polynomial identity"),
+    )
 
     sigma = sigma_generic(p, spec)
     sigma0 = sigma_special(spec)
     record(
         "action.sigma_preserves",
         "sigma(u) = zeta*u + 1, sigma(v) = v is an automorphism of the family",
-        lambda: (map_preserves_curve(_family(), sigma), None),
+        lambda: (map_preserves_curve(c.family, sigma), None),
     )
     record(
         "action.sigma_reduction",
@@ -199,7 +168,7 @@ def build_report(p: int) -> VerificationReport:
         lambda: (
             (spec.residue(sigma.alpha), spec.residue(sigma.beta), spec.residue(sigma.gamma))
             == (sigma0.alpha, sigma0.beta, sigma0.gamma)
-            and map_preserves_curve(_reduced(), sigma0),
+            and map_preserves_curve(c.reduced, sigma0),
             None,
         ),
     )
@@ -210,15 +179,14 @@ def build_report(p: int) -> VerificationReport:
 
     record("action.sigma_order", f"sigma has exact order {p}", _sigma_order)
 
-    conj_exp = 2 if p == 3 else 4
     tau = tau_special(p, spec)
     record(
-        f"conj.tau_sigma{conj_exp}",
+        f"conj.tau_sigma{c.twist}",
         f"tau = ({tau.alpha}u, {tau.gamma}v) is an automorphism of the special "
-        f"fibre conjugating sigma to sigma^{conj_exp}",
+        f"fibre conjugating sigma to sigma^{c.twist}",
         lambda: (
-            map_preserves_curve(_reduced(), tau)
-            and conjugacy_check(tau, sigma0, conj_exp),
+            map_preserves_curve(c.reduced, tau)
+            and conjugacy_check(tau, sigma0, c.twist),
             None,
         ),
     )
@@ -227,127 +195,77 @@ def build_report(p: int) -> VerificationReport:
         "sigma fixes no affine point of the special fibre, only the point "
         "at infinity",
         lambda: (
-            affine_fixed_points(sigma0, _reduced()) == ([], True),
+            affine_fixed_points(sigma0, c.reduced) == ([], True),
             "fixed locus = {infinity}",
         ),
     )
 
-    @functools.cache
-    def _elliptic():
-        if p == 3:
-            return find_p3_curve()
-        curve = find_ordinary_with_trace_one(p)
-        return curve, torsion_point_of_exact_order(curve, p)
-
     def _point_count():
-        curve = _elliptic()[0]
+        curve = c.elliptic[0]
         n = count_points(curve)
-        ok = n % 3 == 0 and (curve.q + 1 - n) % 3 != 0 if p == 3 else n == p
-        return ok, f"{curve!r} with {n} points"
+        return c.point_count_ok(curve, n), f"{curve!r} with {n} points"
 
-    if p == 3:
-        record(
-            "elliptic.ordinary_with_torsion",
-            "an ordinary elliptic curve over F_9 with a rational point of "
-            "exact order 3 exists",
-            _point_count,
-        )
-    else:
-        record(
-            "elliptic.trace_one",
-            f"an ordinary elliptic curve over F_{p} with exactly {p} rational "
-            "points exists (Weil polynomial x^2 - x + p), so its group is Z/p",
-            _point_count,
-        )
+    record(*c.elliptic_check, _point_count)
     record(
         "elliptic.torsion_point",
         f"the curve carries a rational point of exact order {p}",
-        lambda: (not _elliptic()[1].is_infinity, repr(_elliptic()[1])),
+        lambda: (not c.elliptic[1].is_infinity, repr(c.elliptic[1])),
     )
+    # a consistency check: no perturbation control makes it fail
     record(
         "elliptic.translation_free",
         "translation by that point fixes no rational point, so the diagonal "
         "action on C x C x E is fixed point free",
-        lambda: (translation_is_fixed_point_free(*_elliptic()), None),
+        lambda: (translation_is_fixed_point_free(*c.elliptic), None),
     )
 
-    expected_weights = (0, 1, 1, 2) if p == 3 else tuple(range(1, g + 1))
+    # a consistency check of form_weights: no perturbation control makes it fail
     record(
         "forms.weights",
         "sigma acts on the holomorphic 1-forms x^(k-1)dx/y with character "
-        f"exponents {sorted(expected_weights)}",
+        f"exponents {sorted(c.expected_weights)}",
         lambda: (
-            form_weights(p, 1, g).weights == expected_weights,
+            form_weights(p, 1, g).weights == c.expected_weights,
             list(form_weights(p, 1, g).weights),
         ),
     )
 
-    @functools.cache
-    def _hodge():
-        return hodge30_pair(p)
-
     def _hodge_ok():
-        h_x, h_y = _hodge()
-        ok = (h_x, h_y) == (5, 6) if p == 3 else (h_x == 0 and h_y >= 1)
+        h_x, h_y = c.hodge
+        ok = c.hodge_ok(h_x, h_y)
         w = form_weights(p, 1, g)
-        pairs = invariant_pair_witnesses(
-            w, w, DiagonalAction(p, (1, 2 if p == 3 else 4, 1))
-        )
+        pairs = invariant_pair_witnesses(w, w, DiagonalAction(p, (1, c.twist, 1)))
         return ok, {"hX": h_x, "hY": h_y, "hY_pairs": [list(t) for t in pairs]}
 
+    record("hodge.h30.pair", "invariant 3-forms: " + c.hodge_text, _hodge_ok)
     record(
-        "hodge.h30.pair",
-        "invariant 3-forms: "
-        + (
-            "5 for the (sigma, sigma, tau_P) quotient and 6 for (sigma, sigma^2, tau_P)"
-            if p == 3
-            else "none for the (sigma, sigma, tau_P) quotient, at least one for "
-            "(sigma, sigma^4, tau_P)"
-        ),
-        _hodge_ok,
+        "hodge.witness",
+        "x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega is invariant under "
+        "(sigma, sigma^4, tau_P)",
+        lambda: (witness_form_check(p), "weights 2 + 4*(p-1)/2 = 2p = 0 mod p"),
     )
-    if p == 3:
-        skip(
-            "hodge.witness",
-            "explicit invariant 3-form in closed form",
-            "the closed-form witness x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega "
-            "needs p >= 5; at p = 3 the twisted exponent is 2",
-        )
-    else:
-        record(
-            "hodge.witness",
-            "x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega is invariant under "
-            "(sigma, sigma^4, tau_P)",
-            lambda: (witness_form_check(p), "weights 2 + 4*(p-1)/2 = 2p = 0 mod p"),
-        )
-
-    @functools.cache
-    def _h1():
-        return h1_de_rham_report(p)
-
     record(
         "derham.h1",
         "first de Rham numbers are 4 (special fibre) and 2 (generic fibre), "
         "so the middle crystalline cohomology has 2-dimensional p-torsion",
         lambda: (
-            (_h1().h1_special, _h1().h1_generic, _h1().torsion_dim) == (4, 2, 2),
+            (c.h1.h1_special, c.h1.h1_generic, c.h1.torsion_dim) == (4, 2, 2),
             {
-                "h1Special": _h1().h1_special,
-                "h1Generic": _h1().h1_generic,
-                "torsionDim": _h1().torsion_dim,
+                "h1Special": c.h1.h1_special,
+                "h1Generic": c.h1.h1_generic,
+                "torsionDim": c.h1.torsion_dim,
             },
         ),
     )
 
     if not report.failed():
-        h_x, h_y = _hodge()
-        rep = _h1()
+        h_x, h_y = c.hodge
         report.summary = {
             "hX": h_x,
             "hY": h_y,
-            "h1Special": rep.h1_special,
-            "h1Generic": rep.h1_generic,
-            "torsionDim": rep.torsion_dim,
+            "h1Special": c.h1.h1_special,
+            "h1Generic": c.h1.h1_generic,
+            "torsionDim": c.h1.torsion_dim,
         }
     return report
 
@@ -392,9 +310,6 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_table(args, out) -> int:
-    if args.max < 5:
-        print("invalid input: --max must be at least 5", file=sys.stderr)
-        return 2
     if not args.no_banner:
         _banner(out)
     rows = discrepancy_series(args.max)
@@ -424,9 +339,6 @@ def cmd_curve(args, out) -> int:
     if args.chart == 1:
         poly, var = family.f, "u"
         head = "v^2 ="
-    elif p >= 5:
-        poly, var = second_chart_closed_form(p, spec), "s"
-        head = "t^2 ="
     else:
         poly, var = second_chart_polynomial(family), "s"
         head = "t^2 ="
@@ -466,6 +378,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     out = sys.stdout
+    if args.command == "table" and args.max < 5:
+        print("invalid input: --max must be at least 5", file=sys.stderr)
+        return 2
     if args.command != "table" and (args.p < 3 or not is_prime(args.p)):
         print(
             "p = 2 is not supported: the construction needs odd characteristic "

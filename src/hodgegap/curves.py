@@ -9,6 +9,8 @@ after the substitution x = pi*u + 1, y = v the generic fibre becomes
 pi^p y^2 = x^p - 1.  For p = 3 the analogous degree-9 family lives over
 Z_3[omega, i] (inside Q(zeta_12)): v^2 = g(u)^3 + g(u) with
 g = u^3 + (omega^2-1)u^2 - omega^2 u, reducing to v^2 = u^9 - u.
+:class:`Construction` is the one place that tells p = 3 apart; genus,
+reduction target, sigma, tau and the second chart are derived from it.
 
 Curve automorphisms are restricted to the affine shape
 (u, v) -> (alpha*u + beta, gamma*v), which covers the order-p action
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 from .algebra import (
     FiniteField,
@@ -31,6 +33,14 @@ from .algebra import (
     is_prime,
 )
 from .cyclotomic import CyclotomicField, PiSpec
+from .elliptic import (
+    EllipticCurve,
+    find_ordinary_with_trace_one,
+    find_p3_curve,
+    torsion_point_of_exact_order,
+)
+from .invariants import hodge30_pair
+from .modularrep import H1Report, h1_de_rham_report
 
 
 @dataclass(frozen=True)
@@ -75,22 +85,126 @@ class AffineCurveMap:
         return self.alpha == 1 and not self.beta and self.gamma == 1
 
 
+@dataclass(frozen=True, eq=False)
+class Construction:
+    """The data that differ at p = 3 (degree 9 over Q(zeta_12), a twist by
+    sigma^2, an elliptic factor over F_9), and the objects a report builds
+    from them: each built on first use and kept, so a report builds it once
+    and a failure to build it fails only the checks that read it."""
+
+    p: int
+    q: int  # the special fibre is v^2 = u^q - u over F_q
+    twist: int  # Y is the quotient by (sigma, sigma^twist, tau_P)
+    engine: Callable[[], PiSpec]
+    find_elliptic: Callable[[], tuple]  # (curve, point of exact order p)
+    point_count_ok: Callable[[EllipticCurve, int], bool]
+    expected_weights: tuple[int, ...]
+    hodge_ok: Callable[[int, int], bool]
+    xy_text: str
+    elliptic_check: tuple[str, str]  # (id, statement)
+    hodge_text: str
+    skips: Mapping[str, tuple[str, str]]  # check id -> (statement, reason)
+
+    @property
+    def genus(self) -> int:
+        return (self.q - 1) // 2
+
+    @functools.cached_property
+    def spec(self) -> PiSpec:
+        return self.engine()
+
+    @functools.cached_property
+    def family(self) -> HyperellipticModel:
+        return hyperelliptic_family(self.p, self.spec)
+
+    @functools.cached_property
+    def reduced(self) -> HyperellipticModel:
+        return reduce_model(self.family, self.spec)
+
+    @functools.cached_property
+    def elliptic(self) -> tuple:
+        return self.find_elliptic()
+
+    @functools.cached_property
+    def hodge(self) -> tuple[int, int]:
+        return hodge30_pair(self.p)
+
+    @functools.cached_property
+    def h1(self) -> H1Report:
+        return h1_de_rham_report(self.p)
+
+
+def _curve_with_point(p: int) -> tuple:
+    curve = find_ordinary_with_trace_one(p)
+    return curve, torsion_point_of_exact_order(curve, p)
+
+
+@functools.cache
+def construction(p: int) -> Construction:
+    """The construction at the odd prime p; nothing costly is built here."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
+    if p == 3:
+        return Construction(
+            p,
+            q=9,
+            twist=2,
+            engine=PiSpec.p3,
+            find_elliptic=find_p3_curve,
+            point_count_ok=lambda curve, n: n % 3 == 0 and (curve.q + 1 - n) % 3 != 0,
+            expected_weights=(0, 1, 1, 2),
+            hodge_ok=lambda h_x, h_y: (h_x, h_y) == (5, 6),
+            xy_text="y^2 = (x^3-1)^3/pi^9 + (x^3-1)/pi^3",
+            elliptic_check=(
+                "elliptic.ordinary_with_torsion",
+                "an ordinary elliptic curve over F_9 with a rational point of "
+                "exact order 3 exists",
+            ),
+            hodge_text="5 for the (sigma, sigma, tau_P) quotient and 6 for "
+            "(sigma, sigma^2, tau_P)",
+            skips={
+                "curve.chart2": (
+                    "second affine chart in closed form",
+                    "no closed-form second chart at p = 3; smoothness already "
+                    "covers the point at infinity",
+                ),
+                "hodge.witness": (
+                    "explicit invariant 3-form in closed form",
+                    "the closed-form witness x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ "
+                    "omega needs p >= 5; at p = 3 the twisted exponent is 2",
+                ),
+            },
+        )
+    return Construction(
+        p,
+        q=p,
+        twist=4,
+        engine=functools.partial(PiSpec.for_prime, p),
+        find_elliptic=functools.partial(_curve_with_point, p),
+        point_count_ok=lambda curve, n: n == p,
+        expected_weights=tuple(range(1, (p + 1) // 2)),
+        hodge_ok=lambda h_x, h_y: h_x == 0 and h_y >= 1,
+        xy_text="pi^p y^2 = x^p - 1",
+        elliptic_check=(
+            "elliptic.trace_one",
+            f"an ordinary elliptic curve over F_{p} with exactly {p} rational "
+            "points exists (Weil polynomial x^2 - x + p), so its group is Z/p",
+        ),
+        hodge_text="none for the (sigma, sigma, tau_P) quotient, at least one "
+        "for (sigma, sigma^4, tau_P)",
+        skips={},
+    )
+
+
 def default_spec(p: int) -> PiSpec:
     """The arithmetic engine for prime p: n = 12 when p = 3, n = p otherwise."""
-    return PiSpec.p3() if p == 3 else PiSpec.for_prime(p)
+    return construction(p).spec
 
 
 def hyperelliptic_family(p: int, spec: Optional[PiSpec] = None) -> HyperellipticModel:
     """The family v^2 = f(u) over the ramified base, coefficients verified
-    integral one by one."""
-    if p == 2:
-        raise ValueError(
-            "p = 2 is not supported: the construction needs odd characteristic, "
-            "and no characteristic-2 analogue (it would start from a Suzuki-type "
-            "curve) is known"
-        )
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    integral one by one.  An invalid p is rejected by :func:`construction`
+    (through the default engine) or by the engine check below."""
     spec = spec or default_spec(p)
     if spec.p != p:
         raise ValueError(f"engine is local at {spec.p}, not {p}")
@@ -128,9 +242,9 @@ def reduce_model(model: HyperellipticModel, spec: PiSpec) -> HyperellipticModel:
 
 
 def reduction_target(p: int, spec: PiSpec) -> Polynomial:
-    """u^p - u over F_p, or u^9 - u over F_9 when p = 3."""
+    """u^q - u over the residue field F_q: F_p, or F_9 when p = 3."""
     fq = spec.residue_field
-    d = 9 if p == 3 else p
+    d = fq.q
     coeffs = [fq.zero] * (d + 1)
     coeffs[d] = fq.one
     coeffs[1] = -fq.one
@@ -159,27 +273,13 @@ def substitution_check(
     p: int, spec: Optional[PiSpec] = None, model: Optional[HyperellipticModel] = None
 ) -> bool:
     """Does x = pi*u + 1 pull the xy-model back to v^2 = f(u)?  Exact
-    polynomial identity ((pi*u + 1)^p - 1)/pi^p == f(u) over Q(zeta_p)."""
-    if p < 5:
-        raise ValueError("use substitution_check_p3 for the p = 3 family")
+    polynomial identity over the engine's field, ((pi*u + 1)^p - 1)/pi^p ==
+    f(u) for p >= 5."""
     spec = spec or default_spec(p)
     model = model or hyperelliptic_family(p, spec)
     k = spec.field
     x_of_u = Polynomial(k, [k.one, spec.pi])
     return xy_model(p, spec).f.compose(x_of_u) == model.f
-
-
-def substitution_check_p3(
-    spec: Optional[PiSpec] = None,
-    model: Optional[HyperellipticModel] = None,
-    offset: int = 1,
-) -> bool:
-    """p = 3 analogue with x = pi*u + offset (offset 1 is the real substitution)."""
-    spec = spec or PiSpec.p3()
-    model = model or hyperelliptic_family(3, spec)
-    k = spec.field
-    x_of_u = Polynomial(k, [k.from_int(offset), spec.pi])
-    return xy_model(3, spec).f.compose(x_of_u) == model.f
 
 
 def second_chart_closed_form(p: int, spec: PiSpec) -> Polynomial:
@@ -258,7 +358,7 @@ def sigma_generic(p: int, spec: Optional[PiSpec] = None) -> AffineCurveMap:
     """sigma(u) = zeta_p*u + 1, sigma(v) = v over the ramified base."""
     spec = spec or default_spec(p)
     k = spec.field
-    zeta_p = k.zeta**4 if p == 3 else k.zeta
+    zeta_p = k.zeta ** (spec.n // p)
     return AffineCurveMap(zeta_p, k.one, k.one)
 
 
@@ -269,19 +369,19 @@ def sigma_special(spec: PiSpec) -> AffineCurveMap:
 
 
 def tau_special(p: int, spec: Optional[PiSpec] = None) -> AffineCurveMap:
-    """The conjugating automorphism of v^2 = u^p - u.
+    """The conjugating automorphism (t*u, sqrt(t)*v) of v^2 = u^q - u, with t
+    the twist exponent: it conjugates u -> u + 1 to u -> u + t.
 
-    For p >= 5 this is (4u, 2v).  For p = 3 we use (2u, i*v) over F_9,
-    where i = sqrt(2) = sqrt(-1); squaring shows it preserves u^9 - u.
+    For p >= 5 this is (4u, 2v).  For p = 3 it is (2u, i*v) over F_9, where
+    i = sqrt(2) = sqrt(-1); t^q = t shows it preserves u^q - u.
     """
     spec = spec or default_spec(p)
     fq = spec.residue_field
-    if p == 3:
-        root = fq_sqrt(fq.from_int(2))
-        if root is None:
-            raise ArithmeticError("2 must be a square in F_9")
-        return AffineCurveMap(fq.from_int(2), fq.zero, root)
-    return AffineCurveMap(fq.from_int(4), fq.zero, fq.from_int(2))
+    twist = fq.from_int(construction(p).twist)
+    root = fq_sqrt(twist)
+    if root is None:
+        raise ArithmeticError(f"{twist} must be a square in F_{fq.q}")
+    return AffineCurveMap(twist, fq.zero, root)
 
 
 def identity_map(ring) -> AffineCurveMap:

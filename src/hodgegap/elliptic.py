@@ -182,7 +182,9 @@ def torsion_point_of_exact_order(curve: EllipticCurve, ell: int) -> CurvePoint:
 
 def translation_is_fixed_point_free(curve: EllipticCurve, pt: CurvePoint) -> bool:
     """Q + P != Q for every rational Q, checked exhaustively.  False for
-    P = infinity, whose translation is the identity."""
+    P = infinity, whose translation is the identity.  Given a correct group
+    law this follows from P != O, so it is a consistency check: no
+    perturbation control makes the report's check fail."""
     if pt.is_infinity:
         return False
     return all(add_points(curve, q, pt) != q for q in curve.points())

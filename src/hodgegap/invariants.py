@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import curves  # a module, not its names: curves imports this module too
 from .algebra import is_prime, primes_upto
 
 
@@ -102,18 +103,14 @@ def witness_form_check(p: int) -> bool:
 
 def hodge30_pair(p: int) -> tuple[int, int]:
     """(h^{3,0} of the (sigma, sigma, tau_P) quotient, same for
-    (sigma, sigma^4, tau_P)); the second exponent is 2 instead of 4 when
-    p = 3."""
+    (sigma, sigma^twist, tau_P)); genus and twist (4, or 2 when p = 3) come
+    from :func:`curves.construction`."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    if p == 3:
-        w = form_weights(3, 1, 4)  # genus-4 curve: weights {1, 1, 2, 0}
-        twist = 2
-    else:
-        w = form_weights(p, 1, (p - 1) // 2)
-        twist = 4
+    c = curves.construction(p)
+    w = form_weights(p, 1, c.genus)
     h_x = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (1, 1, 1)))
-    h_y = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (1, twist, 1)))
+    h_y = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (1, c.twist, 1)))
     if p >= 5 and h_x != 0:
         raise ArithmeticError("invariant 3-form appeared for the untwisted action (bug)")
     if h_y <= 0:

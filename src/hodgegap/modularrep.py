@@ -40,25 +40,6 @@ def build_augmentation(p: int) -> AugmentationModule:
     return AugmentationModule(p, rows)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def generator_power(mod: AugmentationModule, k: int):
-    acc = _mat_identity(mod.p - 1)
-    for _ in range(k):
-        acc = _mat_mul(mod.generator_matrix, acc)
-    return acc
-
-
 def invariant_dim_rational(mod: AugmentationModule) -> int:
     """dim over Q of the fixed space of g; zero, since I tensor Q is a sum of
     nontrivial characters."""

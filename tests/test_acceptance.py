@@ -23,7 +23,6 @@ from hodgegap.curves import (
     sigma_generic,
     sigma_special,
     substitution_check,
-    substitution_check_p3,
     tau_special,
 )
 from hodgegap.cyclotomic import canonicalize, cyclotomic_field
@@ -121,7 +120,7 @@ def test_criterion_3_actions_and_conjugacy(capsys):
 def test_criterion_4_substitution_and_chart_identities(capsys):
     t0 = time.perf_counter()
     rng = random.Random(1234)
-    ok = substitution_check_p3()
+    ok = substitution_check(3)
     for p in (5, 7, 11, 13):
         ok = ok and substitution_check(p)
         ok = ok and chart_transition_check(p)
@@ -145,7 +144,7 @@ def test_criterion_4_substitution_and_chart_identities(capsys):
     fam3 = _family(3)
     for _ in range(3):
         bad = perturb(fam3, rng.randint(0, 9), rng.randint(1, 2))
-        ok = ok and not substitution_check_p3(model=bad)
+        ok = ok and not substitution_check(3, model=bad)
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         _verdict("criterion 4: substitution/chart identities hold, perturbations fail", ok, elapsed)

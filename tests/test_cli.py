@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +87,7 @@ def test_report_builds_the_family_once(monkeypatch, p):
 
     monkeypatch.setattr(curves, "hyperelliptic_family", counting)
     monkeypatch.setattr(cli, "hyperelliptic_family", counting)
+    curves.construction.cache_clear()  # an earlier test may have built it
     assert not build_report(p).failed()
     assert len(calls) == 1
 
@@ -181,6 +184,45 @@ def test_optimised_interpreter_gives_the_same_report():
     optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True)
     assert plain.returncode == optimised.returncode == 0
     assert optimised.stdout == plain.stdout
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)["sha256"]
+
+# SHA-256 of ``curve --p P --chart C --no-banner``, recorded before the
+# per-prime construction data moved into ``curves.construction``
+CURVE_DIGESTS = {
+    (3, 1): "120bdef616057abb9aa79b452e05cd24ec306f25db3bba4ea783702941159a19",
+    (3, 2): "ee8bafea5bbdb81c6d0e4052e6882b9c50d3457b0df965187931be9f984f10e4",
+    (5, 1): "2fba7b10d2f0b959d5d878da87195a253e18e0c85a6fa051474797447442f138",
+    (5, 2): "c7ca780cd90345d22d3a97094254c196a050ee4d901a67e9f14c8a0bec2c7d06",
+    (7, 1): "2c94b746878a59c5fb9ac69b23425ac6c186dcadf1ea7af5db69d8c96da3865d",
+    (7, 2): "c00f92a2fea6842f8e990a7908232b0463f0ef2abfb4790159548c0b53f292e8",
+    (13, 1): "d9ff761ce5757853bae5cbedcc252471c5cbcaf23ad563b449fa41311071bdc0",
+    (13, 2): "2d599cbc4ffa0ceb98304ff2c45b4cbb4ba9c6c844759f5c36c3b57c21fc4b5b",
+}
+
+
+def _digest(capsys, argv):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [f"verify --p {p} --format json --no-banner" for p in (3, 5, 7, 11, 13, 17, 23)]
+    + ["table --max 1000 --no-banner"],
+)
+def test_report_bytes_match_the_golden_digests(capsys, argv):
+    assert _digest(capsys, argv.split()) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("p, chart", sorted(CURVE_DIGESTS))
+def test_curve_bytes_are_pinned(capsys, p, chart):
+    argv = ["curve", "--p", str(p), "--chart", str(chart), "--no-banner"]
+    assert _digest(capsys, argv) == CURVE_DIGESTS[p, chart]
 
 
 def test_bad_subcommand_exits_two():

@@ -25,8 +25,8 @@ from hodgegap.curves import (
     sigma_generic,
     sigma_special,
     substitution_check,
-    substitution_check_p3,
     tau_special,
+    xy_model,
 )
 from hodgegap.cyclotomic import PiSpec, cyclotomic_field
 
@@ -123,9 +123,12 @@ def test_substitution_identity(p):
 
 
 def test_substitution_identity_p3():
-    assert substitution_check_p3()
+    assert substitution_check(3)
     # dropping the +1 offset breaks the constant term
-    assert not substitution_check_p3(offset=0)
+    spec = PiSpec.p3()
+    k = spec.field
+    x_without_offset = Polynomial(k, [k.zero, spec.pi])
+    assert xy_model(3, spec).f.compose(x_without_offset) != _family(3).f
 
 
 def _perturbed(model, index, delta):
@@ -154,7 +157,7 @@ def test_substitution_p3_rejects_perturbations():
     fam = hyperelliptic_family(3, spec)
     for _ in range(10):
         idx = rng.randint(0, fam.f.degree)
-        assert not substitution_check_p3(spec, model=_perturbed(fam, idx, rng.randint(1, 4)))
+        assert not substitution_check(3, spec, model=_perturbed(fam, idx, rng.randint(1, 4)))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

@@ -4,7 +4,6 @@ from hodgegap.algebra import primes_upto
 from hodgegap.modularrep import (
     H1Report,
     build_augmentation,
-    generator_power,
     h1_de_rham_report,
     invariant_dim_mod_p,
     invariant_dim_rational,
@@ -45,6 +44,21 @@ def test_build_rejects_tiny_p():
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def generator_power(mod, k):
+    acc = _identity(mod.p - 1)
+    for _ in range(k):
+        acc = _mat_mul(mod.generator_matrix, acc)
+    return acc
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
