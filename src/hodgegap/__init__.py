@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .algebra import FiniteField, FqElement, MatrixModP, Polynomial
 from .curves import AffineCurveMap, HyperellipticModel, hyperelliptic_family
-from .cyclotomic import CycloElement, CyclotomicField, PiSpec, canonicalize, cyclotomic_field
+from .cyclotomic import CycloElement, CyclotomicField, PiSpec, cyclotomic_field
 from .elliptic import CurvePoint, EllipticCurve
 from .invariants import DiagonalAction, WeightMultiset, hodge30_pair
 from .modularrep import AugmentationModule, H1Report, h1_de_rham_report
@@ -34,7 +34,6 @@ __all__ = [
     "PiSpec",
     "Polynomial",
     "WeightMultiset",
-    "canonicalize",
     "cyclotomic_field",
     "h1_de_rham_report",
     "hodge30_pair",

@@ -6,9 +6,9 @@ For an odd prime p >= 5 the family over Z_p[zeta_p] is
 
 with uniformizer pi = zeta_p - 1; its reduction mod pi is v^2 = u^p - u, and
 after the substitution x = pi*u + 1, y = v the generic fibre becomes
-pi^p y^2 = x^p - 1.  For p = 3 the analogous degree-9 family lives over
-Z_3[omega, i] (inside Q(zeta_12)): v^2 = g(u)^3 + g(u) with
-g = u^3 + (omega^2-1)u^2 - omega^2 u, reducing to v^2 = u^9 - u.
+pi^p y^2 = x^p - 1.  For p = 3 the same sum g, taken over Z_3[omega, i]
+(inside Q(zeta_12), pi = omega - 1), is g = u^3 + (omega^2-1)u^2 - omega^2 u,
+and the degree-9 family is v^2 = g^3 + g, reducing to v^2 = u^9 - u.
 :class:`Construction` is the one place that tells p = 3 apart; genus,
 reduction target, sigma, tau and the second chart are derived from it.
 
@@ -49,7 +49,6 @@ class HyperellipticModel:
     single point at infinity."""
 
     f: Polynomial
-    label: str = "generic-R"
 
     @property
     def ring(self):
@@ -201,28 +200,32 @@ def default_spec(p: int) -> PiSpec:
     return construction(p).spec
 
 
-def hyperelliptic_family(p: int, spec: Optional[PiSpec] = None) -> HyperellipticModel:
-    """The family v^2 = f(u) over the ramified base, coefficients verified
-    integral one by one.  An invalid p is rejected by :func:`construction`
-    (through the default engine) or by the engine check below."""
-    spec = spec or default_spec(p)
+def _residue_q(p: int, spec: PiSpec) -> int:
+    """q, once the engine is checked to be local at p with residue field F_q."""
     if spec.p != p:
         raise ValueError(f"engine is local at {spec.p}, not {p}")
+    q = construction(p).q
+    if spec.residue_field.q != q:
+        raise ValueError(f"the p = {p} construction needs an engine with residue field F_{q}")
+    return q
+
+
+def hyperelliptic_family(p: int, spec: Optional[PiSpec] = None) -> HyperellipticModel:
+    """The family v^2 = f(u) over the ramified base: f = g, or g^3 + g when
+    q = 9 > p = 3, with g = sum binom(p,i)/pi^i u^(p-i) and every coefficient
+    of g verified integral.  An invalid p is rejected by :func:`construction`,
+    an engine with the wrong residue field by :func:`_residue_q`."""
+    spec = spec or default_spec(p)
+    q = _residue_q(p, spec)
     k = spec.field
-    if p == 3:
-        if spec.n != 12:
-            raise ValueError("the p = 3 family needs the conductor-12 engine")
-        omega = k.zeta**4
-        u_poly = Polynomial(k, [k.zero, k.one])
-        g = u_poly**3 + u_poly.scale(omega**2 - 1) * u_poly + u_poly.scale(-(omega**2))
-        return HyperellipticModel(g**3 + g)
     coeffs = [k.zero] * (p + 1)
     for i in range(p):
         c = spec.over_pi(binomial(p, i), i)
         if not c.is_integral:
             raise ArithmeticError(f"binom({p},{i})/pi^{i} is not integral")
         coeffs[p - i] = c
-    return HyperellipticModel(Polynomial(k, coeffs))
+    g = Polynomial(k, coeffs)
+    return HyperellipticModel(g**p + g if q > p else g)
 
 
 def genus(model: HyperellipticModel) -> int:
@@ -235,10 +238,7 @@ def genus(model: HyperellipticModel) -> int:
 def reduce_model(model: HyperellipticModel, spec: PiSpec) -> HyperellipticModel:
     """Coefficient-wise reduction mod pi (every coefficient must be integral)."""
     fq = spec.residue_field
-    return HyperellipticModel(
-        Polynomial(fq, [spec.residue(c) for c in model.f.coeffs]),
-        label="special-fibre",
-    )
+    return HyperellipticModel(Polynomial(fq, [spec.residue(c) for c in model.f.coeffs]))
 
 
 def reduction_target(p: int, spec: PiSpec) -> Polynomial:
@@ -252,29 +252,25 @@ def reduction_target(p: int, spec: PiSpec) -> Polynomial:
 
 
 def xy_model(p: int, spec: Optional[PiSpec] = None) -> HyperellipticModel:
-    """The generic fibre in xy-coordinates: y^2 = (x^p - 1)/pi^p, and for
-    p = 3 the sum (x^3-1)^3/pi^9 + (x^3-1)/pi^3."""
+    """The generic fibre in xy-coordinates: y^2 = h, or h^3 + h when q = 9,
+    with h = (x^p - 1)/pi^p."""
     spec = spec or default_spec(p)
+    q = _residue_q(p, spec)
     k = spec.field
-    if p == 3:
-        cubed = Polynomial(k, [-k.one, k.zero, k.zero, k.one])  # x^3 - 1
-        return HyperellipticModel(
-            (cubed**3).scale(spec.over_pi(1, 9)) + cubed.scale(spec.over_pi(1, 3)),
-            label="xy-coordinates",
-        )
     scale = spec.over_pi(1, p)
     coeffs = [k.zero] * (p + 1)
     coeffs[0] = -scale
     coeffs[p] = scale
-    return HyperellipticModel(Polynomial(k, coeffs), label="xy-coordinates")
+    h = Polynomial(k, coeffs)
+    return HyperellipticModel(h**p + h if q > p else h)
 
 
 def substitution_check(
     p: int, spec: Optional[PiSpec] = None, model: Optional[HyperellipticModel] = None
 ) -> bool:
     """Does x = pi*u + 1 pull the xy-model back to v^2 = f(u)?  Exact
-    polynomial identity over the engine's field, ((pi*u + 1)^p - 1)/pi^p ==
-    f(u) for p >= 5."""
+    polynomial identity over the engine's field: h(pi*u + 1) == g(u) for
+    h = (x^p - 1)/pi^p, hence also h^3 + h == g^3 + g at p = 3."""
     spec = spec or default_spec(p)
     model = model or hyperelliptic_family(p, spec)
     k = spec.field
@@ -283,7 +279,8 @@ def substitution_check(
 
 
 def second_chart_closed_form(p: int, spec: PiSpec) -> Polynomial:
-    """sum_{i=0}^{p-1} binom(p,i)/pi^i * s^(i+1), the other affine chart."""
+    """sum_{i=0}^{p-1} binom(p,i)/pi^i * s^(i+1), the other affine chart: the
+    closed form that :func:`chart_transition_check` holds the flipped f against."""
     k = spec.field
     coeffs = [k.zero] * (p + 1)
     for i in range(p):
@@ -450,12 +447,10 @@ def conjugacy_check(
     return lhs == map_power(sigma, k)
 
 
-def affine_fixed_points(
-    m: AffineCurveMap, model: HyperellipticModel
-) -> tuple[list[tuple], bool]:
+def affine_fixed_points(m: AffineCurveMap, model: HyperellipticModel) -> list[tuple]:
     """All affine points of v^2 = f(u) fixed by the map, by exhaustion over
-    the finite coefficient field.  The point at infinity is always fixed by
-    maps of this shape, reported via the second component."""
+    the finite coefficient field.  Maps of this shape always fix the single
+    point at infinity, so it is not listed."""
     fq = m.ring
     if not isinstance(fq, FiniteField):
         raise ValueError("fixed-point search needs a finite coefficient field")
@@ -465,4 +460,4 @@ def affine_fixed_points(
         for v in fq:
             if v * v == rhs and m.apply(u, v) == (u, v):
                 fixed.append((u, v))
-    return fixed, True
+    return fixed

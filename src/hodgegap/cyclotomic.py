@@ -290,15 +290,11 @@ class CycloElement:
         return f"({body})/{self.den}"
 
 
-def canonicalize(raw: Sequence[int], n: int) -> CycloElement:
-    """Unique power-basis representative of an integer polynomial in zeta_n."""
-    return cyclotomic_field(n).element(list(raw))
-
-
 def try_divide_exact(
     z: CycloElement, w: CycloElement, integral: bool = False
 ) -> Optional[CycloElement]:
-    """z/w, or None when ``integral`` is set and the quotient leaves Z[zeta_n]."""
+    """z/w, or None when ``integral`` is set and the quotient leaves Z[zeta_n].
+    The report never calls it; the benchmark's inexact-division control does."""
     if not w:
         raise ZeroDivisionError("division by zero")
     q = z * w.inv()
@@ -383,6 +379,7 @@ class PiSpec:
 
         Clears the denominator first (each factor p in it costs e), then
         divides the integral part by pi until the quotient leaves Z[zeta_n].
+        The report never calls it; the benchmark's valuation items do.
         """
         z = self.field.coerce(z)
         if not z:

@@ -157,10 +157,10 @@ def find_p3_curve() -> tuple[EllipticCurve, CurvePoint]:
     for a2 in field:
         for a4 in field:
             for a6 in field:
-                rhs = Polynomial(field, [a6, a4, a2, field.one])
-                if not discriminant_squarefree(rhs)[0]:
+                try:
+                    curve = EllipticCurve(field, a2, a4, a6)
+                except ValueError:  # singular
                     continue
-                curve = EllipticCurve(field, a2, a4, a6)
                 n = count_points(curve)
                 trace = field.q + 1 - n
                 if n % 3 == 0 and trace % 3 != 0:

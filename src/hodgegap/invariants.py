@@ -28,11 +28,6 @@ class WeightMultiset:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(sorted(w % self.p for w in self.weights)))
 
-    @classmethod
-    def elliptic_factor(cls, p: int) -> "WeightMultiset":
-        # translation acts trivially on the invariant 1-form
-        return cls(p, (0,))
-
 
 @dataclass(frozen=True)
 class DiagonalAction:
@@ -121,7 +116,8 @@ def hodge30_pair(p: int) -> tuple[int, int]:
 def hy_interval_count(p: int) -> int:
     """Closed-form count of j in [1, (p-1)/2] with -4j mod p again in
     [1, (p-1)/2]: two integer intervals, independent of the pair
-    enumeration above."""
+    enumeration above, and the oracle :func:`discrepancy_series` checks
+    every hY against."""
     lo1, hi1 = -((p + 1) // -8), (p - 1) // 4  # ceil((p+1)/8) .. floor((p-1)/4)
     lo2, hi2 = -((3 * p + 1) // -8), (p - 1) // 2
     return max(hi1 - lo1 + 1, 0) + max(hi2 - lo2 + 1, 0)
@@ -162,31 +158,3 @@ def least_squares_slope(points: list[tuple[int, int]]) -> float:
     sxx = sum(x * x for x, _ in points)
     sxy = sum(x * y for x, y in points)
     return float(Fraction(n * sxy - sx * sy, n * sxx - sx * sx))
-
-
-def general_invariant_dim(
-    weight_sets: list[WeightMultiset], exponents: list[int], p: int
-) -> int:
-    """Number of tuples, one weight per factor, with sum a_i*w_i == 0 mod p.
-
-    Computed by convolving the twisted weight histograms, so it stays cheap
-    for many factors; the direct product enumeration is the test oracle.
-    """
-    if len(weight_sets) != len(exponents):
-        raise ValueError("one exponent per factor is required")
-    acc = [0] * p
-    acc[0] = 1
-    for ws, a in zip(weight_sets, exponents):
-        if ws.p != p:
-            raise ValueError("mismatched moduli")
-        hist = [0] * p
-        for w in ws.weights:
-            hist[(a * w) % p] += 1
-        nxt = [0] * p
-        for r, c in enumerate(acc):
-            if c:
-                for s, d in enumerate(hist):
-                    if d:
-                        nxt[(r + s) % p] += c * d
-        acc = nxt
-    return acc[0]

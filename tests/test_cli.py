@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hodgegap import cli, curves
-from hodgegap.cli import VerificationReport, build_report, main
+from hodgegap.cli import build_report, main
 
 
 def _run(capsys, argv):
@@ -97,12 +97,6 @@ def test_duplicate_check_id_raises(monkeypatch):
     monkeypatch.setattr(cli, "CheckResult", lambda cid, *rest: real("same.id", *rest))
     with pytest.raises(ValueError, match="duplicate check id same.id"):
         build_report(3)
-
-
-def test_report_round_trips_through_json():
-    report = build_report(3)
-    blob = json.dumps(report.to_dict())
-    assert VerificationReport.from_dict(json.loads(blob)) == report
 
 
 def test_output_is_byte_stable(capsys):

@@ -44,6 +44,14 @@ def test_family_rejects_two_and_composites():
         hyperelliptic_family(9)
 
 
+def test_family_rejects_an_engine_with_the_wrong_residue_field():
+    # the p = 3 construction lives over F_9; Z_3[zeta_3] has residue field F_3
+    with pytest.raises(ValueError):
+        hyperelliptic_family(3, PiSpec.for_prime(3))
+    with pytest.raises(ValueError):
+        xy_model(3, PiSpec.for_prime(3))
+
+
 def test_family_coefficients_p5():
     spec = PiSpec.for_prime(5)
     f = _family(5).f
@@ -301,22 +309,22 @@ def test_tau_p3_is_the_derived_square_root():
 def test_sigma_fixed_points_only_at_infinity(p):
     spec = default_spec(p)
     red = reduce_model(_family(p), spec)
-    assert affine_fixed_points(sigma_special(spec), red) == ([], True)
+    assert affine_fixed_points(sigma_special(spec), red) == []
 
 
 def test_tau_fixed_points_p5():
     spec = PiSpec.for_prime(5)
     red = reduce_model(_family(5), spec)
-    pts, inf_fixed = affine_fixed_points(tau_special(5, spec), red)
+    pts = affine_fixed_points(tau_special(5, spec), red)
     f5 = spec.residue_field
-    assert pts == [(f5.zero, f5.zero)] and inf_fixed
+    assert pts == [(f5.zero, f5.zero)]
 
 
 def test_identity_fixes_every_point():
     spec = PiSpec.for_prime(5)
     red = reduce_model(_family(5), spec)
-    pts, inf_fixed = affine_fixed_points(identity_map(spec.residue_field), red)
+    pts = affine_fixed_points(identity_map(spec.residue_field), red)
     # v^2 = u^5 - u has every u rational with v = 0, plus nothing else mod 5
-    assert inf_fixed and len(pts) == sum(
+    assert len(pts) == sum(
         1 for u in spec.residue_field for v in spec.residue_field if v * v == red.f(u)
     )

@@ -1,16 +1,11 @@
-import random
-from itertools import product
-
 import pytest
 
-from hodgegap import invariants
+from hodgegap import curves, invariants
 from hodgegap.algebra import primes_upto
 from hodgegap.invariants import (
     DiagonalAction,
-    WeightMultiset,
     discrepancy_series,
     form_weights,
-    general_invariant_dim,
     hodge30_pair,
     hy_interval_count,
     invariant_pair_witnesses,
@@ -114,6 +109,16 @@ def test_swapping_the_two_multipliers_is_symmetric():
                 assert ab == ba
 
 
+def test_pair_count_matches_the_listed_pairs():
+    # the report's hY is the count and its hY_pairs the list: they must agree
+    for p in [3] + [p for p in primes_upto(97) if p >= 5]:
+        w = form_weights(p, 1, curves.construction(p).genus)
+        for b in range(1, p):
+            action = DiagonalAction(p, (1, b, 1))
+            pairs = invariant_pair_witnesses(w, w, action)
+            assert kunneth_h30_invariant_dim(w, w, action) == len(pairs)
+
+
 def test_discrepancy_rows():
     rows = {r.p: r for r in discrepancy_series(13)}
     assert (rows[5].h_x, rows[5].h_y, rows[5].gap) == (0, 2, 2)
@@ -140,39 +145,3 @@ def test_least_squares_slope_on_exact_line():
     assert least_squares_slope([(1, 3), (2, 5), (3, 7)]) == 2.0
     with pytest.raises(ValueError):
         least_squares_slope([(1, 1)])
-
-
-def test_general_invariant_dim_basics():
-    single = WeightMultiset(5, (0,))
-    assert general_invariant_dim([single], [1], 5) == 1
-    # elliptic factor with weight zero reproduces the three-factor count
-    w5 = form_weights(5, 1, 2)
-    triple = general_invariant_dim([w5, w5, WeightMultiset.elliptic_factor(5)], [1, 4, 1], 5)
-    assert triple == kunneth_h30_invariant_dim(w5, w5, DiagonalAction(5, (1, 4, 1)))
-
-
-def _brute_force_tuples(weight_sets, exponents, p):
-    total = 0
-    for combo in product(*[ws.weights for ws in weight_sets]):
-        if sum(a * w for a, w in zip(exponents, combo)) % p == 0:
-            total += 1
-    return total
-
-
-def test_general_invariant_dim_against_product_enumeration():
-    rng = random.Random(4242)
-    primes = [3, 5, 7, 11, 13]
-    for _ in range(50):
-        p = rng.choice(primes)
-        factors = rng.randint(1, 4)
-        sets = [
-            WeightMultiset(p, tuple(rng.randrange(p) for _ in range(rng.randint(1, 5))))
-            for _ in range(factors)
-        ]
-        exps = [rng.randrange(p) for _ in range(factors)]
-        assert general_invariant_dim(sets, exps, p) == _brute_force_tuples(sets, exps, p)
-
-
-def test_general_invariant_dim_length_mismatch():
-    with pytest.raises(ValueError):
-        general_invariant_dim([WeightMultiset(5, (1,))], [1, 2], 5)
