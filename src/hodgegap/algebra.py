@@ -9,7 +9,6 @@ Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -473,6 +472,3 @@ def kernel_dim_rational(entries) -> int:
             break
     return cols - rank
 
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

@@ -10,7 +10,9 @@ pi^p y^2 = x^p - 1.  For p = 3 the same sum g, taken over Z_3[omega, i]
 (inside Q(zeta_12), pi = omega - 1), is g = u^3 + (omega^2-1)u^2 - omega^2 u,
 and the degree-9 family is v^2 = g^3 + g, reducing to v^2 = u^9 - u.
 :class:`Construction` is the one place that tells p = 3 apart; genus,
-reduction target, sigma, tau and the second chart are derived from it.
+reduction target, sigma, tau and the second chart are derived from it.  It
+holds the residue field F_q (F_p, or F_9 at p = 3) and one point-count test
+per prime; the elliptic factor is the first curve over F_q that passes it.
 
 Curve automorphisms are restricted to the affine shape
 (u, v) -> (alpha*u + beta, gamma*v), which covers the order-p action
@@ -21,24 +23,19 @@ special fibre.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .algebra import (
     FiniteField,
     Polynomial,
-    binomial,
     discriminant_squarefree,
     fq_sqrt,
     is_prime,
 )
 from .cyclotomic import CyclotomicField, PiSpec
-from .elliptic import (
-    EllipticCurve,
-    find_ordinary_with_trace_one,
-    find_p3_curve,
-    torsion_point_of_exact_order,
-)
+from .elliptic import EllipticCurve, find_curve, torsion_point_of_exact_order
 from .invariants import hodge30_pair
 from .modularrep import H1Report, h1_de_rham_report
 
@@ -92,17 +89,20 @@ class Construction:
     and a failure to build it fails only the checks that read it."""
 
     p: int
-    q: int  # the special fibre is v^2 = u^q - u over F_q
+    residue_field: FiniteField  # the special fibre is v^2 = u^q - u over F_q
     twist: int  # Y is the quotient by (sigma, sigma^twist, tau_P)
     engine: Callable[[], PiSpec]
-    find_elliptic: Callable[[], tuple]  # (curve, point of exact order p)
-    point_count_ok: Callable[[EllipticCurve, int], bool]
+    point_count_ok: Callable[[EllipticCurve, int], bool]  # picks the elliptic factor
     expected_weights: tuple[int, ...]
     hodge_ok: Callable[[int, int], bool]
     xy_text: str
     elliptic_check: tuple[str, str]  # (id, statement)
     hodge_text: str
     skips: Mapping[str, tuple[str, str]]  # check id -> (statement, reason)
+
+    @property
+    def q(self) -> int:
+        return self.residue_field.q
 
     @property
     def genus(self) -> int:
@@ -122,7 +122,10 @@ class Construction:
 
     @functools.cached_property
     def elliptic(self) -> tuple:
-        return self.find_elliptic()
+        """(the first curve over F_q that passes point_count_ok, its first
+        rational point of exact order p)."""
+        curve = find_curve(self.residue_field, self.point_count_ok)
+        return curve, torsion_point_of_exact_order(curve, self.p)
 
     @functools.cached_property
     def hodge(self) -> tuple[int, int]:
@@ -133,11 +136,6 @@ class Construction:
         return h1_de_rham_report(self.p)
 
 
-def _curve_with_point(p: int) -> tuple:
-    curve = find_ordinary_with_trace_one(p)
-    return curve, torsion_point_of_exact_order(curve, p)
-
-
 @functools.cache
 def construction(p: int) -> Construction:
     """The construction at the odd prime p; nothing costly is built here."""
@@ -146,10 +144,9 @@ def construction(p: int) -> Construction:
     if p == 3:
         return Construction(
             p,
-            q=9,
+            residue_field=FiniteField(3, modulus=(1, 0)),  # F_9 = F_3[i]
             twist=2,
             engine=PiSpec.p3,
-            find_elliptic=find_p3_curve,
             point_count_ok=lambda curve, n: n % 3 == 0 and (curve.q + 1 - n) % 3 != 0,
             expected_weights=(0, 1, 1, 2),
             hodge_ok=lambda h_x, h_y: (h_x, h_y) == (5, 6),
@@ -176,10 +173,9 @@ def construction(p: int) -> Construction:
         )
     return Construction(
         p,
-        q=p,
+        residue_field=FiniteField(p),
         twist=4,
         engine=functools.partial(PiSpec.for_prime, p),
-        find_elliptic=functools.partial(_curve_with_point, p),
         point_count_ok=lambda curve, n: n == p,
         expected_weights=tuple(range(1, (p + 1) // 2)),
         hodge_ok=lambda h_x, h_y: h_x == 0 and h_y >= 1,
@@ -220,7 +216,7 @@ def hyperelliptic_family(p: int, spec: Optional[PiSpec] = None) -> Hyperelliptic
     k = spec.field
     coeffs = [k.zero] * (p + 1)
     for i in range(p):
-        c = spec.over_pi(binomial(p, i), i)
+        c = spec.over_pi(math.comb(p, i), i)
         if not c.is_integral:
             raise ArithmeticError(f"binom({p},{i})/pi^{i} is not integral")
         coeffs[p - i] = c
@@ -284,7 +280,7 @@ def second_chart_closed_form(p: int, spec: PiSpec) -> Polynomial:
     k = spec.field
     coeffs = [k.zero] * (p + 1)
     for i in range(p):
-        coeffs[i + 1] = spec.over_pi(binomial(p, i), i)
+        coeffs[i + 1] = spec.over_pi(math.comb(p, i), i)
     return Polynomial(k, coeffs)
 
 

@@ -2,15 +2,16 @@
 
 Curves are kept in the form y^2 = x^3 + a2*x^2 + a4*x + a6 (characteristic
 never 2 here); the short Weierstrass case is a2 = 0, and the a2 term is what
-makes characteristic 3 work.  Point counting is naive and the searches scan
-coefficients in the field's canonical order, so results are deterministic.
+makes characteristic 3 work.  Point counting is naive, and the one
+coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the field's
+canonical order, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .algebra import FiniteField, FqElement, Polynomial, discriminant_squarefree, is_prime
 
@@ -131,29 +132,10 @@ def scalar_mul(curve: EllipticCurve, k: int, pt: CurvePoint) -> CurvePoint:
     return acc
 
 
-def find_ordinary_with_trace_one(p: int) -> EllipticCurve:
-    """The lexicographically least y^2 = x^3 + Ax + B over F_p with exactly p
-    rational points.  Trace p + 1 - p = 1 is prime to p, so the curve is
-    ordinary, and a group of prime order p is Z/p."""
-    if not is_prime(p) or p < 5:
-        raise ValueError("needs a prime p >= 5 (use find_p3_curve for p = 3)")
-    field = FiniteField(p)
-    for a in field:
-        for b in field:
-            disc = 4 * (a * a * a) + 27 * (b * b)
-            if not disc:
-                continue
-            curve = EllipticCurve(field, field.zero, a, b)
-            if count_points(curve) == p:
-                return curve
-    raise RuntimeError(f"no trace-one curve over F_{p}: search exhausted (bug)")
-
-
-def find_p3_curve() -> tuple[EllipticCurve, CurvePoint]:
-    """An ordinary elliptic curve over F_9 whose group order is divisible by 3,
-    with a rational point of exact order 3.  First hit in lexicographic
-    (a2, a4, a6) order; ordinarity is certified by trace != 0 mod 3."""
-    field = FiniteField(3, modulus=(1, 0))
+def find_curve(field: FiniteField, ok: Callable[[EllipticCurve, int], bool]) -> EllipticCurve:
+    """The first nonsingular y^2 = x^3 + a2 x^2 + a4 x + a6 over ``field``, in
+    lexicographic (a2, a4, a6) order, with ``ok(curve, #points)``: the one
+    coefficient search, which every elliptic factor comes from."""
     for a2 in field:
         for a4 in field:
             for a6 in field:
@@ -161,21 +143,30 @@ def find_p3_curve() -> tuple[EllipticCurve, CurvePoint]:
                     curve = EllipticCurve(field, a2, a4, a6)
                 except ValueError:  # singular
                     continue
-                n = count_points(curve)
-                trace = field.q + 1 - n
-                if n % 3 == 0 and trace % 3 != 0:
-                    return curve, torsion_point_of_exact_order(curve, 3)
-    raise RuntimeError("no ordinary curve with 3-torsion over F_9: search exhausted (bug)")
+                if ok(curve, count_points(curve)):
+                    return curve
+    raise RuntimeError(f"no curve over {field} passes the test: search exhausted")
+
+
+def find_ordinary_with_trace_one(p: int) -> EllipticCurve:
+    """The first curve over F_p with exactly p rational points.  Every curve
+    over F_p, p >= 5, has a short model and a trace-one curve exists, so the
+    hit has a2 = 0: it is the least y^2 = x^3 + Ax + B in (A, B) order.  Trace
+    p + 1 - p = 1 is prime to p, so the curve is ordinary, and a group of
+    prime order p is Z/p.  Only the benchmark and the tests call it; a report
+    takes the same curve from ``curves.construction(p).elliptic``."""
+    if not is_prime(p) or p < 5:
+        raise ValueError(f"needs a prime p >= 5, got {p}")
+    return find_curve(FiniteField(p), lambda curve, n: n == p)
 
 
 def torsion_point_of_exact_order(curve: EllipticCurve, ell: int) -> CurvePoint:
-    """First rational point (in enumeration order) of exact order ell."""
+    """First rational point (in enumeration order) of exact order ell, for
+    ell prime: a point P != O with ell*P = O has order ell."""
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     for pt in curve.points():
-        if pt.is_infinity:
-            continue
-        if not scalar_mul(curve, ell, pt).is_infinity:
-            continue
-        if all(not scalar_mul(curve, m, pt).is_infinity for m in range(1, ell)):
+        if not pt.is_infinity and scalar_mul(curve, ell, pt).is_infinity:
             return pt
     raise ValueError(f"no rational point of exact order {ell}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curves  # a module, not its names: curves imports this module too
-from .algebra import is_prime, primes_upto
+from .algebra import primes_upto
 
 
 @dataclass(frozen=True)
@@ -51,35 +51,22 @@ def form_weights(p: int, multiplier: int, g: int) -> WeightMultiset:
     return WeightMultiset(p, tuple((multiplier * k) % p for k in range(1, g + 1)))
 
 
-def kunneth_h30_invariant_dim(
+def invariant_pair_witnesses(
     w1: WeightMultiset, w2: WeightMultiset, action: DiagonalAction
-) -> int:
-    """Number of pairs (with multiplicity) whose twisted weights cancel:
-    a1*w1 + a2*w2 + 0 == 0 mod p.  This is the dimension of the invariant
-    3-forms on curve x curve x elliptic under the diagonal generator."""
+) -> list[tuple[int, int]]:
+    """The pairs (x, y), with multiplicity, whose twisted weights cancel:
+    a1*x + a2*y + 0 == 0 mod p, listed x-major in weight order.  Their number
+    is the dimension of the invariant 3-forms on curve x curve x elliptic
+    under the diagonal generator.  w2 is indexed by a2*y mod p, so the cost is
+    O(#w1 + #w2 + #pairs)."""
     if w1.p != w2.p or w1.p != action.p:
         raise ValueError("mismatched moduli")
     p = action.p
     a1, a2, _ = action.exponents
-    left = [(a1 * w) % p for w in w1.weights]
-    count = 0
-    for w in w2.weights:
-        count += left.count((-a2 * w) % p)
-    return count
-
-
-def invariant_pair_witnesses(
-    w1: WeightMultiset, w2: WeightMultiset, action: DiagonalAction
-) -> list[tuple[int, int]]:
-    """The invariant pairs themselves, for report output."""
-    p = action.p
-    a1, a2, _ = action.exponents
-    return [
-        (x, y)
-        for x in w1.weights
-        for y in w2.weights
-        if (a1 * x + a2 * y) % p == 0
-    ]
+    by_twisted: dict[int, list[int]] = {}
+    for y in w2.weights:
+        by_twisted.setdefault((a2 * y) % p, []).append(y)
+    return [(x, y) for x in w1.weights for y in by_twisted.get((-a1 * x) % p, ())]
 
 
 def witness_form_check(p: int) -> bool:
@@ -98,14 +85,13 @@ def witness_form_check(p: int) -> bool:
 
 def hodge30_pair(p: int) -> tuple[int, int]:
     """(h^{3,0} of the (sigma, sigma, tau_P) quotient, same for
-    (sigma, sigma^twist, tau_P)); genus and twist (4, or 2 when p = 3) come
-    from :func:`curves.construction`."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
+    (sigma, sigma^twist, tau_P)), each the number of invariant pairs; genus
+    and twist (4, or 2 when p = 3) come from :func:`curves.construction`,
+    which also rejects a p that is not an odd prime."""
     c = curves.construction(p)
     w = form_weights(p, 1, c.genus)
-    h_x = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (1, 1, 1)))
-    h_y = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (1, c.twist, 1)))
+    h_x = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (1, 1, 1))))
+    h_y = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (1, c.twist, 1))))
     if p >= 5 and h_x != 0:
         raise ArithmeticError("invariant 3-form appeared for the untwisted action (bug)")
     if h_y <= 0:

@@ -14,6 +14,7 @@ from hodgegap.curves import (
     affine_fixed_points,
     chart_transition_check,
     conjugacy_check,
+    construction,
     default_spec,
     hyperelliptic_family,
     map_order,
@@ -29,7 +30,6 @@ from hodgegap.cyclotomic import cyclotomic_field
 from hodgegap.elliptic import (
     count_points,
     find_ordinary_with_trace_one,
-    find_p3_curve,
     scalar_mul,
     torsion_point_of_exact_order,
     translation_is_fixed_point_free,
@@ -40,7 +40,7 @@ from hodgegap.invariants import (
     form_weights,
     hodge30_pair,
     hy_interval_count,
-    kunneth_h30_invariant_dim,
+    invariant_pair_witnesses,
     least_squares_slope,
 )
 from hodgegap.modularrep import build_augmentation, h1_de_rham_report, invariant_dim_mod_p, invariant_dim_rational
@@ -106,7 +106,7 @@ def test_criterion_3_actions_and_conjugacy(capsys):
         ok = ok and conjugacy_check(tau, sigma0, k)
         ok = ok and affine_fixed_points(sigma0, red) == []
         if p == 3:
-            curve, pt = find_p3_curve()
+            curve, pt = construction(3).elliptic
         else:
             curve = find_ordinary_with_trace_one(p)
             pt = torsion_point_of_exact_order(curve, p)
@@ -164,7 +164,7 @@ def test_criterion_5_trace_one_instances(capsys):
             if q.is_infinity:
                 continue
             ok = ok and scalar_mul(curve, p, q).is_infinity
-    curve9, pt9 = find_p3_curve()
+    curve9, pt9 = construction(3).elliptic
     n9 = count_points(curve9)
     ok = ok and n9 % 3 == 0 and (curve9.q + 1 - n9) % 3 != 0
     ok = ok and scalar_mul(curve9, 3, pt9).is_infinity and not pt9.is_infinity
@@ -242,16 +242,18 @@ def test_criterion_8_property_suites(capsys):
     rng = random.Random(8004)
     for _ in range(50):  # canonicalization is idempotent
         raw = [rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]
-        once = k5.element(raw)
-        ok = ok and k5.element(list(once.num)) * once.den == k5.element(list(once.num))
+        den = rng.choice([1, -1]) * rng.randint(1, 12)
+        once = k5.element(raw, den)
+        ok = ok and k5.element(list(once.num), once.den) == once
+        ok = ok and once * den == k5.element(raw)
 
     rng = random.Random(8005)
     for _ in range(50):  # invariant count is blind to the choice of generator
         p = rng.choice([5, 7, 11, 13])
         w = form_weights(p, 1, (p - 1) // 2)
         c = rng.randint(1, p - 1)
-        base = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (1, 4, 1)))
-        scaled = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (c, (4 * c) % p, 1)))
+        base = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (1, 4, 1))))
+        scaled = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (c, (4 * c) % p, 1))))
         ok = ok and base == scaled
 
     elapsed = time.perf_counter() - t0

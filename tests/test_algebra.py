@@ -137,6 +137,20 @@ def test_rank_nullity_on_random_matrices():
             5, tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows))
         )
         assert kernel_dim_mod_p(m) + rank_mod_p(m) == cols
+    # the sum above holds by definition; the kernel's size is the real check:
+    # oracle, every x in F_5^cols with m x = 0 (at most 5^4 = 625 of them)
+    rng = random.Random(506)
+    for _ in range(100):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 4)
+        entries = tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows))
+        kernel = sum(
+            1
+            for x in itertools.product(range(5), repeat=cols)
+            if all(sum(a * b for a, b in zip(row, x)) % 5 == 0 for row in entries)
+        )
+        m = MatrixModP(5, entries)
+        assert 5 ** kernel_dim_mod_p(m) == kernel
 
 
 def test_rational_kernel():

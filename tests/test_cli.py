@@ -171,6 +171,28 @@ def test_console_module_entry():
     assert proc.stdout.splitlines()[0] == "p\thX\thY\tgap"
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["after-banner", "at-exit-flush"])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # `hodgegap verify --p 13 | head -1`: the reader goes away after the
+    # banner (unbuffered) or before anything is written (buffered, the
+    # report is flushed at exit); either way no traceback and a non-zero exit
+    flags = ["-u"] if unbuffered else []
+    proc = subprocess.Popen(
+        [sys.executable, *flags, "-m", "hodgegap", "verify", "--p", "13"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline() if unbuffered else None
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == ""
+    if unbuffered:
+        assert first.startswith("# hodgegap ")
+
+
 def test_optimised_interpreter_gives_the_same_report():
     # python -O strips assert statements; no check may depend on one
     argv = ["-m", "hodgegap", "verify", "--p", "5", "--format", "json", "--no-banner"]

@@ -4,13 +4,14 @@ from itertools import product
 import pytest
 
 from hodgegap.algebra import FiniteField, primes_upto
+from hodgegap.curves import construction
 from hodgegap.elliptic import (
     CurvePoint,
     EllipticCurve,
     add_points,
     count_points,
+    find_curve,
     find_ordinary_with_trace_one,
-    find_p3_curve,
     negate_point,
     scalar_mul,
     torsion_point_of_exact_order,
@@ -85,7 +86,7 @@ def test_trace_one_search(p):
 
 
 def test_p3_curve():
-    curve, pt = find_p3_curve()
+    curve, pt = construction(3).elliptic
     n = count_points(curve)
     trace = curve.q + 1 - n
     assert n % 3 == 0
@@ -98,6 +99,9 @@ def test_p3_curve():
     f9 = curve.field
     assert (curve.a2, curve.a4, curve.a6) == (f9.one, f9.zero, f9.one)
     assert n == 12
+    # (1, 0) has order 2, so "P != O and 4P = O" would not pin order 4
+    with pytest.raises(ValueError, match="not prime"):
+        torsion_point_of_exact_order(curve, 4)
 
 
 def test_group_law_basics():
@@ -112,7 +116,11 @@ def test_group_law_basics():
         add_points(curve, CurvePoint(F5.from_int(0), F5.from_int(1)), inf)
 
 
-@pytest.mark.parametrize("maker", [lambda: find_ordinary_with_trace_one(7), find_p3_curve])
+def p3_elliptic_factor():
+    return construction(3).elliptic
+
+
+@pytest.mark.parametrize("maker", [lambda: find_ordinary_with_trace_one(7), p3_elliptic_factor])
 def test_group_law_associativity(maker):
     made = maker()
     curve = made[0] if isinstance(made, tuple) else made
@@ -147,3 +155,38 @@ def test_searches_exist_for_medium_primes():
         if p < 5:
             continue
         assert count_points(find_ordinary_with_trace_one(p)) == p
+
+
+def _first_trace_one_by_integers(p):
+    # oracle: scan (a4, a6) in integer order, skipping 4 a4^3 + 27 a6^2 = 0,
+    # and count each curve by walking F_p x F_p
+    for a4 in range(p):
+        for a6 in range(p):
+            if (4 * a4**3 + 27 * a6**2) % p and _count_by_pairs(p, a4, a6) == p:
+                return a4, a6
+    raise AssertionError(f"no trace-one curve over F_{p}")
+
+
+@pytest.mark.parametrize("p", [p for p in primes_upto(61) if p >= 5])
+def test_general_search_finds_the_short_weierstrass_hit(p):
+    # find_curve scans a2 first; a2 = 0 covers every curve over F_p up to
+    # isomorphism, so its first hit is the first short-model hit
+    curve = find_ordinary_with_trace_one(p)
+    assert curve.a2 == curve.field.zero
+    assert (curve.a4.coords[0], curve.a6.coords[0]) == _first_trace_one_by_integers(p)
+
+
+def test_find_curve_skips_singular_candidates_and_follows_the_test():
+    # y^2 = x^3 (a2 = a4 = a6 = 0) is singular and must be skipped, not tested
+    seen = []
+
+    def ok(curve, n):
+        seen.append((curve.a2, curve.a4, curve.a6))
+        return len(seen) == 3
+
+    curve = find_curve(F5, ok)
+    assert (F5.zero, F5.zero, F5.zero) not in seen
+    assert seen[0] == (F5.zero, F5.zero, F5.one)
+    assert (curve.a2, curve.a4, curve.a6) == seen[-1]
+    with pytest.raises(RuntimeError, match="exhausted"):
+        find_curve(F5, lambda curve, n: False)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hodgegap import curves, invariants
@@ -9,7 +11,6 @@ from hodgegap.invariants import (
     hodge30_pair,
     hy_interval_count,
     invariant_pair_witnesses,
-    kunneth_h30_invariant_dim,
     least_squares_slope,
     witness_form_check,
 )
@@ -44,18 +45,18 @@ def test_form_weights_rejects_zero_multiplier():
 
 def test_kunneth_examples():
     w5 = form_weights(5, 1, 2)
-    assert kunneth_h30_invariant_dim(w5, w5, DiagonalAction(5, (1, 1, 1))) == 0
-    assert kunneth_h30_invariant_dim(w5, w5, DiagonalAction(5, (1, 4, 1))) == 2
+    assert len(invariant_pair_witnesses(w5, w5, DiagonalAction(5, (1, 1, 1)))) == 0
+    assert len(invariant_pair_witnesses(w5, w5, DiagonalAction(5, (1, 4, 1)))) == 2
     assert invariant_pair_witnesses(w5, w5, DiagonalAction(5, (1, 4, 1))) == [(1, 1), (2, 2)]
 
     w3 = form_weights(3, 1, 4)
-    assert kunneth_h30_invariant_dim(w3, w3, DiagonalAction(3, (1, 1, 1))) == 5
-    assert kunneth_h30_invariant_dim(w3, w3, DiagonalAction(3, (1, 2, 1))) == 6
+    assert len(invariant_pair_witnesses(w3, w3, DiagonalAction(3, (1, 1, 1)))) == 5
+    assert len(invariant_pair_witnesses(w3, w3, DiagonalAction(3, (1, 2, 1)))) == 6
 
 
 def test_kunneth_modulus_mismatch():
     with pytest.raises(ValueError):
-        kunneth_h30_invariant_dim(
+        invariant_pair_witnesses(
             form_weights(5, 1, 2), form_weights(7, 1, 3), DiagonalAction(5, (1, 1, 1))
         )
 
@@ -78,7 +79,7 @@ def test_hodge_pairs():
 
 @pytest.mark.parametrize("count", [1, 0], ids=["hX-nonzero", "hY-zero"])
 def test_hodge30_pair_raises_on_impossible_counts(monkeypatch, count):
-    monkeypatch.setattr(invariants, "kunneth_h30_invariant_dim", lambda *args: count)
+    monkeypatch.setattr(invariants, "invariant_pair_witnesses", lambda *args: [(0, 0)] * count)
     with pytest.raises(ArithmeticError):
         hodge30_pair(7)
 
@@ -93,9 +94,9 @@ def test_hx_vanishes_for_all_tested_primes():
 def test_conjugate_actions_give_the_same_count():
     for p in (5, 7, 11, 13):
         w = form_weights(p, 1, (p - 1) // 2)
-        base = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (1, 4, 1)))
+        base = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (1, 4, 1))))
         for c in range(1, p):
-            scaled = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (c, (4 * c) % p, 1)))
+            scaled = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (c, (4 * c) % p, 1))))
             assert scaled == base
 
 
@@ -104,19 +105,29 @@ def test_swapping_the_two_multipliers_is_symmetric():
         w = form_weights(p, 1, (p - 1) // 2)
         for a in range(1, p):
             for b in range(1, p):
-                ab = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (a, b, 1)))
-                ba = kunneth_h30_invariant_dim(w, w, DiagonalAction(p, (b, a, 1)))
+                ab = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (a, b, 1))))
+                ba = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (b, a, 1))))
                 assert ab == ba
 
 
+def _nested_pairs(w1, w2, action):
+    # oracle: every (x, y) in w1 x w2, kept when the twisted weights cancel
+    p = action.p
+    a1, a2, _ = action.exponents
+    return [(x, y) for x in w1.weights for y in w2.weights if (a1 * x + a2 * y) % p == 0]
+
+
 def test_pair_count_matches_the_listed_pairs():
-    # the report's hY is the count and its hY_pairs the list: they must agree
+    # the indexed enumeration must list the same pairs, in the same order, as
+    # the product walk: the report's hY is their number, hY_pairs the list
+    rng = random.Random(6061)
     for p in [3] + [p for p in primes_upto(97) if p >= 5]:
         w = form_weights(p, 1, curves.construction(p).genus)
-        for b in range(1, p):
-            action = DiagonalAction(p, (1, b, 1))
-            pairs = invariant_pair_witnesses(w, w, action)
-            assert kunneth_h30_invariant_dim(w, w, action) == len(pairs)
+        actions = [DiagonalAction(p, (1, b, 1)) for b in range(1, p)]
+        for _ in range(5):
+            actions.append(DiagonalAction(p, (rng.randint(1, p - 1), rng.randrange(p), 1)))
+        for action in actions:
+            assert invariant_pair_witnesses(w, w, action) == _nested_pairs(w, w, action)
 
 
 def test_discrepancy_rows():
