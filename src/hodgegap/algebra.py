@@ -9,6 +9,7 @@ Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -30,6 +31,20 @@ def is_prime(n: int) -> bool:
 
 def primes_upto(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if is_prime(n)]
+
+
+def field_pow(x, k: int):
+    """x**k by square-and-multiply, for an element of any coefficient field:
+    the ``__pow__`` of :class:`FqElement` and of the cyclotomic elements."""
+    if k < 0:
+        x, k = x.inv(), -k
+    acc = x.field.one
+    while k:
+        if k & 1:
+            acc = acc * x
+        x = x * x
+        k >>= 1
+    return acc
 
 
 class FiniteField:
@@ -158,17 +173,7 @@ class FqElement:
     def __rtruediv__(self, other):
         return self._co(other) * self.inv()
 
-    def __pow__(self, k: int) -> "FqElement":
-        if k < 0:
-            return self.inv() ** (-k)
-        acc = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+    __pow__ = field_pow
 
     def __bool__(self) -> bool:
         return any(self.coords)
@@ -196,16 +201,23 @@ class FqElement:
         return t if a0 == 0 else f"{t}+{a0}"
 
 
-def fq_sqrt(a: FqElement) -> Optional[FqElement]:
-    """First element (in the field's canonical order) whose square is ``a``.
+@functools.cache
+def square_roots(field: FiniteField) -> dict[FqElement, tuple[FqElement, ...]]:
+    """Each square s of the field mapped to every y with y^2 = s, in the
+    field's canonical order: the one place that finds square roots, built in
+    one pass over the field, once per field, and only read."""
+    roots: dict[FqElement, tuple[FqElement, ...]] = {}
+    for y in field:
+        s = y * y
+        roots[s] = roots.get(s, ()) + (y,)
+    return roots
 
-    Exhaustive search; the fields used here have at most a few hundred
-    elements.  Returns None when ``a`` is not a square.
-    """
-    for r in a.field:
-        if r * r == a:
-            return r
-    return None
+
+def fq_sqrt(a: FqElement) -> Optional[FqElement]:
+    """First root of ``a`` in the field's canonical order, looked up in
+    :func:`square_roots`; None when ``a`` is not a square."""
+    roots = square_roots(a.field).get(a)
+    return roots[0] if roots else None
 
 
 # ---------------------------------------------------------------------------

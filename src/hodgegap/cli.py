@@ -33,14 +33,7 @@ from .curves import (
     tau_special,
 )
 from .elliptic import count_points, translation_is_fixed_point_free
-from .invariants import (
-    discrepancy_series,
-    form_weights,
-    invariant_pair_witnesses,
-    least_squares_slope,
-    witness_form_check,
-    DiagonalAction,
-)
+from .invariants import discrepancy_series, least_squares_slope, witness_form_check
 
 PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
 
@@ -202,18 +195,13 @@ def build_report(p: int) -> VerificationReport:
         "forms.weights",
         "sigma acts on the holomorphic 1-forms x^(k-1)dx/y with character "
         f"exponents {sorted(c.expected_weights)}",
-        lambda: (
-            form_weights(p, 1, g).weights == c.expected_weights,
-            list(form_weights(p, 1, g).weights),
-        ),
+        lambda: (c.weights.weights == c.expected_weights, list(c.weights.weights)),
     )
 
     def _hodge_ok():
         h_x, h_y = c.hodge
-        ok = c.hodge_ok(h_x, h_y)
-        w = form_weights(p, 1, g)
-        pairs = invariant_pair_witnesses(w, w, DiagonalAction(p, (1, c.twist, 1)))
-        return ok, {"hX": h_x, "hY": h_y, "hY_pairs": [list(t) for t in pairs]}
+        pairs = [list(t) for t in c.hodge_pairs[1]]
+        return c.hodge_ok(h_x, h_y), {"hX": h_x, "hY": h_y, "hY_pairs": pairs}
 
     record("hodge.h30.pair", "invariant 3-forms: " + c.hodge_text, _hodge_ok)
     # a consistency check: witness_form_check computes 2 + 4*(p-1)/2 = 2p for
@@ -358,8 +346,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     out = sys.stdout
-    if args.command == "table" and args.max < 5:
-        print("invalid input: --max must be at least 5", file=sys.stderr)
+    if args.command == "table" and args.max < 7:
+        print(
+            "invalid input: --max must be at least 7 (the slope needs two primes)",
+            file=sys.stderr,
+        )
         return 2
     if args.command != "table" and (args.p < 3 or not is_prime(args.p)):
         print(

@@ -33,10 +33,11 @@ from .algebra import (
     discriminant_squarefree,
     fq_sqrt,
     is_prime,
+    square_roots,
 )
 from .cyclotomic import CyclotomicField, PiSpec
 from .elliptic import EllipticCurve, find_curve, torsion_point_of_exact_order
-from .invariants import hodge30_pair
+from .invariants import WeightMultiset, form_weights, hodge30_witnesses
 from .modularrep import H1Report, h1_de_rham_report
 
 
@@ -128,8 +129,17 @@ class Construction:
         return curve, torsion_point_of_exact_order(curve, self.p)
 
     @functools.cached_property
+    def weights(self) -> WeightMultiset:
+        return form_weights(self.p, 1, self.genus)
+
+    @functools.cached_property
+    def hodge_pairs(self) -> tuple[list, list]:
+        """(untwisted, twisted) invariant pairs; hX and hY are their lengths."""
+        return hodge30_witnesses(self.p, self.weights, self.twist)
+
+    @property
     def hodge(self) -> tuple[int, int]:
-        return hodge30_pair(self.p)
+        return len(self.hodge_pairs[0]), len(self.hodge_pairs[1])
 
     @functools.cached_property
     def h1(self) -> H1Report:
@@ -444,16 +454,11 @@ def conjugacy_check(
 
 
 def affine_fixed_points(m: AffineCurveMap, model: HyperellipticModel) -> list[tuple]:
-    """All affine points of v^2 = f(u) fixed by the map, by exhaustion over
-    the finite coefficient field.  Maps of this shape always fix the single
-    point at infinity, so it is not listed."""
+    """All affine points of v^2 = f(u) fixed by the map, u-major: each u reads
+    the roots of f(u) from :func:`square_roots`.  Maps of this shape always
+    fix the single point at infinity, so it is not listed."""
     fq = m.ring
     if not isinstance(fq, FiniteField):
         raise ValueError("fixed-point search needs a finite coefficient field")
-    fixed = []
-    for u in fq:
-        rhs = model.f(u)
-        for v in fq:
-            if v * v == rhs and m.apply(u, v) == (u, v):
-                fixed.append((u, v))
-    return fixed
+    roots = square_roots(fq)
+    return [(u, v) for u in fq for v in roots.get(model.f(u), ()) if m.apply(u, v) == (u, v)]

@@ -35,7 +35,7 @@ import functools
 import math
 from typing import Optional, Sequence, Union
 
-from .algebra import FiniteField, FqElement, is_prime
+from .algebra import FiniteField, FqElement, field_pow, is_prime
 
 
 def _divisors(n: int) -> list[int]:
@@ -231,17 +231,7 @@ class CycloElement:
     def __rtruediv__(self, other):
         return self._co(other) * self.inv()
 
-    def __pow__(self, k: int) -> "CycloElement":
-        if k < 0:
-            return self.inv() ** (-k)
-        acc = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+    __pow__ = field_pow
 
     # -- predicates ------------------------------------------------------------
 

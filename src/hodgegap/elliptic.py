@@ -2,18 +2,25 @@
 
 Curves are kept in the form y^2 = x^3 + a2*x^2 + a4*x + a6 (characteristic
 never 2 here); the short Weierstrass case is a2 = 0, and the a2 term is what
-makes characteristic 3 work.  Point counting is naive, and the one
+makes characteristic 3 work.  Points are listed and counted in O(q), each x
+reading the roots of rhs(x) from :func:`algebra.square_roots`; the one
 coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the field's
 canonical order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .algebra import FiniteField, FqElement, Polynomial, discriminant_squarefree, is_prime
+from .algebra import (
+    FiniteField,
+    FqElement,
+    Polynomial,
+    discriminant_squarefree,
+    is_prime,
+    square_roots,
+)
 
 
 @dataclass(frozen=True)
@@ -61,31 +68,19 @@ class EllipticCurve:
     def points(self) -> Iterator[CurvePoint]:
         """All rational points, infinity first, then in field order on x, y."""
         yield CurvePoint.infinity()
+        roots = square_roots(self.field)
         for x in self.field:
-            target = self.rhs(x)
-            for y in self.field:
-                if y * y == target:
-                    yield CurvePoint(x, y)
+            for y in roots.get(self.rhs(x), ()):
+                yield CurvePoint(x, y)
 
     def __repr__(self) -> str:
         return f"E[y^2 = x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6}) / GF({self.q})]"
 
 
-@functools.cache
-def _square_counts(field: FiniteField) -> dict[FqElement, int]:
-    """How many y in the field have y^2 = s, for each square s; built once
-    per field and only read."""
-    counts: dict[FqElement, int] = {}
-    for y in field:
-        s = y * y
-        counts[s] = counts.get(s, 0) + 1
-    return counts
-
-
 def count_points(curve: EllipticCurve) -> int:
     """Exact number of rational points, point at infinity included."""
-    sq_count = _square_counts(curve.field)
-    n = 1 + sum(sq_count.get(curve.rhs(x), 0) for x in curve.field)
+    roots = square_roots(curve.field)
+    n = 1 + sum(len(roots.get(curve.rhs(x), ())) for x in curve.field)
     q = curve.q
     if (q + 1 - n) ** 2 > 4 * q:
         raise ArithmeticError(f"Hasse bound violated: {n} points over F_{q} (bug)")

@@ -83,20 +83,26 @@ def witness_form_check(p: int) -> bool:
     return (k1 + 4 * k2) % p == 0
 
 
-def hodge30_pair(p: int) -> tuple[int, int]:
-    """(h^{3,0} of the (sigma, sigma, tau_P) quotient, same for
-    (sigma, sigma^twist, tau_P)), each the number of invariant pairs; genus
-    and twist (4, or 2 when p = 3) come from :func:`curves.construction`,
-    which also rejects a p that is not an odd prime."""
-    c = curves.construction(p)
-    w = form_weights(p, 1, c.genus)
-    h_x = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (1, 1, 1))))
-    h_y = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (1, c.twist, 1))))
-    if p >= 5 and h_x != 0:
+def hodge30_witnesses(p: int, w: WeightMultiset, twist: int) -> tuple[list, list]:
+    """The invariant pairs of the (sigma, sigma, tau_P) and the
+    (sigma, sigma^twist, tau_P) quotients on the form weights w; their
+    lengths are hX and hY."""
+    untwisted = invariant_pair_witnesses(w, w, DiagonalAction(p, (1, 1, 1)))
+    twisted = invariant_pair_witnesses(w, w, DiagonalAction(p, (1, twist, 1)))
+    if p >= 5 and untwisted:
         raise ArithmeticError("invariant 3-form appeared for the untwisted action (bug)")
-    if h_y <= 0:
+    if not twisted:
         raise ArithmeticError("twisted action lost all invariant 3-forms (bug)")
-    return h_x, h_y
+    return untwisted, twisted
+
+
+def hodge30_pair(p: int) -> tuple[int, int]:
+    """(hX, hY), the numbers of :func:`hodge30_witnesses`; genus and twist
+    (4, or 2 when p = 3) come from :func:`curves.construction`, which also
+    rejects a p that is not an odd prime."""
+    c = curves.construction(p)
+    untwisted, twisted = hodge30_witnesses(p, form_weights(p, 1, c.genus), c.twist)
+    return len(untwisted), len(twisted)
 
 
 def hy_interval_count(p: int) -> int:

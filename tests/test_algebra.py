@@ -15,6 +15,7 @@ from hodgegap.algebra import (
     poly_divmod,
     poly_gcd,
     rank_mod_p,
+    square_roots,
 )
 from hodgegap.cyclotomic import cyclotomic_field
 from hodgegap.modularrep import build_augmentation
@@ -191,3 +192,25 @@ def test_sqrt_squares_back(field):
     # every square has a root
     for a in field:
         assert fq_sqrt(a * a) is not None
+
+
+@pytest.mark.parametrize("field", [F5, F7, F9])
+def test_square_roots_table_against_a_scan(field):
+    # oracle: every y whose square is s, in the field's canonical order
+    table = square_roots(field)
+    for s in field:
+        roots = tuple(y for y in field if y * y == s)
+        assert table.get(s, ()) == roots
+        assert fq_sqrt(s) == (roots[0] if roots else None)
+    assert sum(len(roots) for roots in table.values()) == field.q
+
+
+def test_power_is_repeated_multiplication():
+    k5 = cyclotomic_field(5)
+    for x in (F7.from_int(3), F9.gen() + 1, k5.zeta + 2):
+        for k in range(-4, 7):
+            factor = x if k >= 0 else x.inv()
+            expected = x.field.one
+            for _ in range(abs(k)):
+                expected = expected * factor
+            assert x**k == expected

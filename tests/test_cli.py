@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgegap import cli, curves
+from hodgegap import cli, curves, invariants
 from hodgegap.cli import build_report, main
 
 
@@ -92,6 +92,38 @@ def test_report_builds_the_family_once(monkeypatch, p):
     assert len(calls) == 1
 
 
+def _count_calls(monkeypatch, names):
+    """Count calls to each named ``invariants`` function, through every
+    module binding of it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(invariants, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod in (invariants, curves, cli):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_report_builds_the_weights_once_and_enumerates_pairs_twice(monkeypatch, p):
+    calls = _count_calls(monkeypatch, ["form_weights", "invariant_pair_witnesses"])
+    curves.construction.cache_clear()  # an earlier test may have built them
+    assert not build_report(p).failed()
+    assert calls == {"form_weights": 1, "invariant_pair_witnesses": 2}
+
+
+def test_table_costs_one_weight_build_and_two_enumerations_per_prime(monkeypatch):
+    calls = _count_calls(monkeypatch, ["form_weights", "invariant_pair_witnesses"])
+    curves.construction.cache_clear()
+    assert [r.p for r in invariants.discrepancy_series(13)] == [5, 7, 11, 13]
+    assert calls == {"form_weights": 4, "invariant_pair_witnesses": 8}
+
+
 def test_duplicate_check_id_raises(monkeypatch):
     real = cli.CheckResult
     monkeypatch.setattr(cli, "CheckResult", lambda cid, *rest: real("same.id", *rest))
@@ -128,7 +160,22 @@ def test_table_json_slope_in_band(capsys):
 def test_table_rejects_small_max(capsys):
     code, _, err = _run(capsys, ["table", "--max", "3", "--no-banner"])
     assert code == 2
-    assert "at least 5" in err
+    assert "at least 7" in err
+
+
+@pytest.mark.parametrize("bound", [5, 6])
+def test_table_rejects_a_max_with_one_prime_row(capsys, bound):
+    # one row (p = 5) and the slope needs two points: exit 2, not a traceback
+    code, out, err = _run(capsys, ["table", "--max", str(bound), "--no-banner"])
+    assert code == 2
+    assert out == ""
+    assert err == "invalid input: --max must be at least 7 (the slope needs two primes)\n"
+
+
+def test_table_accepts_the_least_max(capsys):
+    code, out, _ = _run(capsys, ["table", "--max", "7", "--no-banner"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["5\t0\t2\t2", "7\t0\t2\t2", "# slope = 0.000000"]
 
 
 def test_curve_chart_one(capsys):

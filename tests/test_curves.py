@@ -328,3 +328,33 @@ def test_identity_fixes_every_point():
     assert len(pts) == sum(
         1 for u in spec.residue_field for v in spec.residue_field if v * v == red.f(u)
     )
+
+
+def _fixed_by_pairs(m, model):
+    # oracle: walk all (u, v) in F_q x F_q
+    fq = m.ring
+    return [(u, v) for u in fq for v in fq if v * v == model.f(u) and m.apply(u, v) == (u, v)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fixed_points_match_the_pair_scan(p):
+    # F_9, F_5 and F_7: sigma, tau, the identity and (u, -v) on the special
+    # fibre, whose points all have v = 0, and on seeded curves with v != 0
+    spec = default_spec(p)
+    fq = spec.residue_field
+    rng = random.Random(p)
+    elements = list(fq)
+    models = [reduce_model(_family(p), spec)] + [
+        HyperellipticModel(Polynomial(fq, [rng.choice(elements) for _ in range(5)] + [1]))
+        for _ in range(4)
+    ]
+    maps = [
+        sigma_special(spec),
+        tau_special(p, spec),
+        identity_map(fq),
+        AffineCurveMap(fq.one, fq.zero, -fq.one),
+    ]
+    for model in models:
+        for m in maps:
+            assert affine_fixed_points(m, model) == _fixed_by_pairs(m, model)
+    assert affine_fixed_points(tau_special(p, spec), models[0]) == [(fq.zero, fq.zero)]

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from hodgegap.algebra import FiniteField, primes_upto
+from hodgegap.algebra import FiniteField, fq_sqrt, primes_upto
 from hodgegap.curves import construction
 from hodgegap.elliptic import (
     CurvePoint,
@@ -46,14 +46,43 @@ def test_count_points_raises_past_the_hasse_bound(monkeypatch):
 
 
 def test_count_points_builds_one_squares_table_per_field():
-    from hodgegap import elliptic
+    # count_points, points() and fq_sqrt read one square_roots table, shared
+    # by equal fields
+    from hodgegap import algebra
 
     f7 = FiniteField(7)
-    elliptic._square_counts.cache_clear()
+    algebra.square_roots.cache_clear()
     for b in range(1, 7):
         count_points(EllipticCurve(f7, 0, 0, b))
     count_points(EllipticCurve(FiniteField(7), 0, 0, 1))
-    assert elliptic._square_counts.cache_info().misses == 1
+    assert len(list(EllipticCurve(FiniteField(7), 0, 0, 1).points())) == 12
+    assert fq_sqrt(FiniteField(7).from_int(2)) == 3
+    assert algebra.square_roots.cache_info().misses == 1
+    assert algebra.square_roots.cache_info().hits == 8
+
+
+def _points_by_pairs(curve):
+    # oracle: walk all (x, y) in F_q x F_q, infinity first, then x-major
+    return [CurvePoint.infinity()] + [
+        CurvePoint(x, y) for x in curve.field for y in curve.field if y * y == curve.rhs(x)
+    ]
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_points_match_the_pair_scan(q):
+    field = FiniteField(3, modulus=(1, 0)) if q == 9 else FiniteField(q)
+    rng = random.Random(q)
+    elements = list(field)
+    tested = [construction(3).elliptic[0]] if q == 9 else []
+    while len(tested) < 12:
+        try:
+            tested.append(EllipticCurve(field, *(rng.choice(elements) for _ in range(3))))
+        except ValueError:  # singular
+            continue
+    for curve in tested:
+        pts = list(curve.points())
+        assert pts == _points_by_pairs(curve)
+        assert len(pts) == count_points(curve)
 
 
 def test_hasse_bound_over_f7():
