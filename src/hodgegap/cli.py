@@ -19,18 +19,13 @@ from .curves import (
     chart_transition_check,
     conjugacy_check,
     construction,
-    default_spec,
     genus,
     has_prime_order,
     hyperelliptic_family,
     is_relatively_smooth,
     map_preserves_curve,
-    reduction_target,
     second_chart_polynomial,
-    sigma_generic,
-    sigma_special,
     substitution_check,
-    tau_special,
 )
 from .elliptic import count_points, translation_is_fixed_point_free
 from .invariants import discrepancy_series, least_squares_slope, witness_form_check
@@ -82,7 +77,7 @@ def build_report(p: int) -> VerificationReport:
             ok, witness = fn()
             status = PASS if ok else FAIL
         except Exception as exc:  # a failing check must not kill the report
-            status, witness = FAIL, f"error: {exc}"
+            status, witness = FAIL, {"error": type(exc).__name__, "detail": str(exc)}
         report.add(CheckResult(cid, statement, status, witness))
 
     spec, g = c.spec, c.genus
@@ -107,11 +102,10 @@ def build_report(p: int) -> VerificationReport:
         lambda: (is_relatively_smooth(c.family, spec), None),
     )
 
-    target = reduction_target(p, spec)
     record(
         "curve.reduction",
-        f"reduction mod pi is v^2 = {target.render()}",
-        lambda: (c.reduced.f == target, c.reduced.f.render()),
+        f"reduction mod pi is v^2 = {c.target.render()}",
+        lambda: (c.reduced.f == c.target, c.reduced.f.render()),
     )
     record(
         "curve.substitution",
@@ -125,8 +119,7 @@ def build_report(p: int) -> VerificationReport:
         lambda: (chart_transition_check(p, spec, c.family), "exact polynomial identity"),
     )
 
-    sigma = sigma_generic(p, spec)
-    sigma0 = sigma_special(spec)
+    sigma, sigma0 = c.sigma, c.sigma0
     record(
         "action.sigma_preserves",
         "sigma(u) = zeta*u + 1, sigma(v) = v is an automorphism of the family",
@@ -150,7 +143,7 @@ def build_report(p: int) -> VerificationReport:
 
     record("action.sigma_order", f"sigma has exact order {p}", _sigma_order)
 
-    tau = tau_special(p, spec)
+    tau = c.tau
     record(
         f"conj.tau_sigma{c.twist}",
         f"tau = ({tau.alpha}u, {tau.gamma}v) is an automorphism of the special "
@@ -204,13 +197,14 @@ def build_report(p: int) -> VerificationReport:
         return c.hodge_ok(h_x, h_y), {"hX": h_x, "hY": h_y, "hY_pairs": pairs}
 
     record("hodge.h30.pair", "invariant 3-forms: " + c.hodge_text, _hodge_ok)
-    # a consistency check: witness_form_check computes 2 + 4*(p-1)/2 = 2p for
-    # every p >= 5, so no perturbation control makes it fail
     record(
         "hodge.witness",
         "x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega is invariant under "
         "(sigma, sigma^4, tau_P)",
-        lambda: (witness_form_check(p), "weights 2 + 4*(p-1)/2 = 2p = 0 mod p"),
+        lambda: (
+            witness_form_check(p, c.weights, c.twist),
+            "weights 2 + 4*(p-1)/2 = 2p = 0 mod p",
+        ),
     )
     record(
         "derham.h1",
@@ -239,7 +233,8 @@ def build_report(p: int) -> VerificationReport:
 
 
 def render_text(report: VerificationReport) -> str:
-    lines = [f"verification for p = {report.p} (engine: Q(zeta_{default_spec(report.p).n}))"]
+    n = construction(report.p).spec.n
+    lines = [f"verification for p = {report.p} (engine: Q(zeta_{n}))"]
     for c in report.checks:
         lines.append(f"  [{c.status:<7}] {c.id:<28} {c.statement}")
         if c.witness is not None:
@@ -302,7 +297,7 @@ def cmd_curve(args, out) -> int:
     p = args.p
     if not args.no_banner:
         _banner(out)
-    spec = default_spec(p)
+    spec = construction(p).spec
     family = hyperelliptic_family(p, spec)
     if args.chart == 1:
         poly, var = family.f, "u"
@@ -371,9 +366,12 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe (``| head``): point stdout at devnull so
-        # the flush at interpreter exit cannot raise again, and exit non-zero
+    except OSError as exc:
+        # the reader closed the pipe (``| head``, which needs no message) or
+        # the write failed (a full disk): point stdout at devnull so the flush
+        # at interpreter exit cannot raise again, and exit non-zero
+        if not isinstance(exc, BrokenPipeError):
+            print(f"hodgegap: cannot write output: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)

@@ -9,10 +9,14 @@ after the substitution x = pi*u + 1, y = v the generic fibre becomes
 pi^p y^2 = x^p - 1.  For p = 3 the same sum g, taken over Z_3[omega, i]
 (inside Q(zeta_12), pi = omega - 1), is g = u^3 + (omega^2-1)u^2 - omega^2 u,
 and the degree-9 family is v^2 = g^3 + g, reducing to v^2 = u^9 - u.
-:class:`Construction` is the one place that tells p = 3 apart; genus,
-reduction target, sigma, tau and the second chart are derived from it.  It
-holds the residue field F_q (F_p, or F_9 at p = 3) and one point-count test
-per prime; the elliptic factor is the first curve over F_q that passes it.
+:class:`Construction` is the one place that tells p = 3 apart.  It holds the
+residue field F_q (F_p, or F_9 at p = 3), the twist exponent and one
+point-count test per prime, and it builds and keeps the objects a report
+checks: the engine, the family and its reduction, the reduction target
+u^q - u, sigma on both fibres, tau, the elliptic factor (the first curve
+over F_q that passes the test), the form weights, the invariant pairs and
+the h1 report.  The functions below take the data they use as arguments,
+with no defaults, so a changed construction reaches every check.
 
 Curve automorphisms are restricted to the affine shape
 (u, v) -> (alpha*u + beta, gamma*v), which covers the order-p action
@@ -25,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from .algebra import (
     FiniteField,
@@ -35,7 +39,7 @@ from .algebra import (
     is_prime,
     square_roots,
 )
-from .cyclotomic import CyclotomicField, PiSpec
+from .cyclotomic import PiSpec
 from .elliptic import EllipticCurve, find_curve, torsion_point_of_exact_order
 from .invariants import WeightMultiset, form_weights, hodge30_witnesses
 from .modularrep import H1Report, h1_de_rham_report
@@ -122,6 +126,39 @@ class Construction:
         return reduce_model(self.family, self.spec)
 
     @functools.cached_property
+    def target(self) -> Polynomial:
+        """u^q - u over F_q, the reduction the family must have."""
+        fq = self.residue_field
+        return Polynomial(fq, [fq.zero, -fq.one] + [fq.zero] * (self.q - 2) + [fq.one])
+
+    @functools.cached_property
+    def sigma(self) -> AffineCurveMap:
+        """sigma(u) = zeta_p*u + 1, sigma(v) = v over the ramified base."""
+        k = self.spec.field
+        return AffineCurveMap(k.zeta ** (self.spec.n // self.p), k.one, k.one)
+
+    @functools.cached_property
+    def sigma0(self) -> AffineCurveMap:
+        """The special fibre of sigma: u -> u + 1, v -> v."""
+        fq = self.residue_field
+        return AffineCurveMap(fq.one, fq.one, fq.one)
+
+    @functools.cached_property
+    def tau(self) -> AffineCurveMap:
+        """The automorphism (t*u, sqrt(t)*v) of v^2 = u^q - u, with t the
+        twist exponent: it conjugates u -> u + 1 to u -> u + t.
+
+        For p >= 5 this is (4u, 2v).  For p = 3 it is (2u, i*v) over F_9, where
+        i = sqrt(2) = sqrt(-1); t^q = t shows it preserves u^q - u.
+        """
+        fq = self.residue_field
+        t = fq.from_int(self.twist)
+        root = fq_sqrt(t)
+        if root is None:
+            raise ArithmeticError(f"{t} must be a square in F_{fq.q}")
+        return AffineCurveMap(t, fq.zero, root)
+
+    @functools.cached_property
     def elliptic(self) -> tuple:
         """(the first curve over F_q that passes point_count_ok, its first
         rational point of exact order p)."""
@@ -202,7 +239,9 @@ def construction(p: int) -> Construction:
 
 
 def default_spec(p: int) -> PiSpec:
-    """The arithmetic engine for prime p: n = 12 when p = 3, n = p otherwise."""
+    """The arithmetic engine for prime p: n = 12 when p = 3, n = p otherwise.
+    The library reads ``construction(p).spec``; this name stays because
+    ``perfbench/worker.py`` calls it to build the family."""
     return construction(p).spec
 
 
@@ -216,12 +255,11 @@ def _residue_q(p: int, spec: PiSpec) -> int:
     return q
 
 
-def hyperelliptic_family(p: int, spec: Optional[PiSpec] = None) -> HyperellipticModel:
+def hyperelliptic_family(p: int, spec: PiSpec) -> HyperellipticModel:
     """The family v^2 = f(u) over the ramified base: f = g, or g^3 + g when
     q = 9 > p = 3, with g = sum binom(p,i)/pi^i u^(p-i) and every coefficient
     of g verified integral.  An invalid p is rejected by :func:`construction`,
     an engine with the wrong residue field by :func:`_residue_q`."""
-    spec = spec or default_spec(p)
     q = _residue_q(p, spec)
     k = spec.field
     coeffs = [k.zero] * (p + 1)
@@ -247,20 +285,9 @@ def reduce_model(model: HyperellipticModel, spec: PiSpec) -> HyperellipticModel:
     return HyperellipticModel(Polynomial(fq, [spec.residue(c) for c in model.f.coeffs]))
 
 
-def reduction_target(p: int, spec: PiSpec) -> Polynomial:
-    """u^q - u over the residue field F_q: F_p, or F_9 when p = 3."""
-    fq = spec.residue_field
-    d = fq.q
-    coeffs = [fq.zero] * (d + 1)
-    coeffs[d] = fq.one
-    coeffs[1] = -fq.one
-    return Polynomial(fq, coeffs)
-
-
-def xy_model(p: int, spec: Optional[PiSpec] = None) -> HyperellipticModel:
+def xy_model(p: int, spec: PiSpec) -> HyperellipticModel:
     """The generic fibre in xy-coordinates: y^2 = h, or h^3 + h when q = 9,
     with h = (x^p - 1)/pi^p."""
-    spec = spec or default_spec(p)
     q = _residue_q(p, spec)
     k = spec.field
     scale = spec.over_pi(1, p)
@@ -271,14 +298,10 @@ def xy_model(p: int, spec: Optional[PiSpec] = None) -> HyperellipticModel:
     return HyperellipticModel(h**p + h if q > p else h)
 
 
-def substitution_check(
-    p: int, spec: Optional[PiSpec] = None, model: Optional[HyperellipticModel] = None
-) -> bool:
+def substitution_check(p: int, spec: PiSpec, model: HyperellipticModel) -> bool:
     """Does x = pi*u + 1 pull the xy-model back to v^2 = f(u)?  Exact
     polynomial identity over the engine's field: h(pi*u + 1) == g(u) for
     h = (x^p - 1)/pi^p, hence also h^3 + h == g^3 + g at p = 3."""
-    spec = spec or default_spec(p)
-    model = model or hyperelliptic_family(p, spec)
     k = spec.field
     x_of_u = Polynomial(k, [k.one, spec.pi])
     return xy_model(p, spec).f.compose(x_of_u) == model.f
@@ -294,97 +317,35 @@ def second_chart_closed_form(p: int, spec: PiSpec) -> Polynomial:
     return Polynomial(k, coeffs)
 
 
-def second_chart_polynomial(model: HyperellipticModel, twist: Optional[int] = None):
-    """s^(2*twist) * f(1/s) with v = t/s^twist; default twist (deg+1)/2.
-
-    Returns None when the exponent choice produces a genuine Laurent term,
-    i.e. the substitution does not land in a polynomial equation.
-    """
+def second_chart_polynomial(model: HyperellipticModel) -> Polynomial:
+    """s^(d+1) * f(1/s), the other chart under u = 1/s, v = t/s^((d+1)/2) for
+    f of odd degree d: f reversed, one degree up."""
     f = model.f
-    d = f.degree
-    if twist is None:
-        twist = (d + 1) // 2
-    ring = f.ring
-    out = [ring.zero] * (2 * twist + 1)
-    for k_deg, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        e = 2 * twist - k_deg
-        if e < 0:
-            return None
-        out[e] = out[e] + c
-    return Polynomial(ring, out)
+    return Polynomial(f.ring, [f.ring.zero, *reversed(f.coeffs)])
 
 
-def chart_transition_check(
-    p: int,
-    spec: Optional[PiSpec] = None,
-    model: Optional[HyperellipticModel] = None,
-    twist: Optional[int] = None,
-) -> bool:
+def chart_transition_check(p: int, spec: PiSpec, model: HyperellipticModel) -> bool:
     """u = 1/s, v = t/s^((p+1)/2) must carry v^2 = f(u) onto the chart
     polynomial above, exactly."""
     if p < 5:
         raise ValueError("the explicit second-chart formula starts at p = 5")
-    spec = spec or default_spec(p)
-    model = model or hyperelliptic_family(p, spec)
-    flipped = second_chart_polynomial(model, twist=twist)
-    if flipped is None:
-        return False
-    return flipped == second_chart_closed_form(p, spec)
+    return second_chart_polynomial(model) == second_chart_closed_form(p, spec)
 
 
-def is_relatively_smooth(model: HyperellipticModel, spec: Optional[PiSpec] = None) -> bool:
-    """Smoothness of v^2 = f(u) on both charts and (over R) both fibres:
-    odd degree, f squarefree, and f mod pi squarefree."""
+def is_relatively_smooth(model: HyperellipticModel, spec: PiSpec) -> bool:
+    """Smoothness of v^2 = f(u) over the engine's ring of integers, on both
+    charts and both fibres: odd degree, integral coefficients, f squarefree,
+    and f mod pi squarefree."""
     f = model.f
-    if f.degree < 1:
+    if f.degree < 1 or f.degree % 2 == 0:
         return False
-    if f.degree % 2 == 0:
+    if not all(c.is_integral for c in f.coeffs):
         return False
-    if isinstance(f.ring, CyclotomicField):
-        if spec is None:
-            raise ValueError("a PiSpec is needed to check the special fibre")
-        if not all(c.is_integral for c in f.coeffs):
-            return False
-        if not model.squarefree:
-            return False
-        return reduce_model(model, spec).squarefree
-    return model.squarefree
+    return model.squarefree and reduce_model(model, spec).squarefree
 
 
 # ---------------------------------------------------------------------------
 # curve maps
-
-
-def sigma_generic(p: int, spec: Optional[PiSpec] = None) -> AffineCurveMap:
-    """sigma(u) = zeta_p*u + 1, sigma(v) = v over the ramified base."""
-    spec = spec or default_spec(p)
-    k = spec.field
-    zeta_p = k.zeta ** (spec.n // p)
-    return AffineCurveMap(zeta_p, k.one, k.one)
-
-
-def sigma_special(spec: PiSpec) -> AffineCurveMap:
-    """The special fibre of sigma: u -> u + 1, v -> v."""
-    fq = spec.residue_field
-    return AffineCurveMap(fq.one, fq.one, fq.one)
-
-
-def tau_special(p: int, spec: Optional[PiSpec] = None) -> AffineCurveMap:
-    """The conjugating automorphism (t*u, sqrt(t)*v) of v^2 = u^q - u, with t
-    the twist exponent: it conjugates u -> u + 1 to u -> u + t.
-
-    For p >= 5 this is (4u, 2v).  For p = 3 it is (2u, i*v) over F_9, where
-    i = sqrt(2) = sqrt(-1); t^q = t shows it preserves u^q - u.
-    """
-    spec = spec or default_spec(p)
-    fq = spec.residue_field
-    twist = fq.from_int(construction(p).twist)
-    root = fq_sqrt(twist)
-    if root is None:
-        raise ArithmeticError(f"{twist} must be a square in F_{fq.q}")
-    return AffineCurveMap(twist, fq.zero, root)
 
 
 def identity_map(ring) -> AffineCurveMap:

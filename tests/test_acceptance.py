@@ -20,11 +20,7 @@ from hodgegap.curves import (
     map_order,
     map_preserves_curve,
     reduce_model,
-    reduction_target,
-    sigma_generic,
-    sigma_special,
     substitution_check,
-    tau_special,
 )
 from hodgegap.cyclotomic import cyclotomic_field
 from hodgegap.elliptic import (
@@ -80,7 +76,7 @@ def test_criterion_2_reduction_identity(capsys):
     for p in SHIPPED:
         spec = default_spec(p)
         red = reduce_model(_family(p), spec)
-        ok = ok and red.f == reduction_target(p, spec)
+        ok = ok and red.f == construction(p).target
         # the linear coefficient is the Wilson residue -1
         ok = ok and red.f.coeff(1) == -spec.residue_field.one
     elapsed = time.perf_counter() - t0
@@ -96,9 +92,8 @@ def test_criterion_3_actions_and_conjugacy(capsys):
         spec = default_spec(p)
         fam = _family(p)
         red = reduce_model(fam, spec)
-        sigma = sigma_generic(p, spec)
-        sigma0 = sigma_special(spec)
-        tau = tau_special(p, spec)
+        c = construction(p)
+        sigma, sigma0, tau = c.sigma, c.sigma0, c.tau
         k = 2 if p == 3 else 4
         ok = ok and map_preserves_curve(fam, sigma)
         ok = ok and map_order(sigma) == p
@@ -120,10 +115,10 @@ def test_criterion_3_actions_and_conjugacy(capsys):
 def test_criterion_4_substitution_and_chart_identities(capsys):
     t0 = time.perf_counter()
     rng = random.Random(1234)
-    ok = substitution_check(3)
+    ok = substitution_check(3, default_spec(3), _family(3))
     for p in (5, 7, 11, 13):
-        ok = ok and substitution_check(p)
-        ok = ok and chart_transition_check(p)
+        ok = ok and substitution_check(p, default_spec(p), _family(p))
+        ok = ok and chart_transition_check(p, default_spec(p), _family(p))
     # soundness controls: a single perturbed coefficient must break each identity
     from hodgegap.algebra import Polynomial
     from hodgegap.curves import HyperellipticModel
@@ -144,7 +139,7 @@ def test_criterion_4_substitution_and_chart_identities(capsys):
     fam3 = _family(3)
     for _ in range(3):
         bad = perturb(fam3, rng.randint(0, 9), rng.randint(1, 2))
-        ok = ok and not substitution_check(3, model=bad)
+        ok = ok and not substitution_check(3, default_spec(3), model=bad)
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         _verdict("criterion 4: substitution/chart identities hold, perturbations fail", ok, elapsed)

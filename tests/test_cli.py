@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +126,36 @@ def test_table_costs_one_weight_build_and_two_enumerations_per_prime(monkeypatch
     assert calls == {"form_weights": 4, "invariant_pair_witnesses": 8}
 
 
+def test_a_raising_check_records_a_structured_witness(monkeypatch, capsys):
+    clean = build_report(5).to_dict()["checks"]
+
+    def broken(model):
+        raise ValueError("genus of a singular model")
+
+    monkeypatch.setattr(cli, "genus", broken)
+    checks = build_report(5).to_dict()["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert [c["id"] for c in failed] == ["curve.genus"]
+    assert failed[0]["witness"] == {"error": "ValueError", "detail": "genus of a singular model"}
+    assert [c for c in checks if c["id"] != "curve.genus"] == [
+        c for c in clean if c["id"] != "curve.genus"
+    ]
+    code, out, _ = _run(capsys, ["verify", "--p", "5", "--format", "json", "--no-banner"])
+    assert code == 1
+    assert json.loads(out)["summary"] is None
+
+
+def test_witness_check_reads_the_twist_of_the_construction(monkeypatch):
+    # twist 3 at p = 11: 3 is a square mod 11, so tau still exists
+    def witness(c):
+        monkeypatch.setattr(cli, "construction", lambda p: c)
+        return {r.id: r for r in build_report(11).checks}["hodge.witness"]
+
+    real = curves.construction(11)
+    assert witness(real).status == "pass"
+    assert witness(dataclasses.replace(real, twist=3)).status == "fail"
+
+
 def test_duplicate_check_id_raises(monkeypatch):
     real = cli.CheckResult
     monkeypatch.setattr(cli, "CheckResult", lambda cid, *rest: real("same.id", *rest))
@@ -238,6 +270,19 @@ def test_closed_pipe_exits_quietly(unbuffered):
     assert err == ""
     if unbuffered:
         assert first.startswith("# hodgegap ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_is_one_line_on_stderr():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgegap", "verify", "--p", "3"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "hodgegap: cannot write output: No space left on device\n"
 
 
 def test_optimised_interpreter_gives_the_same_report():

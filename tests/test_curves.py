@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hodgegap.curves import (
     affine_fixed_points,
     chart_transition_check,
     conjugacy_check,
+    construction,
     default_spec,
     genus,
     has_prime_order,
@@ -21,11 +23,7 @@ from hodgegap.curves import (
     map_power,
     map_preserves_curve,
     reduce_model,
-    reduction_target,
-    sigma_generic,
-    sigma_special,
     substitution_check,
-    tau_special,
     xy_model,
 )
 from hodgegap.cyclotomic import PiSpec, cyclotomic_field
@@ -39,9 +37,9 @@ def _family(p):
 
 def test_family_rejects_two_and_composites():
     with pytest.raises(ValueError):
-        hyperelliptic_family(2)
+        construction(2)
     with pytest.raises(ValueError):
-        hyperelliptic_family(9)
+        construction(9)
 
 
 def test_family_rejects_an_engine_with_the_wrong_residue_field():
@@ -108,7 +106,7 @@ def test_genus_rejects_singular_model():
 @pytest.mark.parametrize("p", SUPPORTED)
 def test_reduction_identity(p):
     spec = default_spec(p)
-    assert reduce_model(_family(p), spec).f == reduction_target(p, spec)
+    assert reduce_model(_family(p), spec).f == construction(p).target
 
 
 def test_reduction_hits_wilson_linear_coefficient():
@@ -127,13 +125,13 @@ def test_reduction_rejects_non_integral_coefficients():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_substitution_identity(p):
-    assert substitution_check(p)
+    assert substitution_check(p, default_spec(p), _family(p))
 
 
 def test_substitution_identity_p3():
-    assert substitution_check(3)
+    spec = default_spec(3)
+    assert substitution_check(3, spec, _family(3))
     # dropping the +1 offset breaks the constant term
-    spec = PiSpec.p3()
     k = spec.field
     x_without_offset = Polynomial(k, [k.zero, spec.pi])
     assert xy_model(3, spec).f.compose(x_without_offset) != _family(3).f
@@ -170,9 +168,7 @@ def test_substitution_p3_rejects_perturbations():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_chart_transition(p):
-    assert chart_transition_check(p)
-    # the (p-1)/2 twist leaves a Laurent tail, so the identity must fail
-    assert not chart_transition_check(p, twist=(p - 1) // 2)
+    assert chart_transition_check(p, default_spec(p), _family(p))
 
 
 def test_chart_transition_rejects_perturbations():
@@ -191,9 +187,11 @@ def test_relative_smoothness(p):
 
 
 def test_smoothness_rejects_degenerate_models():
-    f5 = FiniteField(5)
-    assert not is_relatively_smooth(HyperellipticModel(Polynomial(f5, [0, 0, 1])))
-    assert not is_relatively_smooth(HyperellipticModel(Polynomial(f5, [])))
+    # even degree (u^2) and the zero polynomial, over Q(zeta_5)
+    spec = default_spec(5)
+    k = spec.field
+    assert not is_relatively_smooth(HyperellipticModel(Polynomial(k, [0, 0, 1])), spec)
+    assert not is_relatively_smooth(HyperellipticModel(Polynomial(k, [])), spec)
 
 
 def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
@@ -230,14 +228,15 @@ def test_repeated_root_is_rejected_beyond_the_shipped_primes(p):
 def test_sigma_preserves_family_on_both_fibres(p):
     spec = default_spec(p)
     fam = hyperelliptic_family(p, spec)
-    assert map_preserves_curve(fam, sigma_generic(p, spec))
-    assert map_preserves_curve(reduce_model(fam, spec), sigma_special(spec))
+    c = construction(p)
+    assert map_preserves_curve(fam, c.sigma)
+    assert map_preserves_curve(reduce_model(fam, spec), c.sigma0)
 
 
 def test_tau_preserves_special_fibre():
     spec = PiSpec.for_prime(5)
     red = reduce_model(_family(5), spec)
-    assert map_preserves_curve(red, tau_special(5, spec))
+    assert map_preserves_curve(red, construction(5).tau)
     # doubling u alone scales u^5 - u inhomogeneously
     f5 = spec.residue_field
     bad = AffineCurveMap(f5.from_int(2), f5.zero, f5.one)
@@ -246,14 +245,14 @@ def test_tau_preserves_special_fibre():
 
 @pytest.mark.parametrize("p", SUPPORTED)
 def test_sigma_has_order_p(p):
-    spec = default_spec(p)
-    assert map_order(sigma_generic(p, spec)) == p
-    assert map_order(sigma_special(spec)) == p
+    c = construction(p)
+    assert map_order(c.sigma) == p
+    assert map_order(c.sigma0) == p
 
 
 def test_map_group_basics():
     spec = PiSpec.for_prime(5)
-    sigma = sigma_generic(5, spec)
+    sigma = construction(5).sigma
     assert map_order(identity_map(spec.field)) == 1
     assert map_compose(sigma, map_inverse(sigma)).is_identity()
     assert map_compose(map_inverse(sigma), sigma).is_identity()
@@ -274,7 +273,7 @@ def test_map_power_matches_iterated_composition():
 
 def test_prime_order_check_past_the_scan_bound():
     spec = PiSpec.for_prime(521)
-    sigma, sigma0 = sigma_generic(521, spec), sigma_special(spec)
+    sigma, sigma0 = construction(521).sigma, construction(521).sigma0
     with pytest.raises(RuntimeError):
         map_order(sigma0)  # the linear scan stops at 512
     assert has_prime_order(sigma, 521)
@@ -288,34 +287,40 @@ def test_prime_order_check_past_the_scan_bound():
 
 @pytest.mark.parametrize("p,k", [(5, 4), (7, 4), (11, 4), (13, 4), (3, 2)])
 def test_tau_conjugates_sigma(p, k):
-    spec = default_spec(p)
-    assert conjugacy_check(tau_special(p, spec), sigma_special(spec), k)
+    c = construction(p)
+    assert conjugacy_check(c.tau, c.sigma0, k)
 
 
 def test_conjugacy_identity_case():
     spec = PiSpec.for_prime(5)
-    sigma = sigma_special(spec)
+    sigma = construction(5).sigma0
     assert conjugacy_check(identity_map(spec.residue_field), sigma, 1)
 
 
 def test_tau_p3_is_the_derived_square_root():
-    spec = PiSpec.p3()
-    tau = tau_special(3, spec)
+    tau = construction(3).tau
     assert tau.alpha == 2
     assert tau.gamma * tau.gamma == 2
+
+
+def test_tau_reads_the_twist_of_its_own_construction():
+    tau = dataclasses.replace(construction(7), twist=2).tau
+    assert tau.alpha == 2
+    assert tau.gamma * tau.gamma == 2
+    assert construction(7).tau.alpha == 4
 
 
 @pytest.mark.parametrize("p", SUPPORTED)
 def test_sigma_fixed_points_only_at_infinity(p):
     spec = default_spec(p)
     red = reduce_model(_family(p), spec)
-    assert affine_fixed_points(sigma_special(spec), red) == []
+    assert affine_fixed_points(construction(p).sigma0, red) == []
 
 
 def test_tau_fixed_points_p5():
     spec = PiSpec.for_prime(5)
     red = reduce_model(_family(5), spec)
-    pts = affine_fixed_points(tau_special(5, spec), red)
+    pts = affine_fixed_points(construction(5).tau, red)
     f5 = spec.residue_field
     assert pts == [(f5.zero, f5.zero)]
 
@@ -348,13 +353,14 @@ def test_fixed_points_match_the_pair_scan(p):
         HyperellipticModel(Polynomial(fq, [rng.choice(elements) for _ in range(5)] + [1]))
         for _ in range(4)
     ]
+    c = construction(p)
     maps = [
-        sigma_special(spec),
-        tau_special(p, spec),
+        c.sigma0,
+        c.tau,
         identity_map(fq),
         AffineCurveMap(fq.one, fq.zero, -fq.one),
     ]
     for model in models:
         for m in maps:
             assert affine_fixed_points(m, model) == _fixed_by_pairs(m, model)
-    assert affine_fixed_points(tau_special(p, spec), models[0]) == [(fq.zero, fq.zero)]
+    assert affine_fixed_points(c.tau, models[0]) == [(fq.zero, fq.zero)]

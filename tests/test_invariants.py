@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -62,11 +63,22 @@ def test_kunneth_modulus_mismatch():
 
 
 def test_witness_form_check():
-    assert witness_form_check(5)  # 2 + 4*2 = 10
-    assert witness_form_check(7)  # 2 + 4*3 = 14
-    assert witness_form_check(13)
+    assert witness_form_check(5, form_weights(5, 1, 2), 4)  # 2 + 4*2 = 10
+    assert witness_form_check(7, form_weights(7, 1, 3), 4)  # 2 + 4*3 = 14
+    assert witness_form_check(13, form_weights(13, 1, 6), 4)
     with pytest.raises(ValueError):
-        witness_form_check(3)
+        witness_form_check(3, form_weights(3, 1, 4), 2)
+
+
+def test_witness_form_check_fails_for_twist_three():
+    # control: 2 + 3*(p-1)/2 = (p + 1)/2 mod p, never 0
+    for p in primes_upto(97):
+        if p < 5:
+            continue
+        c = curves.construction(p)
+        assert witness_form_check(p, c.weights, c.twist)
+        perturbed = dataclasses.replace(c, twist=3)
+        assert not witness_form_check(p, perturbed.weights, perturbed.twist)
 
 
 def test_hodge_pairs():
