@@ -11,7 +11,7 @@ model of H^1 (:mod:`.modularrep`) and a reporting CLI (:mod:`.cli`).
 
 __version__ = "0.1.0"
 
-from .algebra import FiniteField, FqElement, MatrixModP, Polynomial
+from .algebra import FiniteField, FqElement, Polynomial
 from .curves import AffineCurveMap, HyperellipticModel, hyperelliptic_family
 from .cyclotomic import CycloElement, CyclotomicField, PiSpec, cyclotomic_field
 from .elliptic import CurvePoint, EllipticCurve
@@ -30,7 +30,6 @@ __all__ = [
     "FqElement",
     "H1Report",
     "HyperellipticModel",
-    "MatrixModP",
     "PiSpec",
     "Polynomial",
     "WeightMultiset",

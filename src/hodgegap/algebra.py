@@ -10,7 +10,6 @@ Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
@@ -405,53 +404,31 @@ def discriminant_squarefree(f: Polynomial) -> tuple[bool, Polynomial]:
 # exact linear algebra
 
 
-@dataclass(frozen=True)
-class MatrixModP:
-    """Dense matrix with entries reduced mod p, stored as row tuples."""
-
-    p: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(tuple(e % self.p for e in row) for row in self.entries),
-        )
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-def rank_mod_p(m: MatrixModP) -> int:
-    p = m.p
-    a = [list(row) for row in m.entries]
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of an integer matrix, by Gaussian elimination on its
+    entries reduced mod p."""
+    a = [[x % p for x in row] for row in rows]
     rank = 0
-    for col in range(m.cols):
-        pivot = next((i for i in range(rank, m.rows) if a[i][col] % p), None)
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
         inv = pow(a[rank][col], -1, p)
         a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(m.rows):
+        for i in range(len(a)):
             if i != rank and a[i][col]:
                 f = a[i][col]
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
-        if rank == m.rows:
+        if rank == len(a):
             break
     return rank
 
 
-def kernel_dim_mod_p(m: MatrixModP) -> int:
-    """dim ker(m) over F_p, by Gaussian elimination."""
-    return m.cols - rank_mod_p(m)
+def kernel_dim_mod_p(rows, p: int) -> int:
+    """dim over F_p of the kernel of an integer matrix."""
+    return (len(rows[0]) if rows else 0) - rank_mod_p(rows, p)
 
 
 def kernel_dim_rational(entries) -> int:

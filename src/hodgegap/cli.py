@@ -8,13 +8,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
 from .algebra import is_prime
 from .curves import (
+    Construction,
     affine_fixed_points,
     chart_transition_check,
     conjugacy_check,
@@ -26,9 +27,15 @@ from .curves import (
     map_preserves_curve,
     second_chart_polynomial,
     substitution_check,
+    x_multiplier,
 )
 from .elliptic import count_points, translation_is_fixed_point_free
-from .invariants import discrepancy_series, least_squares_slope, witness_form_check
+from .invariants import (
+    discrepancy_series,
+    form_weights,
+    least_squares_slope,
+    witness_form_weight,
+)
 
 PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
 
@@ -61,12 +68,13 @@ class VerificationReport:
         return asdict(self)
 
 
-def build_report(p: int) -> VerificationReport:
-    """Run the full check sequence for one odd prime.  Every per-prime datum
-    and shared object comes from :func:`construction`, whose objects are
-    built lazily and once, so a failure to build one fails only its checks."""
+def build_report(c: Construction) -> VerificationReport:
+    """Run the full check sequence on one construction.  Every per-prime datum
+    and shared object comes from it; its objects are built lazily and once,
+    and each is read inside the checks that use it, so a failure to build one
+    fails only those checks."""
+    p = c.p
     report = VerificationReport(p)
-    c = construction(p)
 
     def record(cid: str, statement: str, fn) -> None:
         if cid in c.skips:
@@ -80,7 +88,7 @@ def build_report(p: int) -> VerificationReport:
             status, witness = FAIL, {"error": type(exc).__name__, "detail": str(exc)}
         report.add(CheckResult(cid, statement, status, witness))
 
-    spec, g = c.spec, c.genus
+    g = c.genus
 
     def _genus():
         found = genus(c.family)
@@ -99,7 +107,7 @@ def build_report(p: int) -> VerificationReport:
         "curve.smoothness",
         "f is squarefree on both fibres and of odd degree, so the model is "
         "smooth on both charts",
-        lambda: (is_relatively_smooth(c.family, spec), None),
+        lambda: (is_relatively_smooth(c.family, c.spec), None),
     )
 
     record(
@@ -110,47 +118,51 @@ def build_report(p: int) -> VerificationReport:
     record(
         "curve.substitution",
         f"x = pi*u + 1, y = v turns {c.xy_text} into v^2 = f(u)",
-        lambda: (substitution_check(p, spec, c.family), "exact polynomial identity"),
+        lambda: (substitution_check(p, c.spec, c.family), "exact polynomial identity"),
     )
     record(
         "curve.chart2",
         "u = 1/s, v = t/s^((p+1)/2) lands on the second chart "
         "v^2 = sum binom(p,i)/pi^i s^(i+1)",
-        lambda: (chart_transition_check(p, spec, c.family), "exact polynomial identity"),
+        lambda: (chart_transition_check(p, c.spec, c.family), "exact polynomial identity"),
     )
 
-    sigma, sigma0 = c.sigma, c.sigma0
     record(
         "action.sigma_preserves",
         "sigma(u) = zeta*u + 1, sigma(v) = v is an automorphism of the family",
-        lambda: (map_preserves_curve(c.family, sigma), None),
+        lambda: (map_preserves_curve(c.family, c.sigma), None),
     )
+
+    def _sigma_reduction():
+        s, s0 = c.sigma, c.sigma0
+        reduced = tuple(map(c.spec.residue, (s.alpha, s.beta, s.gamma)))
+        ok = reduced == (s0.alpha, s0.beta, s0.gamma) and map_preserves_curve(c.reduced, s0)
+        return ok, None
+
     record(
         "action.sigma_reduction",
         "on the special fibre sigma becomes u -> u + 1, v -> v, and it "
         "preserves the reduced curve",
-        lambda: (
-            (spec.residue(sigma.alpha), spec.residue(sigma.beta), spec.residue(sigma.gamma))
-            == (sigma0.alpha, sigma0.beta, sigma0.gamma)
-            and map_preserves_curve(c.reduced, sigma0),
-            None,
-        ),
+        _sigma_reduction,
     )
 
     def _sigma_order():
-        ok = has_prime_order(sigma, p)
+        ok = has_prime_order(c.sigma, p)
         return ok, p if ok else "sigma is the identity or sigma^p is not"
 
     record("action.sigma_order", f"sigma has exact order {p}", _sigma_order)
 
-    tau = c.tau
+    try:
+        tau = f"({c.tau.alpha}u, {c.tau.gamma}v)"
+    except (ArithmeticError, ValueError):  # the check below records why
+        tau = f"({c.twist}u, sqrt({c.twist})v)"
     record(
         f"conj.tau_sigma{c.twist}",
-        f"tau = ({tau.alpha}u, {tau.gamma}v) is an automorphism of the special "
-        f"fibre conjugating sigma to sigma^{c.twist}",
+        f"tau = {tau} is an automorphism of the special fibre conjugating "
+        f"sigma to sigma^{c.twist}",
         lambda: (
-            map_preserves_curve(c.reduced, tau)
-            and conjugacy_check(tau, sigma0, c.twist),
+            map_preserves_curve(c.reduced, c.tau)
+            and conjugacy_check(c.tau, c.sigma0, c.twist),
             None,
         ),
     )
@@ -159,7 +171,7 @@ def build_report(p: int) -> VerificationReport:
         "sigma fixes no affine point of the special fibre, only the point "
         "at infinity",
         lambda: (
-            affine_fixed_points(sigma0, c.reduced) == [],
+            affine_fixed_points(c.sigma0, c.reduced) == [],
             "fixed locus = {infinity}",
         ),
     )
@@ -175,7 +187,6 @@ def build_report(p: int) -> VerificationReport:
         f"the curve carries a rational point of exact order {p}",
         lambda: (not c.elliptic[1].is_infinity, repr(c.elliptic[1])),
     )
-    # a consistency check: no perturbation control makes it fail
     record(
         "elliptic.translation_free",
         "translation by that point fixes no rational point, so the diagonal "
@@ -183,12 +194,15 @@ def build_report(p: int) -> VerificationReport:
         lambda: (translation_is_fixed_point_free(*c.elliptic), None),
     )
 
-    # a consistency check of form_weights: no perturbation control makes it fail
+    def _weights():
+        found = form_weights(p, x_multiplier(c.sigma, c.spec), g)
+        return found == c.weights, list(found.weights)
+
     record(
         "forms.weights",
         "sigma acts on the holomorphic 1-forms x^(k-1)dx/y with character "
-        f"exponents {sorted(c.expected_weights)}",
-        lambda: (c.weights.weights == c.expected_weights, list(c.weights.weights)),
+        f"exponents {list(c.weights.weights)}",
+        _weights,
     )
 
     def _hodge_ok():
@@ -196,55 +210,49 @@ def build_report(p: int) -> VerificationReport:
         pairs = [list(t) for t in c.hodge_pairs[1]]
         return c.hodge_ok(h_x, h_y), {"hX": h_x, "hY": h_y, "hY_pairs": pairs}
 
-    record("hodge.h30.pair", "invariant 3-forms: " + c.hodge_text, _hodge_ok)
+    twisted = f"(sigma, sigma^{c.twist}, tau_P)"  # Y's generator
+
+    def _witness():
+        t = c.twist
+        weight = witness_form_weight(p, c.weights, t)
+        total = f"{(2 + t * (p - 1) // 2) // p}p = 0" if weight == 0 else weight
+        return weight == 0, f"weights 2 + {t}*(p-1)/2 = {total} mod p"
+
+    record(
+        "hodge.h30.pair",
+        "invariant 3-forms: " + c.hodge_text.format(twisted=twisted),
+        _hodge_ok,
+    )
     record(
         "hodge.witness",
-        "x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega is invariant under "
-        "(sigma, sigma^4, tau_P)",
-        lambda: (
-            witness_form_check(p, c.weights, c.twist),
-            "weights 2 + 4*(p-1)/2 = 2p = 0 mod p",
-        ),
+        f"x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega is invariant under {twisted}",
+        _witness,
     )
+
+    def _h1() -> dict:
+        return dict(zip(("h1Special", "h1Generic", "torsionDim"), astuple(c.h1)))
+
     record(
         "derham.h1",
         "first de Rham numbers are 4 (special fibre) and 2 (generic fibre), "
         "so the middle crystalline cohomology has 2-dimensional p-torsion",
-        lambda: (
-            (c.h1.h1_special, c.h1.h1_generic, c.h1.torsion_dim) == (4, 2, 2),
-            {
-                "h1Special": c.h1.h1_special,
-                "h1Generic": c.h1.h1_generic,
-                "torsionDim": c.h1.torsion_dim,
-            },
-        ),
+        lambda: (astuple(c.h1) == (4, 2, 2), _h1()),
     )
 
     if not report.failed():
         h_x, h_y = c.hodge
-        report.summary = {
-            "hX": h_x,
-            "hY": h_y,
-            "h1Special": c.h1.h1_special,
-            "h1Generic": c.h1.h1_generic,
-            "torsionDim": c.h1.torsion_dim,
-        }
+        report.summary = {"hX": h_x, "hY": h_y, **_h1()}
     return report
 
 
-def render_text(report: VerificationReport) -> str:
-    n = construction(report.p).spec.n
-    lines = [f"verification for p = {report.p} (engine: Q(zeta_{n}))"]
+def render_text(report: VerificationReport, conductor: int) -> str:
+    lines = [f"verification for p = {report.p} (engine: Q(zeta_{conductor}))"]
     for c in report.checks:
         lines.append(f"  [{c.status:<7}] {c.id:<28} {c.statement}")
         if c.witness is not None:
             lines.append(f"            {'':<28} witness: {c.witness}")
     if report.summary is not None:
-        s = report.summary
-        lines.append(
-            "summary: hX={hX} hY={hY} h1Special={h1Special} "
-            "h1Generic={h1Generic} torsionDim={torsionDim}".format(**s)
-        )
+        lines.append("summary: " + " ".join(f"{k}={v}" for k, v in report.summary.items()))
     n_fail = len(report.failed())
     n_skip = sum(1 for c in report.checks if c.status == SKIPPED)
     n_pass = len(report.checks) - n_fail - n_skip
@@ -264,11 +272,12 @@ def _banner(out) -> None:
 def cmd_verify(args, out) -> int:
     if not args.no_banner:
         _banner(out)
-    report = build_report(args.p)
+    c = construction(args.p)
+    report = build_report(c)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2), file=out)
     else:
-        print(render_text(report), file=out)
+        print(render_text(report, c.spec.n), file=out)
     return 0 if not report.failed() else 1
 
 

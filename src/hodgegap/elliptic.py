@@ -168,9 +168,9 @@ def torsion_point_of_exact_order(curve: EllipticCurve, ell: int) -> CurvePoint:
 
 def translation_is_fixed_point_free(curve: EllipticCurve, pt: CurvePoint) -> bool:
     """Q + P != Q for every rational Q, checked exhaustively.  False for
-    P = infinity, whose translation is the identity.  Given a correct group
-    law this follows from P != O, so it is a consistency check: no
-    perturbation control makes the report's check fail."""
+    P = infinity, whose translation is the identity: replacing the report's
+    point by O is the control that fails the check.  Given a correct group
+    law it holds for every P != O."""
     if pt.is_infinity:
         return False
     return all(add_points(curve, q, pt) != q for q in curve.points())

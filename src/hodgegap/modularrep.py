@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MatrixModP, is_prime, kernel_dim_mod_p, kernel_dim_rational
+from .algebra import is_prime, kernel_dim_mod_p, kernel_dim_rational
 
 
 @dataclass(frozen=True)
@@ -40,26 +40,21 @@ def build_augmentation(p: int) -> AugmentationModule:
     return AugmentationModule(p, rows)
 
 
+def _shifted(mod: AugmentationModule) -> list[list[int]]:
+    """The matrix of g - 1."""
+    m = mod.generator_matrix
+    return [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
 def invariant_dim_rational(mod: AugmentationModule) -> int:
     """dim over Q of the fixed space of g; zero, since I tensor Q is a sum of
     nontrivial characters."""
-    m = mod.generator_matrix
-    n = len(m)
-    shifted = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return kernel_dim_rational(shifted)
+    return kernel_dim_rational(_shifted(mod))
 
 
 def invariant_dim_mod_p(mod: AugmentationModule) -> int:
     """dim over F_p of the fixed space of g; one, spanned by the norm."""
-    m = mod.generator_matrix
-    n = len(m)
-    shifted = MatrixModP(
-        mod.p,
-        tuple(
-            tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
-        ),
-    )
-    return kernel_dim_mod_p(shifted)
+    return kernel_dim_mod_p(_shifted(mod), mod.p)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ import pytest
 
 from hodgegap.algebra import (
     FiniteField,
-    MatrixModP,
     Polynomial,
     discriminant_squarefree,
     fq_sqrt,
@@ -116,17 +115,20 @@ def test_gcd_against_divisor_enumeration(field):
 
 
 def test_kernel_dims():
-    ident = MatrixModP(5, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert kernel_dim_mod_p(ident) == 0
-    zero = MatrixModP(5, ((0,) * 3,) * 3)
-    assert kernel_dim_mod_p(zero) == 3
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert kernel_dim_mod_p(ident, 5) == 0
+    zero = ((0,) * 3,) * 3
+    assert kernel_dim_mod_p(zero, 5) == 3
+    # entries need not be reduced: -4 = 6 = 1 and 10 = -5 = 0 mod 5
+    assert kernel_dim_mod_p(((-4, 10, 0), (0, 6, -5), (0, 0, -9)), 5) == 0
+    assert kernel_dim_mod_p(((10, -5, 15), (-5, 0, 25)), 5) == 3
+    assert kernel_dim_mod_p(((1, 2, 3), (-4, 12, -2)), 5) == 2  # row 2 = row 1 mod 5
+    assert kernel_dim_mod_p(((1, 2, 3), (-4, 12, -1)), 5) == 1
 
     # (generator - 1) on the augmentation ideal for p = 5: one invariant line
     m = build_augmentation(5).generator_matrix
-    shifted = MatrixModP(
-        5, tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(4)) for i in range(4))
-    )
-    assert kernel_dim_mod_p(shifted) == 1
+    shifted = [[m[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
+    assert kernel_dim_mod_p(shifted, 5) == 1
 
 
 def test_rank_nullity_on_random_matrices():
@@ -134,24 +136,22 @@ def test_rank_nullity_on_random_matrices():
     for _ in range(100):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = MatrixModP(
-            5, tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows))
-        )
-        assert kernel_dim_mod_p(m) + rank_mod_p(m) == cols
+        m = tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows))
+        assert kernel_dim_mod_p(m, 5) + rank_mod_p(m, 5) == cols
     # the sum above holds by definition; the kernel's size is the real check:
-    # oracle, every x in F_5^cols with m x = 0 (at most 5^4 = 625 of them)
+    # oracle, every x in F_5^cols with m x = 0 (at most 5^4 = 625 of them);
+    # the entries range over -12..12, so most are negative or unreduced
     rng = random.Random(506)
     for _ in range(100):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        entries = tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows))
+        entries = tuple(tuple(rng.randint(-12, 12) for _ in range(cols)) for _ in range(rows))
         kernel = sum(
             1
             for x in itertools.product(range(5), repeat=cols)
             if all(sum(a * b for a, b in zip(row, x)) % 5 == 0 for row in entries)
         )
-        m = MatrixModP(5, entries)
-        assert 5 ** kernel_dim_mod_p(m) == kernel
+        assert 5 ** kernel_dim_mod_p(entries, 5) == kernel
 
 
 def test_rational_kernel():

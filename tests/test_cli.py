@@ -67,7 +67,7 @@ def test_verify_rejects_two_with_explanation(capsys):
 
 
 def test_check_ids_are_unique_and_ordered():
-    report = build_report(5)
+    report = build_report(curves.construction(5))
     ids = [c.id for c in report.checks]
     assert len(ids) == len(set(ids))
     assert ids[0] == "curve.integrality"
@@ -90,7 +90,7 @@ def test_report_builds_the_family_once(monkeypatch, p):
     monkeypatch.setattr(curves, "hyperelliptic_family", counting)
     monkeypatch.setattr(cli, "hyperelliptic_family", counting)
     curves.construction.cache_clear()  # an earlier test may have built it
-    assert not build_report(p).failed()
+    assert not build_report(curves.construction(p)).failed()
     assert len(calls) == 1
 
 
@@ -115,8 +115,10 @@ def _count_calls(monkeypatch, names):
 def test_report_builds_the_weights_once_and_enumerates_pairs_twice(monkeypatch, p):
     calls = _count_calls(monkeypatch, ["form_weights", "invariant_pair_witnesses"])
     curves.construction.cache_clear()  # an earlier test may have built them
-    assert not build_report(p).failed()
-    assert calls == {"form_weights": 1, "invariant_pair_witnesses": 2}
+    assert not build_report(curves.construction(p)).failed()
+    # the construction's weights once, and sigma's, which forms.weights
+    # derives from the map to compare with them
+    assert calls == {"form_weights": 2, "invariant_pair_witnesses": 2}
 
 
 def test_table_costs_one_weight_build_and_two_enumerations_per_prime(monkeypatch):
@@ -127,13 +129,13 @@ def test_table_costs_one_weight_build_and_two_enumerations_per_prime(monkeypatch
 
 
 def test_a_raising_check_records_a_structured_witness(monkeypatch, capsys):
-    clean = build_report(5).to_dict()["checks"]
+    clean = build_report(curves.construction(5)).to_dict()["checks"]
 
     def broken(model):
         raise ValueError("genus of a singular model")
 
     monkeypatch.setattr(cli, "genus", broken)
-    checks = build_report(5).to_dict()["checks"]
+    checks = build_report(curves.construction(5)).to_dict()["checks"]
     failed = [c for c in checks if c["status"] == "fail"]
     assert [c["id"] for c in failed] == ["curve.genus"]
     assert failed[0]["witness"] == {"error": "ValueError", "detail": "genus of a singular model"}
@@ -145,22 +147,25 @@ def test_a_raising_check_records_a_structured_witness(monkeypatch, capsys):
     assert json.loads(out)["summary"] is None
 
 
-def test_witness_check_reads_the_twist_of_the_construction(monkeypatch):
+def test_witness_check_reads_the_twist_of_the_construction():
     # twist 3 at p = 11: 3 is a square mod 11, so tau still exists
     def witness(c):
-        monkeypatch.setattr(cli, "construction", lambda p: c)
-        return {r.id: r for r in build_report(11).checks}["hodge.witness"]
+        return {r.id: r for r in build_report(c).checks}["hodge.witness"]
 
     real = curves.construction(11)
     assert witness(real).status == "pass"
-    assert witness(dataclasses.replace(real, twist=3)).status == "fail"
+    assert witness(real).witness == "weights 2 + 4*(p-1)/2 = 2p = 0 mod p"
+    perturbed = witness(dataclasses.replace(real, twist=3))
+    assert perturbed.status == "fail"
+    assert perturbed.statement.endswith("invariant under (sigma, sigma^3, tau_P)")
+    assert perturbed.witness == "weights 2 + 3*(p-1)/2 = 6 mod p"
 
 
 def test_duplicate_check_id_raises(monkeypatch):
     real = cli.CheckResult
     monkeypatch.setattr(cli, "CheckResult", lambda cid, *rest: real("same.id", *rest))
     with pytest.raises(ValueError, match="duplicate check id same.id"):
-        build_report(3)
+        build_report(curves.construction(3))
 
 
 def test_output_is_byte_stable(capsys):

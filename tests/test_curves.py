@@ -24,6 +24,7 @@ from hodgegap.curves import (
     map_preserves_curve,
     reduce_model,
     substitution_check,
+    x_multiplier,
     xy_model,
 )
 from hodgegap.cyclotomic import PiSpec, cyclotomic_field
@@ -283,6 +284,22 @@ def test_prime_order_check_past_the_scan_bound():
     assert not has_prime_order(AffineCurveMap(sigma.alpha, sigma.beta, -spec.field.one), 521)
     with pytest.raises(ValueError):
         has_prime_order(sigma0, 9)
+
+
+@pytest.mark.parametrize("p", SUPPORTED)
+def test_x_multiplier_reads_the_power_of_sigma(p):
+    c = construction(p)
+    k = c.spec.field
+    for a in range(p):
+        assert x_multiplier(map_power(c.sigma, a), c.spec) == a
+    # controls: a translation in x, and a map that scales y
+    with pytest.raises(ValueError, match="not x -> zeta_p"):
+        x_multiplier(AffineCurveMap(c.sigma.alpha, k.from_int(2), k.one), c.spec)
+    with pytest.raises(ValueError, match="not x -> zeta_p"):
+        x_multiplier(AffineCurveMap(c.sigma.alpha, k.one, -k.one), c.spec)
+    # x -> -x has no translation but is no power of zeta_p
+    with pytest.raises(ValueError, match="is not a power of zeta"):
+        x_multiplier(AffineCurveMap(-k.one, -2 * c.spec.pi.inv(), k.one), c.spec)
 
 
 @pytest.mark.parametrize("p,k", [(5, 4), (7, 4), (11, 4), (13, 4), (3, 2)])

@@ -13,7 +13,7 @@ from hodgegap.invariants import (
     hy_interval_count,
     invariant_pair_witnesses,
     least_squares_slope,
-    witness_form_check,
+    witness_form_weight,
 )
 
 
@@ -63,11 +63,12 @@ def test_kunneth_modulus_mismatch():
 
 
 def test_witness_form_check():
-    assert witness_form_check(5, form_weights(5, 1, 2), 4)  # 2 + 4*2 = 10
-    assert witness_form_check(7, form_weights(7, 1, 3), 4)  # 2 + 4*3 = 14
-    assert witness_form_check(13, form_weights(13, 1, 6), 4)
+    assert witness_form_weight(5, form_weights(5, 1, 2), 4) == 0  # 2 + 4*2 = 10
+    assert witness_form_weight(7, form_weights(7, 1, 3), 4) == 0  # 2 + 4*3 = 14
+    assert witness_form_weight(13, form_weights(13, 1, 6), 4) == 0
+    assert witness_form_weight(7, form_weights(7, 1, 3), 1) == 5  # 2 + 1*3
     with pytest.raises(ValueError):
-        witness_form_check(3, form_weights(3, 1, 4), 2)
+        witness_form_weight(3, form_weights(3, 1, 4), 2)
 
 
 def test_witness_form_check_fails_for_twist_three():
@@ -76,9 +77,9 @@ def test_witness_form_check_fails_for_twist_three():
         if p < 5:
             continue
         c = curves.construction(p)
-        assert witness_form_check(p, c.weights, c.twist)
+        assert witness_form_weight(p, c.weights, c.twist) == 0
         perturbed = dataclasses.replace(c, twist=3)
-        assert not witness_form_check(p, perturbed.weights, perturbed.twist)
+        assert witness_form_weight(p, perturbed.weights, perturbed.twist) == (p + 1) // 2
 
 
 def test_hodge_pairs():

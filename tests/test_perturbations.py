@@ -1,0 +1,169 @@
+"""Every check of the report can fail: each named change of a construction
+fails exactly the listed checks and leaves the others passing.
+
+A change is a ``dataclasses.replace`` of a field, or a cached object put into
+the copy's ``__dict__`` before its first read; both reach the report through
+``build_report(c)`` alone.
+"""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from hodgegap.algebra import Polynomial
+from hodgegap.cli import build_report
+from hodgegap.curves import (
+    AffineCurveMap,
+    HyperellipticModel,
+    construction,
+    identity_map,
+    map_power,
+)
+from hodgegap.cyclotomic import PiSpec
+from hodgegap.elliptic import CurvePoint, find_curve
+from hodgegap.modularrep import H1Report
+
+PRIMES = (3, 5, 7, 13)
+
+
+def _with(c, **objects):
+    """A copy of c whose named cached objects are the given ones."""
+    copy = dataclasses.replace(c)
+    copy.__dict__.update(objects)
+    return copy
+
+
+def _with_f(c, change):
+    """A copy of c whose family is v^2 = change(f, engine field)."""
+    return _with(c, family=HyperellipticModel(change(c.family.f, c.spec.field)))
+
+
+def _square_factor(f, k):
+    linear = Polynomial(k, [k.from_int(-2), k.one])
+    return f * linear * linear
+
+
+def _twice_pi(c):
+    """An engine whose uniformizer is 2*pi: binom(p, 1)/(2*pi) is not integral,
+    so the family does not build."""
+    s = c.spec
+    return dataclasses.replace(
+        c, engine=lambda: PiSpec(s.field, 2 * s.pi, s.p, s.e, s.residue_field, s.zeta_image)
+    )
+
+
+def _miscounted_curve(c):
+    """The first curve that fails the point-count test, with a point P != O."""
+    curve = find_curve(c.residue_field, lambda e, n: not c.point_count_ok(e, n))
+    return _with(c, elliptic=(curve, next(itertools.islice(curve.points(), 1, None))))
+
+
+# The reduction, substitution, genus and smoothness checks all read f; the
+# p = 3 report skips curve.chart2 and hodge.witness and twists by sigma^2.
+F_CHECKS = {"curve.genus", "curve.smoothness", "curve.reduction", "curve.substitution"}
+FAMILY_P3 = F_CHECKS | {
+    "curve.integrality",
+    "action.sigma_preserves",
+    "action.sigma_reduction",
+    "conj.tau_sigma2",
+    "action.sigma_fixed_points",
+}
+FAMILY = FAMILY_P3 - {"conj.tau_sigma2"} | {"curve.chart2", "conj.tau_sigma4"}
+
+# name -> (change, {p: failing ids}), the key None for every other p
+PERTURBATIONS = {
+    "twist-3": (
+        lambda c: dataclasses.replace(c, twist=3),
+        {
+            3: {"conj.tau_sigma3", "hodge.h30.pair"},  # t = 0 in F_9: no tau
+            13: {"hodge.witness"},  # 3 = 4^2 mod 13: tau conjugates sigma to sigma^3
+            None: {"conj.tau_sigma3", "hodge.witness"},  # 3 is no square mod 5, 7
+        },
+    ),
+    "twist-1-Y-is-X": (
+        lambda c: dataclasses.replace(c, twist=1),
+        {3: {"hodge.h30.pair"}, None: {"hodge.h30.pair", "hodge.witness"}},
+    ),
+    "sigma-squared": (
+        lambda c: _with(c, sigma=map_power(c.sigma, 2)),
+        {None: {"action.sigma_reduction", "forms.weights"}},
+    ),
+    "sigma-to-the-p-the-identity": (
+        lambda c: _with(c, sigma=map_power(c.sigma, c.p)),
+        {None: {"action.sigma_reduction", "action.sigma_order", "forms.weights"}},
+    ),
+    "sigma-translation-2": (
+        lambda c: _with(
+            c, sigma=AffineCurveMap(c.sigma.alpha, c.spec.field.from_int(2), c.sigma.gamma)
+        ),
+        {None: {"action.sigma_preserves", "action.sigma_reduction", "forms.weights"}},
+    ),
+    "f-times-(u-2)^2": (
+        lambda c: _with_f(c, _square_factor),
+        {
+            3: F_CHECKS | {"action.sigma_preserves", "action.sigma_reduction", "conj.tau_sigma2"},
+            None: F_CHECKS
+            | {"curve.chart2", "action.sigma_preserves", "action.sigma_reduction", "conj.tau_sigma4"},
+        },
+    ),
+    "f-plus-half": (
+        lambda c: _with_f(c, lambda f, k: f + Polynomial(k, [k.one / 2])),
+        {
+            3: F_CHECKS - {"curve.genus"} | {"curve.integrality", "conj.tau_sigma2"},
+            None: F_CHECKS - {"curve.genus"}
+            | {"curve.integrality", "curve.chart2", "conj.tau_sigma4"},
+        },
+    ),
+    "pi-doubled": (  # sigma is zeta*u + 1 in x = 2*pi*u + 1: a translation
+        _twice_pi,
+        {3: FAMILY_P3 | {"forms.weights"}, None: FAMILY | {"forms.weights"}},
+    ),
+    "P-is-O": (
+        lambda c: _with(c, elliptic=(c.elliptic[0], CurvePoint.infinity())),
+        {None: {"elliptic.torsion_point", "elliptic.translation_free"}},
+    ),
+    "a-curve-failing-point_count_ok": (
+        _miscounted_curve,
+        {3: {"elliptic.ordinary_with_torsion"}, None: {"elliptic.trace_one"}},
+    ),
+    "H1Report(4,4,0)": (
+        lambda c: _with(c, h1=H1Report(4, 4, 0)),
+        {None: {"derham.h1"}},
+    ),
+    "sigma0-identity": (
+        lambda c: _with(c, sigma0=identity_map(c.residue_field)),
+        {None: {"action.sigma_reduction", "action.sigma_fixed_points"}},
+    ),
+}
+
+
+def _failing(name, p):
+    table = PERTURBATIONS[name][1]
+    return table.get(p, table[None])
+
+
+@pytest.mark.parametrize("name, p", itertools.product(PERTURBATIONS, PRIMES))
+def test_a_perturbation_fails_exactly_its_checks(name, p):
+    report = build_report(PERTURBATIONS[name][0](construction(p)))
+    assert {r.id for r in report.failed()} == _failing(name, p)
+    assert report.summary is None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_every_check_has_a_perturbation_that_fails_it(p):
+    clean = build_report(construction(p))
+    assert not clean.failed()
+    falsified = set().union(*(_failing(name, p) for name in PERTURBATIONS))
+    assert {r.id for r in clean.checks if r.status != "skipped"} <= falsified
+
+
+def test_an_unbuildable_tau_fails_its_checks_and_not_the_report():
+    # 3 is no square mod 7, so tau = (3u, sqrt(3)v) does not exist
+    checks = {r.id: r for r in build_report(dataclasses.replace(construction(7), twist=3)).checks}
+    conj = checks["conj.tau_sigma3"]
+    assert conj.statement.startswith("tau = (3u, sqrt(3)v) is an automorphism")
+    assert conj.status == "fail"
+    assert conj.witness == {"error": "ArithmeticError", "detail": "3 must be a square in F_7"}
+    assert checks["hodge.witness"].status == "fail"
+    assert checks["hodge.witness"].witness == "weights 2 + 3*(p-1)/2 = 4 mod p"
