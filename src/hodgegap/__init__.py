@@ -16,11 +16,10 @@ from .curves import AffineCurveMap, HyperellipticModel, hyperelliptic_family
 from .cyclotomic import CycloElement, CyclotomicField, PiSpec, cyclotomic_field
 from .elliptic import CurvePoint, EllipticCurve
 from .invariants import DiagonalAction, WeightMultiset, hodge30_pair
-from .modularrep import AugmentationModule, H1Report, h1_de_rham_report
+from .modularrep import H1Report, h1_de_rham_report
 
 __all__ = [
     "AffineCurveMap",
-    "AugmentationModule",
     "CurvePoint",
     "CycloElement",
     "CyclotomicField",

@@ -29,7 +29,7 @@ from .curves import (
     substitution_check,
     x_multiplier,
 )
-from .elliptic import count_points, translation_is_fixed_point_free
+from .elliptic import count_points, scalar_mul, translation_is_fixed_point_free
 from .invariants import (
     discrepancy_series,
     form_weights,
@@ -79,7 +79,7 @@ def build_report(c: Construction) -> VerificationReport:
     def record(cid: str, statement: str, fn) -> None:
         if cid in c.skips:
             statement, reason = c.skips[cid]
-            report.add(CheckResult(cid, statement, SKIPPED, reason))
+            report.add(CheckResult(cid, statement, SKIPPED, reason.format(twist=c.twist)))
             return
         try:
             ok, witness = fn()
@@ -182,10 +182,15 @@ def build_report(c: Construction) -> VerificationReport:
         return c.point_count_ok(curve, n), f"{curve!r} with {n} points"
 
     record(*c.elliptic_check, _point_count)
+
+    def _torsion_point():
+        curve, pt = c.elliptic
+        return not pt.is_infinity and scalar_mul(curve, p, pt).is_infinity, repr(pt)
+
     record(
         "elliptic.torsion_point",
         f"the curve carries a rational point of exact order {p}",
-        lambda: (not c.elliptic[1].is_infinity, repr(c.elliptic[1])),
+        _torsion_point,
     )
     record(
         "elliptic.translation_free",

@@ -102,7 +102,7 @@ class Construction:
     xy_text: str
     elliptic_check: tuple[str, str]  # (id, statement)
     hodge_text: str  # the claim on hX and hY; {twisted} is Y's generator
-    skips: Mapping[str, tuple[str, str]]  # check id -> (statement, reason)
+    skips: Mapping[str, tuple[str, str]]  # check id -> (statement, reason with {twist})
 
     @property
     def q(self) -> int:
@@ -213,7 +213,7 @@ def construction(p: int) -> Construction:
                 "hodge.witness": (
                     "explicit invariant 3-form in closed form",
                     "the closed-form witness x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ "
-                    "omega needs p >= 5; at p = 3 the twisted exponent is 2",
+                    "omega needs p >= 5; at p = 3 the twisted exponent is {twist}",
                 ),
             },
         )

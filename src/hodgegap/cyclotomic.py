@@ -1,4 +1,5 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n) and their rings of integers.
+"""Exact arithmetic in the cyclotomic fields Q(zeta_p), p prime, and Q(zeta_12),
+and in their rings of integers: the only two engines the construction uses.
 
 An element is stored in the power basis ``1, z, ..., z^(phi(n)-1)`` (z a fixed
 primitive n-th root of unity) as a tuple of integer coordinates over a single
@@ -23,10 +24,6 @@ one inverse of pi, checked when the engine is built (:meth:`PiSpec.over_pi`).
 Valuations are computed by repeated exact division by pi, which is correct
 here because a single prime sits above p, so an element is divisible by pi in
 the ring of integers iff its valuation is positive.
-
-Conductors outside {prime p, 12} are accepted by the field constructor on a
-best-effort basis; the local (valuation/residue) machinery is only built for
-the two cases above.
 """
 
 from __future__ import annotations
@@ -38,43 +35,18 @@ from typing import Optional, Sequence, Union
 from .algebra import FiniteField, FqElement, field_pow, is_prime
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _int_poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
-    # den is monic; division of integer polynomials, remainder must vanish
-    num = list(num)
-    d = len(den) - 1
-    out = [0] * (len(num) - d)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + d]
-        out[i] = c
-        if c:
-            for j, b in enumerate(den):
-                num[i + j] -= c * b
-    if any(num[:d]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-@functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, lowest degree first."""
-    if n < 1:
-        raise ValueError("conductor must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in _divisors(n)[:-1]:
-        poly = _int_poly_exact_div(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    """Coefficients of Phi_n, lowest degree first, for a prime n or n = 12:
+    Phi_p = 1 + z + ... + z^(p-1) and Phi_12 = 1 - z^2 + z^4."""
+    if n == 12:
+        return (1, 0, -1, 0, 1)
+    if not is_prime(n):
+        raise ValueError(f"conductor {n} not supported (need a prime or 12)")
+    return (1,) * n
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> "CyclotomicField":
-    if n < 2:
-        raise ValueError(f"conductor {n} not supported (need n >= 2)")
     return CyclotomicField(n)
 
 

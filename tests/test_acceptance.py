@@ -8,7 +8,7 @@ import random
 import time
 from functools import lru_cache
 
-from hodgegap.algebra import primes_upto
+from hodgegap.algebra import kernel_dim_mod_p, kernel_dim_rational, primes_upto
 from hodgegap.cli import main
 from hodgegap.curves import (
     affine_fixed_points,
@@ -39,7 +39,7 @@ from hodgegap.invariants import (
     invariant_pair_witnesses,
     least_squares_slope,
 )
-from hodgegap.modularrep import build_augmentation, h1_de_rham_report, invariant_dim_mod_p, invariant_dim_rational
+from hodgegap.modularrep import g_minus_one, h1_de_rham_report
 
 SHIPPED = (3, 5, 7, 11, 13)
 
@@ -177,8 +177,8 @@ def test_criterion_6_de_rham_numbers(capsys):
             continue
         rep = h1_de_rham_report(p)
         ok = ok and (rep.h1_special, rep.h1_generic, rep.torsion_dim) == (4, 2, 2)
-        mod = build_augmentation(p)
-        ok = ok and invariant_dim_mod_p(mod) == 1 and invariant_dim_rational(mod) == 0
+        m = g_minus_one(p)
+        ok = ok and kernel_dim_mod_p(m, p) == 1 and kernel_dim_rational(m) == 0
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         _verdict("criterion 6: h1 report {4, 2, 2} for every prime 3<=p<=50", ok, elapsed)

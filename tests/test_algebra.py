@@ -17,7 +17,7 @@ from hodgegap.algebra import (
     square_roots,
 )
 from hodgegap.cyclotomic import cyclotomic_field
-from hodgegap.modularrep import build_augmentation
+from hodgegap.modularrep import g_minus_one
 
 F5 = FiniteField(5)
 F7 = FiniteField(7)
@@ -126,9 +126,7 @@ def test_kernel_dims():
     assert kernel_dim_mod_p(((1, 2, 3), (-4, 12, -1)), 5) == 1
 
     # (generator - 1) on the augmentation ideal for p = 5: one invariant line
-    m = build_augmentation(5).generator_matrix
-    shifted = [[m[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
-    assert kernel_dim_mod_p(shifted, 5) == 1
+    assert kernel_dim_mod_p(g_minus_one(5), 5) == 1
 
 
 def test_rank_nullity_on_random_matrices():

@@ -40,6 +40,12 @@ def test_canonicalize_rejects_degenerate_conductor():
             cyclotomic_field(n).element([1])
 
 
+@pytest.mark.parametrize("n", [4, 6, 9, 15, 20])
+def test_only_a_prime_or_12_is_a_conductor(n):
+    with pytest.raises(ValueError, match="a prime or 12"):
+        cyclotomic_field(n)
+
+
 def test_canonicalize_idempotent_on_random_inputs():
     rng = random.Random(11)
     for n in (5, 7, 12):

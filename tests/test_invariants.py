@@ -5,6 +5,7 @@ import pytest
 
 from hodgegap import curves, invariants
 from hodgegap.algebra import primes_upto
+from hodgegap.cli import build_report
 from hodgegap.invariants import (
     DiagonalAction,
     discrepancy_series,
@@ -90,11 +91,24 @@ def test_hodge_pairs():
         hodge30_pair(2)
 
 
-@pytest.mark.parametrize("count", [1, 0], ids=["hX-nonzero", "hY-zero"])
-def test_hodge30_pair_raises_on_impossible_counts(monkeypatch, count):
-    monkeypatch.setattr(invariants, "invariant_pair_witnesses", lambda *args: [(0, 0)] * count)
-    with pytest.raises(ArithmeticError):
-        hodge30_pair(7)
+@pytest.mark.parametrize(
+    "exponents, pairs, message",
+    [((1, 1, 1), [(0, 0)], "untwisted"), ((1, 4, 1), [], "interval count")],
+    ids=["hX-nonzero", "hY-zero"],
+)
+def test_impossible_counts_fail_the_table_and_the_report(monkeypatch, exponents, pairs, message):
+    # one action's pairs replaced, the other's left as they are, so each
+    # guard of the table is reached on its own
+    real = invariants.invariant_pair_witnesses
+
+    def changed(w1, w2, action):
+        return pairs if action.exponents == exponents else real(w1, w2, action)
+
+    monkeypatch.setattr(invariants, "invariant_pair_witnesses", changed)
+    monkeypatch.setattr(curves, "construction", curves.construction.__wrapped__)
+    with pytest.raises(AssertionError, match=message):
+        discrepancy_series(7)
+    assert [r.id for r in build_report(curves.construction(7)).failed()] == ["hodge.h30.pair"]
 
 
 def test_hx_vanishes_for_all_tested_primes():

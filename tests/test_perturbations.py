@@ -54,7 +54,8 @@ def _twice_pi(c):
 
 
 def _miscounted_curve(c):
-    """The first curve that fails the point-count test, with a point P != O."""
+    """The first curve that fails the point-count test, with its first point
+    P != O; at p = 3, 5, 7 and 13 that point has no order p."""
     curve = find_curve(c.residue_field, lambda e, n: not c.point_count_ok(e, n))
     return _with(c, elliptic=(curve, next(itertools.islice(curve.points(), 1, None))))
 
@@ -125,7 +126,10 @@ PERTURBATIONS = {
     ),
     "a-curve-failing-point_count_ok": (
         _miscounted_curve,
-        {3: {"elliptic.ordinary_with_torsion"}, None: {"elliptic.trace_one"}},
+        {
+            3: {"elliptic.ordinary_with_torsion", "elliptic.torsion_point"},
+            None: {"elliptic.trace_one", "elliptic.torsion_point"},
+        },
     ),
     "H1Report(4,4,0)": (
         lambda c: _with(c, h1=H1Report(4, 4, 0)),
@@ -167,3 +171,17 @@ def test_an_unbuildable_tau_fails_its_checks_and_not_the_report():
     assert conj.witness == {"error": "ArithmeticError", "detail": "3 must be a square in F_7"}
     assert checks["hodge.witness"].status == "fail"
     assert checks["hodge.witness"].witness == "weights 2 + 3*(p-1)/2 = 4 mod p"
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_twist_1_fails_the_counts_and_not_as_an_error(p):
+    checks = {r.id: r for r in build_report(dataclasses.replace(construction(p), twist=1)).checks}
+    assert checks["hodge.h30.pair"].status == "fail"
+    assert checks["hodge.h30.pair"].witness == {"hX": 0, "hY": 0, "hY_pairs": []}
+
+
+def test_the_p3_skip_reason_states_the_construction_twist():
+    for twist in (2, 1):
+        checks = {r.id: r for r in build_report(dataclasses.replace(construction(3), twist=twist)).checks}
+        assert checks["hodge.witness"].status == "skipped"
+        assert checks["hodge.witness"].witness.endswith(f"the twisted exponent is {twist}")
