@@ -15,7 +15,7 @@ from .algebra import FiniteField, FqElement, Polynomial
 from .curves import AffineCurveMap, HyperellipticModel, hyperelliptic_family
 from .cyclotomic import CycloElement, CyclotomicField, PiSpec, cyclotomic_field
 from .elliptic import CurvePoint, EllipticCurve
-from .invariants import DiagonalAction, WeightMultiset, hodge30_pair
+from .invariants import WeightMultiset, hodge30_pair
 from .modularrep import H1Report, h1_de_rham_report
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "CurvePoint",
     "CycloElement",
     "CyclotomicField",
-    "DiagonalAction",
     "EllipticCurve",
     "FiniteField",
     "FqElement",

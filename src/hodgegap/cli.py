@@ -22,7 +22,7 @@ from .curves import (
     construction,
     genus,
     has_prime_order,
-    hyperelliptic_family,
+    hyperelliptic_family,  # unused: perfbench's wrapper test reads cli.hyperelliptic_family
     is_relatively_smooth,
     map_preserves_curve,
     second_chart_polynomial,
@@ -311,17 +311,16 @@ def cmd_curve(args, out) -> int:
     p = args.p
     if not args.no_banner:
         _banner(out)
-    spec = construction(p).spec
-    family = hyperelliptic_family(p, spec)
+    c = construction(p)
     if args.chart == 1:
-        poly, var = family.f, "u"
+        poly, var = c.family.f, "u"
         head = "v^2 ="
     else:
-        poly, var = second_chart_polynomial(family), "s"
+        poly, var = second_chart_polynomial(c.family), "s"
         head = "t^2 ="
     print(
-        f"chart {args.chart} of the p = {p} family over Z[zeta_{spec.n}] "
-        f"(z = zeta_{spec.n}, pi = {spec.pi})",
+        f"chart {args.chart} of the p = {p} family over Z[zeta_{c.spec.n}] "
+        f"(z = zeta_{c.spec.n}, pi = {c.spec.pi})",
         file=out,
     )
     print(f"{head} {poly.render(var)}", file=out)

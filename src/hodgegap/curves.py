@@ -173,7 +173,7 @@ class Construction:
     @functools.cached_property
     def hodge_pairs(self) -> tuple[list, list]:
         """(untwisted, twisted) invariant pairs; hX and hY are their lengths."""
-        return hodge30_witnesses(self.p, self.weights, self.twist)
+        return hodge30_witnesses(self.weights, self.twist)
 
     @property
     def hodge(self) -> tuple[int, int]:
@@ -195,7 +195,8 @@ def construction(p: int) -> Construction:
             residue_field=FiniteField(3, modulus=(1, 0)),  # F_9 = F_3[i]
             twist=2,
             engine=PiSpec.p3,
-            point_count_ok=lambda curve, n: n % 3 == 0 and (curve.q + 1 - n) % 3 != 0,
+            # q + 1 = 10 = 1 mod 3, so 3 | n forces trace 10 - n = 1 mod 3: ordinary
+            point_count_ok=lambda curve, n: n % 3 == 0,
             hodge_ok=lambda h_x, h_y: (h_x, h_y) == (5, 6),
             xy_text="y^2 = (x^3-1)^3/pi^9 + (x^3-1)/pi^3",
             elliptic_check=(

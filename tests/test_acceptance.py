@@ -32,7 +32,6 @@ from hodgegap.elliptic import (
     add_points,
 )
 from hodgegap.invariants import (
-    DiagonalAction,
     form_weights,
     hodge30_pair,
     hy_interval_count,
@@ -245,10 +244,10 @@ def test_criterion_8_property_suites(capsys):
     rng = random.Random(8005)
     for _ in range(50):  # invariant count is blind to the choice of generator
         p = rng.choice([5, 7, 11, 13])
-        w = form_weights(p, 1, (p - 1) // 2)
+        g = (p - 1) // 2
         c = rng.randint(1, p - 1)
-        base = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (1, 4, 1))))
-        scaled = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (c, (4 * c) % p, 1))))
+        base = len(invariant_pair_witnesses(form_weights(p, 1, g), 4))
+        scaled = len(invariant_pair_witnesses(form_weights(p, c, g), 4))
         ok = ok and base == scaled
 
     elapsed = time.perf_counter() - t0

@@ -88,7 +88,6 @@ def test_report_builds_the_family_once(monkeypatch, p):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(curves, "hyperelliptic_family", counting)
-    monkeypatch.setattr(cli, "hyperelliptic_family", counting)
     curves.construction.cache_clear()  # an earlier test may have built it
     assert not build_report(curves.construction(p)).failed()
     assert len(calls) == 1
@@ -230,6 +229,30 @@ def test_curve_chart_two(capsys):
     last = [l for l in out.splitlines() if l.strip().startswith("s^")][-1]
     assert last.strip() == "s^0: 0"
     assert "s^1: 1" in out  # the chart polynomial starts with a bare s
+
+
+def test_curve_reads_the_family_of_the_construction(monkeypatch, capsys):
+    calls = []
+    real = curves.hyperelliptic_family
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(curves, "hyperelliptic_family", counting)
+    curves.construction.cache_clear()
+    for chart in ("1", "2"):
+        assert _run(capsys, ["curve", "--p", "5", "--chart", chart, "--no-banner"])[0] == 0
+    assert len(calls) == 1
+    assert "family" in vars(curves.construction(5))
+
+
+def test_every_exported_name_resolves():
+    import hodgegap
+
+    namespace = {}
+    exec("from hodgegap import *", namespace)
+    assert all(name in namespace for name in hodgegap.__all__)
 
 
 def test_curve_rejects_two(capsys):

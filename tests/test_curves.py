@@ -195,6 +195,20 @@ def test_smoothness_rejects_degenerate_models():
     assert not is_relatively_smooth(HyperellipticModel(Polynomial(k, [])), spec)
 
 
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_smoothness_rejects_even_degree_alone(p):
+    # control: f * (pi*u - 1) has degree p + 1, integral coefficients and
+    # squarefree fibres (pi*u - 1 is a unit mod pi), so only the odd-degree
+    # clause rejects it
+    spec = default_spec(p)
+    k = spec.field
+    model = HyperellipticModel(_family(p).f * Polynomial(k, [-k.one, spec.pi]))
+    assert model.f.degree == p + 1
+    assert all(c.is_integral for c in model.f.coeffs)
+    assert model.squarefree and reduce_model(model, spec).squarefree
+    assert not is_relatively_smooth(model, spec)
+
+
 def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
     from hodgegap import curves
 
@@ -260,6 +274,15 @@ def test_map_group_basics():
     assert map_power(sigma, 5).is_identity()
     with pytest.raises(RuntimeError):
         map_order(AffineCurveMap(spec.field.from_int(2), spec.field.zero, spec.field.one), bound=16)
+
+
+def test_apply_adds_beta():
+    # sigma0 = (1, 1, 1) moves every point of F_7 x F_7 one step up in u
+    f7 = FiniteField(7)
+    sigma0 = AffineCurveMap(f7.one, f7.one, f7.one)
+    for u in f7:
+        for v in f7:
+            assert sigma0.apply(u, v) == (u + 1, v)
 
 
 def test_map_power_matches_iterated_composition():

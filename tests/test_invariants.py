@@ -7,7 +7,6 @@ from hodgegap import curves, invariants
 from hodgegap.algebra import primes_upto
 from hodgegap.cli import build_report
 from hodgegap.invariants import (
-    DiagonalAction,
     discrepancy_series,
     form_weights,
     hodge30_pair,
@@ -47,20 +46,13 @@ def test_form_weights_rejects_zero_multiplier():
 
 def test_kunneth_examples():
     w5 = form_weights(5, 1, 2)
-    assert len(invariant_pair_witnesses(w5, w5, DiagonalAction(5, (1, 1, 1)))) == 0
-    assert len(invariant_pair_witnesses(w5, w5, DiagonalAction(5, (1, 4, 1)))) == 2
-    assert invariant_pair_witnesses(w5, w5, DiagonalAction(5, (1, 4, 1))) == [(1, 1), (2, 2)]
+    assert len(invariant_pair_witnesses(w5, 1)) == 0
+    assert len(invariant_pair_witnesses(w5, 4)) == 2
+    assert invariant_pair_witnesses(w5, 4) == [(1, 1), (2, 2)]
 
     w3 = form_weights(3, 1, 4)
-    assert len(invariant_pair_witnesses(w3, w3, DiagonalAction(3, (1, 1, 1)))) == 5
-    assert len(invariant_pair_witnesses(w3, w3, DiagonalAction(3, (1, 2, 1)))) == 6
-
-
-def test_kunneth_modulus_mismatch():
-    with pytest.raises(ValueError):
-        invariant_pair_witnesses(
-            form_weights(5, 1, 2), form_weights(7, 1, 3), DiagonalAction(5, (1, 1, 1))
-        )
+    assert len(invariant_pair_witnesses(w3, 1)) == 5
+    assert len(invariant_pair_witnesses(w3, 2)) == 6
 
 
 def test_witness_form_check():
@@ -92,17 +84,17 @@ def test_hodge_pairs():
 
 
 @pytest.mark.parametrize(
-    "exponents, pairs, message",
-    [((1, 1, 1), [(0, 0)], "untwisted"), ((1, 4, 1), [], "interval count")],
+    "twist, pairs, message",
+    [(1, [(0, 0)], "untwisted"), (4, [], "interval count")],
     ids=["hX-nonzero", "hY-zero"],
 )
-def test_impossible_counts_fail_the_table_and_the_report(monkeypatch, exponents, pairs, message):
-    # one action's pairs replaced, the other's left as they are, so each
+def test_impossible_counts_fail_the_table_and_the_report(monkeypatch, twist, pairs, message):
+    # one twist's pairs replaced, the other's left as they are, so each
     # guard of the table is reached on its own
     real = invariants.invariant_pair_witnesses
 
-    def changed(w1, w2, action):
-        return pairs if action.exponents == exponents else real(w1, w2, action)
+    def changed(w, t):
+        return pairs if t == twist else real(w, t)
 
     monkeypatch.setattr(invariants, "invariant_pair_witnesses", changed)
     monkeypatch.setattr(curves, "construction", curves.construction.__wrapped__)
@@ -119,29 +111,28 @@ def test_hx_vanishes_for_all_tested_primes():
 
 
 def test_conjugate_actions_give_the_same_count():
+    # (sigma^c, sigma^4c, tau_P) generates the group of (sigma, sigma^4, tau_P);
+    # its pairs are those of twist 4 on the weights scaled by c
     for p in (5, 7, 11, 13):
-        w = form_weights(p, 1, (p - 1) // 2)
-        base = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (1, 4, 1))))
+        g = (p - 1) // 2
+        base = len(invariant_pair_witnesses(form_weights(p, 1, g), 4))
         for c in range(1, p):
-            scaled = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (c, (4 * c) % p, 1))))
-            assert scaled == base
+            assert len(invariant_pair_witnesses(form_weights(p, c, g), 4)) == base
 
 
 def test_swapping_the_two_multipliers_is_symmetric():
+    # swapping the curve factors turns (sigma, sigma^t) into (sigma^t, sigma),
+    # which generates the group of (sigma, sigma^(1/t))
     for p in (5, 7, 11, 13):
         w = form_weights(p, 1, (p - 1) // 2)
-        for a in range(1, p):
-            for b in range(1, p):
-                ab = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (a, b, 1))))
-                ba = len(invariant_pair_witnesses(w, w, DiagonalAction(p, (b, a, 1))))
-                assert ab == ba
+        for t in range(1, p):
+            inverse = pow(t, -1, p)
+            assert len(invariant_pair_witnesses(w, t)) == len(invariant_pair_witnesses(w, inverse))
 
 
-def _nested_pairs(w1, w2, action):
-    # oracle: every (x, y) in w1 x w2, kept when the twisted weights cancel
-    p = action.p
-    a1, a2, _ = action.exponents
-    return [(x, y) for x in w1.weights for y in w2.weights if (a1 * x + a2 * y) % p == 0]
+def _nested_pairs(w, twist):
+    # oracle: every (x, y) in w x w, kept when the twisted weights cancel
+    return [(x, y) for x in w.weights for y in w.weights if (x + twist * y) % w.p == 0]
 
 
 def test_pair_count_matches_the_listed_pairs():
@@ -149,12 +140,12 @@ def test_pair_count_matches_the_listed_pairs():
     # the product walk: the report's hY is their number, hY_pairs the list
     rng = random.Random(6061)
     for p in [3] + [p for p in primes_upto(97) if p >= 5]:
-        w = form_weights(p, 1, curves.construction(p).genus)
-        actions = [DiagonalAction(p, (1, b, 1)) for b in range(1, p)]
-        for _ in range(5):
-            actions.append(DiagonalAction(p, (rng.randint(1, p - 1), rng.randrange(p), 1)))
-        for action in actions:
-            assert invariant_pair_witnesses(w, w, action) == _nested_pairs(w, w, action)
+        g = curves.construction(p).genus
+        cases = [(form_weights(p, 1, g), t) for t in range(1, p)]
+        for _ in range(5):  # scaled weights, any twist including 0
+            cases.append((form_weights(p, rng.randint(1, p - 1), g), rng.randrange(p)))
+        for w, t in cases:
+            assert invariant_pair_witnesses(w, t) == _nested_pairs(w, t)
 
 
 def test_discrepancy_rows():
@@ -164,6 +155,8 @@ def test_discrepancy_rows():
     assert (rows[13].h_x, rows[13].h_y, rows[13].gap) == (0, 4, 4)
     with pytest.raises(ValueError):
         discrepancy_series(4)
+    # the bound is inclusive: p_max = 5 keeps exactly the row for 5
+    assert [(r.p, r.h_x, r.h_y, r.gap) for r in discrepancy_series(5)] == [(5, 0, 2, 2)]
 
 
 def test_interval_count_matches_enumeration_up_to_500():
