@@ -179,7 +179,7 @@ def build_report(c: Construction) -> VerificationReport:
     def _point_count():
         curve = c.elliptic[0]
         n = count_points(curve)
-        return c.point_count_ok(curve, n), f"{curve!r} with {n} points"
+        return c.point_count_ok(n), f"{curve!r} with {n} points"
 
     record(*c.elliptic_check, _point_count)
 
@@ -219,7 +219,7 @@ def build_report(c: Construction) -> VerificationReport:
 
     def _witness():
         t = c.twist
-        weight = witness_form_weight(p, c.weights, t)
+        weight = witness_form_weight(c.weights, t)
         total = f"{(2 + t * (p - 1) // 2) // p}p = 0" if weight == 0 else weight
         return weight == 0, f"weights 2 + {t}*(p-1)/2 = {total} mod p"
 

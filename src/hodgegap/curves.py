@@ -40,7 +40,7 @@ from .algebra import (
     square_roots,
 )
 from .cyclotomic import PiSpec
-from .elliptic import EllipticCurve, find_curve, torsion_point_of_exact_order
+from .elliptic import find_curve, torsion_point_of_exact_order
 from .invariants import WeightMultiset, form_weights, hodge30_witnesses
 from .modularrep import H1Report, h1_de_rham_report
 
@@ -97,7 +97,7 @@ class Construction:
     residue_field: FiniteField  # the special fibre is v^2 = u^q - u over F_q
     twist: int  # Y is the quotient by (sigma, sigma^twist, tau_P)
     engine: Callable[[], PiSpec]
-    point_count_ok: Callable[[EllipticCurve, int], bool]  # picks the elliptic factor
+    point_count_ok: Callable[[int], bool]  # on #E(F_q), picks the elliptic factor
     hodge_ok: Callable[[int, int], bool]
     xy_text: str
     elliptic_check: tuple[str, str]  # (id, statement)
@@ -196,7 +196,7 @@ def construction(p: int) -> Construction:
             twist=2,
             engine=PiSpec.p3,
             # q + 1 = 10 = 1 mod 3, so 3 | n forces trace 10 - n = 1 mod 3: ordinary
-            point_count_ok=lambda curve, n: n % 3 == 0,
+            point_count_ok=lambda n: n % 3 == 0,
             hodge_ok=lambda h_x, h_y: (h_x, h_y) == (5, 6),
             xy_text="y^2 = (x^3-1)^3/pi^9 + (x^3-1)/pi^3",
             elliptic_check=(
@@ -223,7 +223,7 @@ def construction(p: int) -> Construction:
         residue_field=FiniteField(p),
         twist=4,
         engine=functools.partial(PiSpec.for_prime, p),
-        point_count_ok=lambda curve, n: n == p,
+        point_count_ok=lambda n: n == p,
         hodge_ok=lambda h_x, h_y: h_x == 0 and h_y >= 1,
         xy_text="pi^p y^2 = x^p - 1",
         elliptic_check=(

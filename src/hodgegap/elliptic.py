@@ -3,13 +3,19 @@
 Curves are kept in the form y^2 = x^3 + a2*x^2 + a4*x + a6 (characteristic
 never 2 here); the short Weierstrass case is a2 = 0, and the a2 term is what
 makes characteristic 3 work.  Points are listed and counted in O(q), each x
-reading the roots of rhs(x) from :func:`algebra.square_roots`; the one
+reading the roots of rhs(x) from :func:`algebra.square_roots`.  Over a prime
+field the count runs on plain integers: one Horner step
+((x + a2)*x + a4)*x + a6 mod p per x indexes a per-field tuple of root
+counts, itself read once from :func:`algebra.square_roots`.  F_9, the one
+non-prime field, evaluates the cubic over :class:`FqElement`.  The one
 coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the field's
-canonical order, so results are deterministic.
+canonical order, so results are deterministic; it counts each candidate from
+its coefficients and tests singularity only on a candidate whose count passes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -77,14 +83,36 @@ class EllipticCurve:
         return f"E[y^2 = x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6}) / GF({self.q})]"
 
 
-def count_points(curve: EllipticCurve) -> int:
-    """Exact number of rational points, point at infinity included."""
-    roots = square_roots(curve.field)
-    n = 1 + sum(len(roots.get(curve.rhs(x), ())) for x in curve.field)
-    q = curve.q
+@functools.cache
+def _root_counts(field: FiniteField) -> tuple[int, ...]:
+    """Entry m is the number of y with y^2 = the m-th element of ``field`` in
+    canonical order (the integer m over a prime field): one tuple per field,
+    read from :func:`square_roots`."""
+    roots = square_roots(field)
+    return tuple(len(roots.get(s, ())) for s in field)
+
+
+def _count(field: FiniteField, a2: FqElement, a4: FqElement, a6: FqElement) -> int:
+    """Rational points of y^2 = x^3 + a2 x^2 + a4 x + a6, point at infinity
+    included, singular or not; raises past the Hasse bound, which a singular
+    cubic (q, q + 1 or q + 2 points) never crosses."""
+    if field.k == 1:
+        p = field.p
+        counts = _root_counts(field)
+        b2, b4, b6 = a2.coords[0], a4.coords[0], a6.coords[0]
+        n = 1 + sum(counts[(((x + b2) * x + b4) * x + b6) % p] for x in range(p))
+    else:  # F_{p^2} (F_9 at p = 3) multiplies as FqElement
+        roots = square_roots(field)
+        n = 1 + sum(len(roots.get(((x + a2) * x + a4) * x + a6, ())) for x in field)
+    q = field.q
     if (q + 1 - n) ** 2 > 4 * q:
         raise ArithmeticError(f"Hasse bound violated: {n} points over F_{q} (bug)")
     return n
+
+
+def count_points(curve: EllipticCurve) -> int:
+    """Exact number of rational points, point at infinity included."""
+    return _count(curve.field, curve.a2, curve.a4, curve.a6)
 
 
 def add_points(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
@@ -127,19 +155,22 @@ def scalar_mul(curve: EllipticCurve, k: int, pt: CurvePoint) -> CurvePoint:
     return acc
 
 
-def find_curve(field: FiniteField, ok: Callable[[EllipticCurve, int], bool]) -> EllipticCurve:
+def find_curve(field: FiniteField, ok: Callable[[int], bool]) -> EllipticCurve:
     """The first nonsingular y^2 = x^3 + a2 x^2 + a4 x + a6 over ``field``, in
-    lexicographic (a2, a4, a6) order, with ``ok(curve, #points)``: the one
-    coefficient search, which every elliptic factor comes from."""
+    lexicographic (a2, a4, a6) order, with ``ok(#points)``: the one
+    coefficient search, which every elliptic factor comes from.  Each
+    candidate is counted from its coefficients first (on integers over a
+    prime field); only one whose count passes ``ok`` is built as an
+    :class:`EllipticCurve`, which rejects it if singular."""
     for a2 in field:
         for a4 in field:
             for a6 in field:
+                if not ok(_count(field, a2, a4, a6)):
+                    continue
                 try:
-                    curve = EllipticCurve(field, a2, a4, a6)
+                    return EllipticCurve(field, a2, a4, a6)
                 except ValueError:  # singular
                     continue
-                if ok(curve, count_points(curve)):
-                    return curve
     raise RuntimeError(f"no curve over {field} passes the test: search exhausted")
 
 
@@ -152,7 +183,7 @@ def find_ordinary_with_trace_one(p: int) -> EllipticCurve:
     takes the same curve from ``curves.construction(p).elliptic``."""
     if not is_prime(p) or p < 5:
         raise ValueError(f"needs a prime p >= 5, got {p}")
-    return find_curve(FiniteField(p), lambda curve, n: n == p)
+    return find_curve(FiniteField(p), lambda n: n == p)
 
 
 def torsion_point_of_exact_order(curve: EllipticCurve, ell: int) -> CurvePoint:

@@ -46,14 +46,15 @@ def invariant_pair_witnesses(w: WeightMultiset, twist: int) -> list[tuple[int, i
     return [(x, y) for x in w.weights for y in by_twisted.get(-x % w.p, ())]
 
 
-def witness_form_weight(p: int, w: WeightMultiset, twist: int) -> int:
-    """The weight mod p of x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega under the
-    (1, twist, .) action, zero when the form is invariant.  w is
+def witness_form_weight(w: WeightMultiset, twist: int) -> int:
+    """The weight mod p = w.p of x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega
+    under the (1, twist, .) action, zero when the form is invariant.  w is
     :func:`form_weights` with multiplier 1, so the k-th basis form
     x^(k-1) dx/y has weight w.weights[k-1]; the two wedge factors are the
     forms k = 2 and k = (p-1)/2, both genuine members of the basis only when
     p >= 5.  The weight is 2 + twist*(p-1)/2 mod p, zero for twist = 4 mod p
     alone."""
+    p = w.p
     if p < 5:
         raise ValueError("the explicit invariant 3-form needs p >= 5")
     k1, k2 = 2, (p - 1) // 2

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from hodgegap import algebra, elliptic
 from hodgegap.algebra import FiniteField, fq_sqrt, primes_upto
 from hodgegap.curves import construction
 from hodgegap.elliptic import (
@@ -19,18 +20,55 @@ from hodgegap.elliptic import (
 )
 
 F5 = FiniteField(5)
+F9 = FiniteField(3, modulus=(1, 0))
 
 
-def _count_by_pairs(p, a4, a6):
+def _count_by_pairs(p, a2, a4, a6):
     # oracle: walk all (x, y) in F_p x F_p and count solutions, plus infinity
     return 1 + sum(
-        1 for x, y in product(range(p), repeat=2) if (y * y - x**3 - a4 * x - a6) % p == 0
+        1
+        for x, y in product(range(p), repeat=2)
+        if (y * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+    )
+
+
+def _discriminant(a2, a4, a6):
+    # of x^3 + a2 x^2 + a4 x + a6: zero mod p exactly when it has a repeated root
+    return (
+        a2 * a2 * a4 * a4
+        - 4 * a4**3
+        - 4 * a2**3 * a6
+        - 27 * a6 * a6
+        + 18 * a2 * a4 * a6
     )
 
 
 def test_count_examples():
-    assert count_points(EllipticCurve(F5, 0, -1, 0)) == _count_by_pairs(5, -1, 0) == 8
-    assert count_points(EllipticCurve(F5, 0, 0, 1)) == _count_by_pairs(5, 0, 1) == 6
+    assert count_points(EllipticCurve(F5, 0, -1, 0)) == _count_by_pairs(5, 0, -1, 0) == 8
+    assert count_points(EllipticCurve(F5, 0, 0, 1)) == _count_by_pairs(5, 0, 0, 1) == 6
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_count_points_matches_the_point_list_on_every_curve(q):
+    # exhaustive: every (a2, a4, a6) over F_q, against the point list and,
+    # over F_p, the pair scan; neither oracle runs the integer kernel.  A
+    # singular cubic has q, q + 1 or q + 2 points, inside the Hasse bound, which
+    # is what lets find_curve count a candidate before testing its singularity.
+    field = F9 if q == 9 else FiniteField(q)
+    nonsingular = 0
+    for a2, a4, a6 in product(field, repeat=3):
+        try:
+            curve = EllipticCurve(field, a2, a4, a6)
+        except ValueError:  # singular
+            assert elliptic._count(field, a2, a4, a6) in (q, q + 1, q + 2)
+            continue
+        nonsingular += 1
+        n = count_points(curve)
+        assert n == len(list(curve.points()))
+        if q != 9:
+            assert n == _count_by_pairs(q, *(a.coords[0] for a in (a2, a4, a6)))
+    # singular cubics (x - r)^2 (x - s): q choices of r times q of s
+    assert nonsingular == q**3 - q * q
 
 
 def test_singular_input_rejected():
@@ -40,25 +78,28 @@ def test_singular_input_rejected():
 
 def test_count_points_raises_past_the_hasse_bound(monkeypatch):
     curve = EllipticCurve(F5, 0, -1, 0)
-    monkeypatch.setattr(curve, "rhs", lambda x: F5.one)  # 2 points over every x
-    with pytest.raises(ArithmeticError, match="Hasse"):
+    monkeypatch.setattr(elliptic, "_root_counts", lambda field: (2,) * field.q)
+    with pytest.raises(ArithmeticError, match="Hasse"):  # 2 points over every x
         count_points(curve)
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        find_curve(F5, lambda n: True)
 
 
 def test_count_points_builds_one_squares_table_per_field():
-    # count_points, points() and fq_sqrt read one square_roots table, shared
-    # by equal fields
-    from hodgegap import algebra
-
+    # count_points reads one root-count tuple per field, built from the one
+    # square_roots table that points() and fq_sqrt read; equal fields share both
     f7 = FiniteField(7)
     algebra.square_roots.cache_clear()
+    elliptic._root_counts.cache_clear()
     for b in range(1, 7):
         count_points(EllipticCurve(f7, 0, 0, b))
     count_points(EllipticCurve(FiniteField(7), 0, 0, 1))
     assert len(list(EllipticCurve(FiniteField(7), 0, 0, 1).points())) == 12
     assert fq_sqrt(FiniteField(7).from_int(2)) == 3
     assert algebra.square_roots.cache_info().misses == 1
-    assert algebra.square_roots.cache_info().hits == 8
+    assert algebra.square_roots.cache_info().hits == 2  # points(), fq_sqrt
+    assert elliptic._root_counts.cache_info().misses == 1
+    assert elliptic._root_counts.cache_info().hits == 6
 
 
 def _points_by_pairs(curve):
@@ -70,7 +111,7 @@ def _points_by_pairs(curve):
 
 @pytest.mark.parametrize("q", [5, 7, 9])
 def test_points_match_the_pair_scan(q):
-    field = FiniteField(3, modulus=(1, 0)) if q == 9 else FiniteField(q)
+    field = F9 if q == 9 else FiniteField(q)
     rng = random.Random(q)
     elements = list(field)
     tested = [construction(3).elliptic[0]] if q == 9 else []
@@ -191,7 +232,7 @@ def _first_trace_one_by_integers(p):
     # and count each curve by walking F_p x F_p
     for a4 in range(p):
         for a6 in range(p):
-            if (4 * a4**3 + 27 * a6**2) % p and _count_by_pairs(p, a4, a6) == p:
+            if (4 * a4**3 + 27 * a6**2) % p and _count_by_pairs(p, 0, a4, a6) == p:
                 return a4, a6
     raise AssertionError(f"no trace-one curve over F_{p}")
 
@@ -206,16 +247,25 @@ def test_general_search_finds_the_short_weierstrass_hit(p):
 
 
 def test_find_curve_skips_singular_candidates_and_follows_the_test():
-    # y^2 = x^3 (a2 = a4 = a6 = 0) is singular and must be skipped, not tested
+    # y^2 = x^3 (a2 = a4 = a6 = 0) is singular with q + 1 = 6 points: it passes
+    # the test first, and the search must still skip it.  The hit is the first
+    # candidate in (a2, a4, a6) order that is nonsingular and has 6 points, and
+    # the test sees every candidate's count up to it, in that order.
+    candidates = list(product(range(5), repeat=3))
+    hit = next(
+        i
+        for i, (a2, a4, a6) in enumerate(candidates)
+        if _discriminant(a2, a4, a6) % 5 and _count_by_pairs(5, a2, a4, a6) == 6
+    )
     seen = []
 
-    def ok(curve, n):
-        seen.append((curve.a2, curve.a4, curve.a6))
-        return len(seen) == 3
+    def ok(n):
+        seen.append(n)
+        return n == 6
 
     curve = find_curve(F5, ok)
-    assert (F5.zero, F5.zero, F5.zero) not in seen
-    assert seen[0] == (F5.zero, F5.zero, F5.one)
-    assert (curve.a2, curve.a4, curve.a6) == seen[-1]
+    assert (curve.a2, curve.a4, curve.a6) == tuple(map(F5.from_int, candidates[hit]))
+    assert seen == [_count_by_pairs(5, *c) for c in candidates[: hit + 1]]
+    assert seen[0] == 6 and hit > 0
     with pytest.raises(RuntimeError, match="exhausted"):
-        find_curve(F5, lambda curve, n: False)
+        find_curve(F5, lambda n: False)

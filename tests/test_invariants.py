@@ -56,12 +56,12 @@ def test_kunneth_examples():
 
 
 def test_witness_form_check():
-    assert witness_form_weight(5, form_weights(5, 1, 2), 4) == 0  # 2 + 4*2 = 10
-    assert witness_form_weight(7, form_weights(7, 1, 3), 4) == 0  # 2 + 4*3 = 14
-    assert witness_form_weight(13, form_weights(13, 1, 6), 4) == 0
-    assert witness_form_weight(7, form_weights(7, 1, 3), 1) == 5  # 2 + 1*3
+    assert witness_form_weight(form_weights(5, 1, 2), 4) == 0  # 2 + 4*2 = 10
+    assert witness_form_weight(form_weights(7, 1, 3), 4) == 0  # 2 + 4*3 = 14
+    assert witness_form_weight(form_weights(13, 1, 6), 4) == 0
+    assert witness_form_weight(form_weights(7, 1, 3), 1) == 5  # 2 + 1*3
     with pytest.raises(ValueError):
-        witness_form_weight(3, form_weights(3, 1, 4), 2)
+        witness_form_weight(form_weights(3, 1, 4), 2)
 
 
 def test_witness_form_check_fails_for_twist_three():
@@ -70,9 +70,9 @@ def test_witness_form_check_fails_for_twist_three():
         if p < 5:
             continue
         c = curves.construction(p)
-        assert witness_form_weight(p, c.weights, c.twist) == 0
+        assert witness_form_weight(c.weights, c.twist) == 0
         perturbed = dataclasses.replace(c, twist=3)
-        assert witness_form_weight(p, perturbed.weights, perturbed.twist) == (p + 1) // 2
+        assert witness_form_weight(perturbed.weights, perturbed.twist) == (p + 1) // 2
 
 
 def test_hodge_pairs():
