@@ -1,6 +1,8 @@
 """Command-line front end: run every identity check for one prime and emit a
 pass/fail report (text or JSON), tabulate the h^{3,0} discrepancy growth, or
-print the exact curve coefficients."""
+print the exact curve coefficients.  :data:`CHECKS` is the one list of the
+report's checks: each row is written once there, and :func:`build_report`
+runs the rows in order."""
 
 from __future__ import annotations
 
@@ -68,185 +70,168 @@ class VerificationReport:
         return asdict(self)
 
 
-def build_report(c: Construction) -> VerificationReport:
-    """Run the full check sequence on one construction.  Every per-prime datum
-    and shared object comes from it; its objects are built lazily and once,
-    and each is read inside the checks that use it, so a failure to build one
-    fails only those checks."""
-    p = c.p
-    report = VerificationReport(p)
+# The runs and statement parts of the CHECKS rows below that need more than a
+# lambda.
+def _integrality(c):
+    for k, x in enumerate(c.family.f.coeffs):
+        if not x.is_integral:
+            return False, f"the u^{k} coefficient has denominator {x.den}"
+    return True, f"{len(c.family.f.coeffs)} power-basis coefficients, denominator 1"
 
-    def record(cid: str, statement: str, fn) -> None:
+
+def _genus(c):
+    found = genus(c.family)
+    return found == c.genus, found
+
+
+def _polynomial_identity(ok: bool):
+    return ok, "exact polynomial identity" if ok else None
+
+
+def _sigma_reduction(c):
+    s, s0 = c.sigma, c.sigma0
+    reduced = tuple(map(c.spec.residue, (s.alpha, s.beta, s.gamma)))
+    ok = reduced == (s0.alpha, s0.beta, s0.gamma) and map_preserves_curve(c.reduced, s0)
+    return ok, None
+
+
+def _tau(c) -> str:
+    try:
+        return f"({c.tau.alpha}u, {c.tau.gamma}v)"
+    except (ArithmeticError, ValueError):  # the conj check records why
+        return f"({c.twist}u, sqrt({c.twist})v)"
+
+
+def _fixed_points(c):
+    found = affine_fixed_points(c.sigma0, c.reduced)
+    return not found, list(map(str, found)) if found else "fixed locus = {infinity}"
+
+
+def _point_count(c):
+    curve = c.elliptic[0]
+    n = count_points(curve)
+    return c.point_count_ok(n), f"{curve!r} with {n} points"
+
+
+def _torsion_point(c):
+    curve, pt = c.elliptic
+    return not pt.is_infinity and scalar_mul(curve, c.p, pt).is_infinity, repr(pt)
+
+
+def _weights(c):
+    found = form_weights(c.p, x_multiplier(c.sigma, c.spec), c.genus)
+    return found == c.weights, list(found.weights)
+
+
+def _twisted(c) -> str:
+    return f"(sigma, sigma^{c.twist}, tau_P)"  # Y's generator
+
+
+def _hodge(c) -> dict:
+    return dict(zip(("hX", "hY"), c.hodge))
+
+
+def _witness(c):
+    p, t = c.p, c.twist
+    weight = witness_form_weight(c.weights, t)
+    total = f"{(2 + t * (p - 1) // 2) // p}p = 0" if weight == 0 else weight
+    return weight == 0, f"weights 2 + {t}*(p-1)/2 = {total} mod p"
+
+
+def _h1(c) -> dict:
+    return dict(zip(("h1Special", "h1Generic", "torsionDim"), astuple(c.h1)))
+
+
+# The one list of checks, in report order: (id, statement, run).  An id is a
+# str.format template over the construction c, a statement is a function of c
+# and run(c) returns (ok, witness).  A run looks names up in this module when
+# it is called, so a name patched here reaches it.
+CHECKS = (
+    ("curve.integrality",
+     lambda c: "every coefficient of v^2 = f(u) lies in the ring of integers",
+     _integrality),
+    ("curve.genus", lambda c: f"the family has genus {c.genus}", _genus),
+    ("curve.smoothness",
+     lambda c: "f is squarefree on both fibres and of odd degree, so the model is "
+               "smooth on both charts",
+     lambda c: (is_relatively_smooth(c.family, c.spec), None)),
+    ("curve.reduction",
+     lambda c: f"reduction mod pi is v^2 = {c.target.render()}",
+     lambda c: (c.reduced.f == c.target, c.reduced.f.render())),
+    ("curve.substitution",
+     lambda c: f"x = pi*u + 1, y = v turns {c.xy_text} into v^2 = f(u)",
+     lambda c: _polynomial_identity(substitution_check(c.p, c.spec, c.family))),
+    ("curve.chart2",
+     lambda c: "u = 1/s, v = t/s^((p+1)/2) lands on the second chart "
+               "v^2 = sum binom(p,i)/pi^i s^(i+1)",
+     lambda c: _polynomial_identity(chart_transition_check(c.p, c.spec, c.family))),
+    ("action.sigma_preserves",
+     lambda c: "sigma(u) = zeta*u + 1, sigma(v) = v is an automorphism of the family",
+     lambda c: (map_preserves_curve(c.family, c.sigma), None)),
+    ("action.sigma_reduction",
+     lambda c: "on the special fibre sigma becomes u -> u + 1, v -> v, and it "
+               "preserves the reduced curve",
+     _sigma_reduction),
+    ("action.sigma_order",
+     lambda c: f"sigma has exact order {c.p}",
+     lambda c: (True, c.p) if has_prime_order(c.sigma, c.p)
+               else (False, "sigma is the identity or sigma^p is not")),
+    ("conj.tau_sigma{c.twist}",
+     lambda c: f"tau = {_tau(c)} is an automorphism of the special fibre "
+               f"conjugating sigma to sigma^{c.twist}",
+     lambda c: (map_preserves_curve(c.reduced, c.tau)
+                and conjugacy_check(c.tau, c.sigma0, c.twist), None)),
+    ("action.sigma_fixed_points",
+     lambda c: "sigma fixes no affine point of the special fibre, only the point "
+               "at infinity",
+     _fixed_points),
+    ("{c.elliptic_check[0]}", lambda c: c.elliptic_check[1], _point_count),
+    ("elliptic.torsion_point",
+     lambda c: f"the curve carries a rational point of exact order {c.p}",
+     _torsion_point),
+    ("elliptic.translation_free",
+     lambda c: "translation by that point fixes no rational point, so the diagonal "
+               "action on C x C x E is fixed point free",
+     lambda c: (translation_is_fixed_point_free(*c.elliptic), None)),
+    ("forms.weights",
+     lambda c: "sigma acts on the holomorphic 1-forms x^(k-1)dx/y with character "
+               f"exponents {list(c.weights.weights)}",
+     _weights),
+    ("hodge.h30.pair",
+     lambda c: "invariant 3-forms: " + c.hodge_text.format(twisted=_twisted(c)),
+     lambda c: (c.hodge_ok(*c.hodge),
+                {**_hodge(c), "hY_pairs": [list(t) for t in c.hodge_pairs[1]]})),
+    ("hodge.witness",
+     lambda c: "x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega is invariant under "
+               + _twisted(c),
+     _witness),
+    ("derham.h1",
+     lambda c: "first de Rham numbers are 4 (special fibre) and 2 (generic fibre), "
+               "so the middle crystalline cohomology has 2-dimensional p-torsion",
+     lambda c: (astuple(c.h1) == (4, 2, 2), _h1(c))),
+)
+
+
+def build_report(c: Construction) -> VerificationReport:
+    """Run :data:`CHECKS`, the one list of checks, in order on one construction.
+    Every per-prime datum and shared object comes from it; its objects are
+    built lazily and once, and each is read inside the checks that use it, so
+    a failure to build one fails only those checks."""
+    report = VerificationReport(c.p)
+    for template, statement, run in CHECKS:
+        cid = template.format(c=c)
         if cid in c.skips:
-            statement, reason = c.skips[cid]
-            report.add(CheckResult(cid, statement, SKIPPED, reason.format(twist=c.twist)))
-            return
+            text, reason = c.skips[cid]
+            report.add(CheckResult(cid, text, SKIPPED, reason.format(twist=c.twist)))
+            continue
         try:
-            ok, witness = fn()
+            ok, witness = run(c)
             status = PASS if ok else FAIL
         except Exception as exc:  # a failing check must not kill the report
             status, witness = FAIL, {"error": type(exc).__name__, "detail": str(exc)}
-        report.add(CheckResult(cid, statement, status, witness))
-
-    g = c.genus
-
-    def _genus():
-        found = genus(c.family)
-        return found == g, found
-
-    record(
-        "curve.integrality",
-        "every coefficient of v^2 = f(u) lies in the ring of integers",
-        lambda: (
-            all(x.is_integral for x in c.family.f.coeffs),
-            f"{len(c.family.f.coeffs)} power-basis coefficients, denominator 1",
-        ),
-    )
-    record("curve.genus", f"the family has genus {g}", _genus)
-    record(
-        "curve.smoothness",
-        "f is squarefree on both fibres and of odd degree, so the model is "
-        "smooth on both charts",
-        lambda: (is_relatively_smooth(c.family, c.spec), None),
-    )
-
-    record(
-        "curve.reduction",
-        f"reduction mod pi is v^2 = {c.target.render()}",
-        lambda: (c.reduced.f == c.target, c.reduced.f.render()),
-    )
-    record(
-        "curve.substitution",
-        f"x = pi*u + 1, y = v turns {c.xy_text} into v^2 = f(u)",
-        lambda: (substitution_check(p, c.spec, c.family), "exact polynomial identity"),
-    )
-    record(
-        "curve.chart2",
-        "u = 1/s, v = t/s^((p+1)/2) lands on the second chart "
-        "v^2 = sum binom(p,i)/pi^i s^(i+1)",
-        lambda: (chart_transition_check(p, c.spec, c.family), "exact polynomial identity"),
-    )
-
-    record(
-        "action.sigma_preserves",
-        "sigma(u) = zeta*u + 1, sigma(v) = v is an automorphism of the family",
-        lambda: (map_preserves_curve(c.family, c.sigma), None),
-    )
-
-    def _sigma_reduction():
-        s, s0 = c.sigma, c.sigma0
-        reduced = tuple(map(c.spec.residue, (s.alpha, s.beta, s.gamma)))
-        ok = reduced == (s0.alpha, s0.beta, s0.gamma) and map_preserves_curve(c.reduced, s0)
-        return ok, None
-
-    record(
-        "action.sigma_reduction",
-        "on the special fibre sigma becomes u -> u + 1, v -> v, and it "
-        "preserves the reduced curve",
-        _sigma_reduction,
-    )
-
-    def _sigma_order():
-        ok = has_prime_order(c.sigma, p)
-        return ok, p if ok else "sigma is the identity or sigma^p is not"
-
-    record("action.sigma_order", f"sigma has exact order {p}", _sigma_order)
-
-    try:
-        tau = f"({c.tau.alpha}u, {c.tau.gamma}v)"
-    except (ArithmeticError, ValueError):  # the check below records why
-        tau = f"({c.twist}u, sqrt({c.twist})v)"
-    record(
-        f"conj.tau_sigma{c.twist}",
-        f"tau = {tau} is an automorphism of the special fibre conjugating "
-        f"sigma to sigma^{c.twist}",
-        lambda: (
-            map_preserves_curve(c.reduced, c.tau)
-            and conjugacy_check(c.tau, c.sigma0, c.twist),
-            None,
-        ),
-    )
-    record(
-        "action.sigma_fixed_points",
-        "sigma fixes no affine point of the special fibre, only the point "
-        "at infinity",
-        lambda: (
-            affine_fixed_points(c.sigma0, c.reduced) == [],
-            "fixed locus = {infinity}",
-        ),
-    )
-
-    def _point_count():
-        curve = c.elliptic[0]
-        n = count_points(curve)
-        return c.point_count_ok(n), f"{curve!r} with {n} points"
-
-    record(*c.elliptic_check, _point_count)
-
-    def _torsion_point():
-        curve, pt = c.elliptic
-        return not pt.is_infinity and scalar_mul(curve, p, pt).is_infinity, repr(pt)
-
-    record(
-        "elliptic.torsion_point",
-        f"the curve carries a rational point of exact order {p}",
-        _torsion_point,
-    )
-    record(
-        "elliptic.translation_free",
-        "translation by that point fixes no rational point, so the diagonal "
-        "action on C x C x E is fixed point free",
-        lambda: (translation_is_fixed_point_free(*c.elliptic), None),
-    )
-
-    def _weights():
-        found = form_weights(p, x_multiplier(c.sigma, c.spec), g)
-        return found == c.weights, list(found.weights)
-
-    record(
-        "forms.weights",
-        "sigma acts on the holomorphic 1-forms x^(k-1)dx/y with character "
-        f"exponents {list(c.weights.weights)}",
-        _weights,
-    )
-
-    def _hodge_ok():
-        h_x, h_y = c.hodge
-        pairs = [list(t) for t in c.hodge_pairs[1]]
-        return c.hodge_ok(h_x, h_y), {"hX": h_x, "hY": h_y, "hY_pairs": pairs}
-
-    twisted = f"(sigma, sigma^{c.twist}, tau_P)"  # Y's generator
-
-    def _witness():
-        t = c.twist
-        weight = witness_form_weight(c.weights, t)
-        total = f"{(2 + t * (p - 1) // 2) // p}p = 0" if weight == 0 else weight
-        return weight == 0, f"weights 2 + {t}*(p-1)/2 = {total} mod p"
-
-    record(
-        "hodge.h30.pair",
-        "invariant 3-forms: " + c.hodge_text.format(twisted=twisted),
-        _hodge_ok,
-    )
-    record(
-        "hodge.witness",
-        f"x1 dx1/y1 ^ x2^((p-3)/2) dx2/y2 ^ omega is invariant under {twisted}",
-        _witness,
-    )
-
-    def _h1() -> dict:
-        return dict(zip(("h1Special", "h1Generic", "torsionDim"), astuple(c.h1)))
-
-    record(
-        "derham.h1",
-        "first de Rham numbers are 4 (special fibre) and 2 (generic fibre), "
-        "so the middle crystalline cohomology has 2-dimensional p-torsion",
-        lambda: (astuple(c.h1) == (4, 2, 2), _h1()),
-    )
-
+        report.add(CheckResult(cid, statement(c), status, witness))
     if not report.failed():
-        h_x, h_y = c.hodge
-        report.summary = {"hX": h_x, "hY": h_y, **_h1()}
+        report.summary = {**_hodge(c), **_h1(c)}
     return report
 
 

@@ -67,15 +67,17 @@ def test_verify_rejects_two_with_explanation(capsys):
 
 
 def test_check_ids_are_unique_and_ordered():
-    report = build_report(curves.construction(5))
-    ids = [c.id for c in report.checks]
-    assert len(ids) == len(set(ids))
-    assert ids[0] == "curve.integrality"
-    assert "curve.reduction" in ids
-    assert "conj.tau_sigma4" in ids
-    assert "hodge.h30.pair" in ids
-    assert ids.index("curve.reduction") < ids.index("curve.substitution")
-    assert ids.index("hodge.h30.pair") < ids.index("derham.h1")
+    for p, twist in [(3, 2), (5, 4), (7, 4), (13, 4)]:
+        c = curves.construction(p)
+        ids = [r.id for r in build_report(c).checks]
+        assert len(ids) == len(set(ids))
+        assert ids == [template.format(c=c) for template, _, _ in cli.CHECKS]
+        assert ids[0] == "curve.integrality"
+        assert "curve.reduction" in ids
+        assert f"conj.tau_sigma{twist}" in ids
+        assert "hodge.h30.pair" in ids
+        assert ids.index("curve.reduction") < ids.index("curve.substitution")
+        assert ids.index("hodge.h30.pair") < ids.index("derham.h1")
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])
@@ -340,6 +342,21 @@ CURVE_DIGESTS = {
 }
 
 
+# SHA-256 of the text report at p = 3 and 5, and of the JSON report at p = 43
+# and 61 (past the golden digests' p = 37), recorded before the checks became
+# the ``cli.CHECKS`` table
+VERIFY_DIGESTS = {
+    "verify --p 3 --no-banner": "55921a9926e69247f19622872f5cc526766099ef94c59a163eb19ab8cdb87525",
+    "verify --p 5 --no-banner": "5af8a6657e0efdfc6183a26af6166c648a0d529668d90adc7baf44aaa5279e29",
+    "verify --p 43 --format json --no-banner": (
+        "90eedc0b1e03eebca8b471a99a1e7aa3b2427ed9a8e3836a317a14dda74c00a1"
+    ),
+    "verify --p 61 --format json --no-banner": (
+        "896f3f2435dc97b0f4877db29f2d22ada7a9bd52086eff67720962e60394fe24"
+    ),
+}
+
+
 def _digest(capsys, argv):
     code, out, _ = _run(capsys, argv)
     assert code == 0
@@ -353,6 +370,11 @@ def _digest(capsys, argv):
 )
 def test_report_bytes_match_the_golden_digests(capsys, argv):
     assert _digest(capsys, argv.split()) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS))
+def test_text_and_large_prime_report_bytes_are_pinned(capsys, argv):
+    assert _digest(capsys, argv.split()) == VERIFY_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("p, chart", sorted(CURVE_DIGESTS))

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from hodgegap.algebra import Polynomial
-from hodgegap.cli import build_report
+from hodgegap.cli import CHECKS, build_report
 from hodgegap.curves import (
     AffineCurveMap,
     HyperellipticModel,
@@ -154,12 +154,29 @@ def test_a_perturbation_fails_exactly_its_checks(name, p):
     assert report.summary is None
 
 
+@pytest.mark.parametrize("name, p", itertools.product(PERTURBATIONS, PRIMES))
+def test_no_failing_check_carries_its_pass_witness(name, p):
+    clean = {r.id: r.witness for r in build_report(construction(p)).checks}
+    report = build_report(PERTURBATIONS[name][0](construction(p)))
+    carried = [
+        r.id
+        for r in report.failed()
+        if clean.get(r.id) is not None and r.witness == clean[r.id]
+    ]
+    assert carried == []
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_every_check_has_a_perturbation_that_fails_it(p):
-    clean = build_report(construction(p))
+    c = construction(p)
+    clean = build_report(c)
     assert not clean.failed()
+    ids = [template.format(c=c) for template, _, _ in CHECKS]
+    assert set(c.skips) <= set(ids)
+    run = [cid for cid in ids if cid not in c.skips]
+    assert run == [r.id for r in clean.checks if r.status != "skipped"]
     falsified = set().union(*(_failing(name, p) for name in PERTURBATIONS))
-    assert {r.id for r in clean.checks if r.status != "skipped"} <= falsified
+    assert set(run) <= falsified
 
 
 def test_an_unbuildable_tau_fails_its_checks_and_not_the_report():
