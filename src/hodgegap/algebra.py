@@ -10,6 +10,7 @@ Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterator, Optional
 
 
@@ -32,18 +33,27 @@ def primes_upto(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if is_prime(n)]
 
 
-def field_pow(x, k: int):
-    """x**k by square-and-multiply, for an element of any coefficient field:
-    the ``__pow__`` of :class:`FqElement` and of the cyclotomic elements."""
-    if k < 0:
-        x, k = x.inv(), -k
-    acc = x.field.one
+def power(x, k: int, mul, one):
+    """x^k for k >= 0 under an associative ``mul`` with identity ``one``, by
+    binary square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3): the one such
+    loop, which every power in the package runs."""
+    acc = one
     while k:
         if k & 1:
-            acc = acc * x
-        x = x * x
+            acc = mul(acc, x)
         k >>= 1
+        if k:
+            x = mul(x, x)
     return acc
+
+
+def field_pow(x, k: int):
+    """x**k for an element of any coefficient field, through x.inv() when
+    k < 0: the ``__pow__`` of :class:`FqElement` and of the cyclotomic
+    elements."""
+    if k < 0:
+        x, k = x.inv(), -k
+    return power(x, k, operator.mul, x.field.one)
 
 
 class FiniteField:
@@ -292,10 +302,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative polynomial power")
-        acc = Polynomial(self.ring, (self.ring.one,))
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return power(self, k, operator.mul, Polynomial(self.ring, (self.ring.one,)))
 
     def scale(self, c) -> "Polynomial":
         c = self.ring.coerce(c)
@@ -405,8 +412,9 @@ def discriminant_squarefree(f: Polynomial) -> tuple[bool, Polynomial]:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of an integer matrix, by Gaussian elimination on its
-    entries reduced mod p."""
+    """Rank over F_p of an integer matrix, by forward elimination on its
+    entries reduced mod p: each row below the pivot becomes piv*row - f*top,
+    a unit multiple plus a row combination, so the row space is kept."""
     a = [[x % p for x in row] for row in rows]
     rank = 0
     for col in range(len(a[0]) if a else 0):
@@ -414,12 +422,12 @@ def rank_mod_p(rows, p: int) -> int:
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        piv = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            if f:
+                a[i] = [(piv * x - f * y) % p for x, y in zip(a[i], top)]
         rank += 1
         if rank == len(a):
             break

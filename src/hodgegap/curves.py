@@ -37,6 +37,7 @@ from .algebra import (
     discriminant_squarefree,
     fq_sqrt,
     is_prime,
+    power,
     square_roots,
 )
 from .cyclotomic import PiSpec
@@ -51,10 +52,6 @@ class HyperellipticModel:
     single point at infinity."""
 
     f: Polynomial
-
-    @property
-    def ring(self):
-        return self.f.ring
 
     @functools.cached_property
     def squarefree(self) -> bool:
@@ -366,16 +363,11 @@ def map_inverse(m: AffineCurveMap) -> AffineCurveMap:
 
 
 def map_power(m: AffineCurveMap, k: int) -> AffineCurveMap:
-    """m^k by square-and-multiply (powers of one map commute)."""
+    """m^k by :func:`~hodgegap.algebra.power` under composition, through
+    :func:`map_inverse` when k < 0."""
     if k < 0:
-        return map_power(map_inverse(m), -k)
-    acc = identity_map(m.ring)
-    while k:
-        if k & 1:
-            acc = map_compose(m, acc)
-        m = map_compose(m, m)
-        k >>= 1
-    return acc
+        m, k = map_inverse(m), -k
+    return power(m, k, map_compose, identity_map(m.ring))
 
 
 def has_prime_order(m: AffineCurveMap, p: int) -> bool:

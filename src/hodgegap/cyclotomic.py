@@ -32,7 +32,7 @@ import functools
 import math
 from typing import Optional, Sequence, Union
 
-from .algebra import FiniteField, FqElement, field_pow, is_prime
+from .algebra import FiniteField, FqElement, Polynomial, field_pow, is_prime
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -97,7 +97,12 @@ class CyclotomicField:
         return c[:d]
 
     def _mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Reduced product of two integer coordinate vectors."""
+        """Reduced product of two integer coordinate vectors.  The outer loop
+        runs over the operand with more zero coordinates and skips them, so
+        a sparse factor (pi, zeta^k, a conjugate) costs its nonzero count
+        times the other's length, in either argument order."""
+        if b.count(0) > a.count(0):
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -190,8 +195,7 @@ class CycloElement:
                 conj = [0] * n
                 for i, c in enumerate(self.num):
                     conj[i * k % n] += c
-                # conjugate first: _mul skips its zeros, and it is as sparse as self
-                acc = field._mul(field._reduce(conj), acc)
+                acc = field._mul(acc, field._reduce(conj))
         norm = field._mul(self.num, acc)
         if not norm[0] or any(norm[1:]):
             raise ArithmeticError(f"conjugate product of {self} is not a nonzero rational")
@@ -296,11 +300,7 @@ class PiSpec:
             raise ArithmeticError("cached inverse of pi does not satisfy pi * pi_inv == 1")
         self._pi_inv_powers = [field.one, self.pi_inv]
         # the image of zeta must kill both Phi_n and pi
-        mod_image = sum(
-            (residue_field.from_int(c) * zeta_image**k for k, c in enumerate(field.modulus)),
-            residue_field.zero,
-        )
-        if mod_image or self.residue(pi):
+        if Polynomial(residue_field, field.modulus)(zeta_image) or self.residue(pi):
             raise ValueError("residue data inconsistent with the uniformizer")
 
     @classmethod
@@ -364,11 +364,7 @@ class PiSpec:
         z = self.field.coerce(z)
         if z.den % self.p == 0:
             raise ValueError("element has negative valuation at pi")
-        fq = self.residue_field
-        acc = fq.zero
-        for c in reversed(z.num):
-            acc = acc * self.zeta_image + fq.from_int(c)
-        return acc * fq.from_int(z.den).inv()
+        return Polynomial(self.residue_field, z.num)(self.zeta_image) / z.den
 
     def __repr__(self) -> str:
         return f"PiSpec(n={self.n}, p={self.p}, e={self.e})"

@@ -25,6 +25,7 @@ from .algebra import (
     Polynomial,
     discriminant_squarefree,
     is_prime,
+    power,
     square_roots,
 )
 
@@ -143,16 +144,11 @@ def negate_point(curve: EllipticCurve, pt: CurvePoint) -> CurvePoint:
 
 
 def scalar_mul(curve: EllipticCurve, k: int, pt: CurvePoint) -> CurvePoint:
+    """k*pt by :func:`~hodgegap.algebra.power` under :func:`add_points`,
+    through :func:`negate_point` when k < 0."""
     if k < 0:
-        return scalar_mul(curve, -k, negate_point(curve, pt))
-    acc = CurvePoint.infinity()
-    base = pt
-    while k:
-        if k & 1:
-            acc = add_points(curve, acc, base)
-        base = add_points(curve, base, base)
-        k >>= 1
-    return acc
+        pt, k = negate_point(curve, pt), -k
+    return power(pt, k, functools.partial(add_points, curve), CurvePoint.infinity())
 
 
 def find_curve(field: FiniteField, ok: Callable[[int], bool]) -> EllipticCurve:

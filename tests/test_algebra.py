@@ -22,6 +22,7 @@ from hodgegap.modularrep import g_minus_one
 F5 = FiniteField(5)
 F7 = FiniteField(7)
 F9 = FiniteField(3, modulus=(1, 0))
+K5 = cyclotomic_field(5)
 
 
 def test_is_prime():
@@ -60,6 +61,20 @@ def test_frobenius_freshman_dream():
     assert u_plus_1**5 == Polynomial(F5, [1, 0, 0, 0, 0, 1])
 
 
+@pytest.mark.parametrize(
+    "f",
+    [Polynomial(F5, [2, 1, 0, 3]), Polynomial(K5, [K5.zeta + 2, 1, K5.zeta**3])],
+    ids=["F5", "Q(zeta_5)"],
+)
+def test_polynomial_power_is_repeated_multiplication(f):
+    expected = Polynomial(f.ring, [1])
+    for k in range(7):
+        assert f**k == expected
+        expected = expected * f
+    with pytest.raises(ValueError, match="negative"):
+        f**-1
+
+
 def test_ring_mismatch_is_rejected():
     with pytest.raises(ValueError):
         Polynomial(F5, [1, 1]) + Polynomial(F7, [1, 1])
@@ -72,8 +87,7 @@ def test_squarefree_decisions():
     ok, g = discriminant_squarefree(quintic)
     assert ok and g.degree == 0
 
-    k5 = cyclotomic_field(5)
-    u_sq = Polynomial(k5, [0, 0, 1])
+    u_sq = Polynomial(K5, [0, 0, 1])
     ok, g = discriminant_squarefree(u_sq)
     assert not ok and g.degree >= 1
 
@@ -204,8 +218,7 @@ def test_square_roots_table_against_a_scan(field):
 
 
 def test_power_is_repeated_multiplication():
-    k5 = cyclotomic_field(5)
-    for x in (F7.from_int(3), F9.gen() + 1, k5.zeta + 2):
+    for x in (F7.from_int(3), F9.gen() + 1, K5.zeta + 2):
         for k in range(-4, 7):
             factor = x if k >= 0 else x.inv()
             expected = x.field.one

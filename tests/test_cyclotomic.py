@@ -68,6 +68,35 @@ def test_field_inverse():
         K5.zero.inv()
 
 
+def _schoolbook_product(a, b, n):
+    # oracle: the full convolution of two coordinate lists, then long division
+    # by the monic Phi_n, both written out here and not taken from the field
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    mod = cyclotomic_polynomial(n)
+    d = len(mod) - 1
+    for top in range(len(out) - 1, d - 1, -1):
+        t = out[top]
+        for j, m in enumerate(mod):
+            out[top - d + j] -= t * m
+    return tuple(out[:d])
+
+
+@pytest.mark.parametrize("n", [5, 12, 61])
+def test_sparse_times_dense_in_either_order_is_the_schoolbook_product(n):
+    k = cyclotomic_field(n)
+    pi = k.zeta ** (4 if n == 12 else 1) - 1
+    rng = random.Random(n)
+    dense = k.element([rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(k.degree)], 7)
+    for sparse in (k.one, pi, k.zeta ** (k.degree - 1)):
+        assert sparse.num.count(0) > dense.num.count(0)
+        expected = CycloElement(k, _schoolbook_product(sparse.num, dense.num, n), 7)
+        assert sparse * dense == expected
+        assert dense * sparse == expected
+
+
 def test_unit_times_pi_power_is_five():
     # oracle: 5 = Phi_5(1) = prod_{i=1..4} (1 - zeta^i), expanded exactly
     z = K5.zeta

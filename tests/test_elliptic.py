@@ -203,6 +203,19 @@ def test_group_law_associativity(maker):
         assert left == right
 
 
+@pytest.mark.parametrize("maker", [lambda: find_ordinary_with_trace_one(7), p3_elliptic_factor])
+def test_scalar_mul_is_iterated_addition(maker):
+    made = maker()
+    curve = made[0] if isinstance(made, tuple) else made
+    for q in curve.points():
+        for k in range(-6, 7):
+            step = q if k >= 0 else negate_point(curve, q)
+            expected = CurvePoint.infinity()
+            for _ in range(abs(k)):
+                expected = add_points(curve, expected, step)
+            assert scalar_mul(curve, k, q) == expected
+
+
 def test_torsion_point_selection():
     curve = find_ordinary_with_trace_one(5)
     pt = torsion_point_of_exact_order(curve, 5)
