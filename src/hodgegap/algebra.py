@@ -309,12 +309,26 @@ class Polynomial:
         return Polynomial(self.ring, [c * a for a in self.coeffs])
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(u)) by Horner's rule."""
+        """self(alpha*u + beta) for a linear ``inner`` = alpha*u + beta, by
+        the classical Taylor shift (von zur Gathen & Gerhard, ISSAC 1997):
+        scale coefficient k by beta^k, shift u -> u + 1 by additions alone,
+        then scale coefficient k by (alpha/beta)^k.  With beta = 1 the first
+        scaling and the division are skipped; with beta = 0 only the scaling
+        by alpha^k runs.  An inner of degree > 1 raises ValueError."""
         inner = self._check(inner)
-        acc = Polynomial(self.ring)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial(self.ring, (c,))
-        return acc
+        if inner.degree > 1:
+            raise ValueError(f"compose needs an inner of degree <= 1, got {inner.degree}")
+        beta, ratio = inner.coeff(0), inner.coeff(1)
+        a = list(self.coeffs)
+        if beta:
+            if beta != self.ring.one:
+                a = _scale_powers(a, beta)
+                ratio = ratio * beta.inv()
+            n = len(a)
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    a[j] = a[j] + a[j + 1]
+        return Polynomial(self.ring, _scale_powers(a, ratio))
 
     def __call__(self, x):
         x = self.ring.coerce(x)
@@ -363,6 +377,17 @@ class Polynomial:
             else:
                 parts.append(f"({cs})*{mono}")
         return " + ".join(parts)
+
+
+def _scale_powers(coeffs, r) -> list:
+    """[c_k * r^k], the scaling step of :meth:`Polynomial.compose`, with one
+    running power of r."""
+    out = list(coeffs[:1])
+    rk = None
+    for c in coeffs[1:]:
+        rk = r if rk is None else rk * r
+        out.append(c * rk)
+    return out
 
 
 def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:

@@ -120,6 +120,12 @@ def add_points(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoi
     """Chord-tangent addition on y^2 = x^3 + a2 x^2 + a4 x + a6."""
     if not (curve.contains(p1) and curve.contains(p2)):
         raise ValueError("point not on the curve")
+    return _chord_tangent(curve, p1, p2)
+
+
+def _chord_tangent(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
+    """The group law of :func:`add_points` on two points already known to
+    lie on ``curve``, unchecked."""
     if p1.is_infinity:
         return p2
     if p2.is_infinity:
@@ -197,7 +203,10 @@ def translation_is_fixed_point_free(curve: EllipticCurve, pt: CurvePoint) -> boo
     """Q + P != Q for every rational Q, checked exhaustively.  False for
     P = infinity, whose translation is the identity: replacing the report's
     point by O is the control that fails the check.  Given a correct group
-    law it holds for every P != O."""
+    law it holds for every P != O.  P is checked on the curve once; each Q
+    comes from ``curve.points()`` and is added unchecked."""
+    if not curve.contains(pt):
+        raise ValueError("point not on the curve")
     if pt.is_infinity:
         return False
-    return all(add_points(curve, q, pt) != q for q in curve.points())
+    return all(_chord_tangent(curve, q, pt) != q for q in curve.points())

@@ -53,7 +53,47 @@ def test_poly_compose():
     quintic = Polynomial(F5, [0, -1, 0, 0, 0, 1])  # u^5 - u
     identity = Polynomial(F5, [0, 1])
     assert quintic.compose(identity) == quintic
-    assert identity.compose(quintic) == quintic
+    for linear in (identity, Polynomial(F5, [3, 2]), Polynomial(F5, [4])):
+        assert identity.compose(linear) == linear
+    with pytest.raises(ValueError, match="degree <= 1"):
+        identity.compose(quintic)
+
+
+def _horner_compose(f, inner):
+    """f(inner(u)) by Horner's rule, for an inner of any degree: the oracle
+    of the Taylor-shift ``compose``."""
+    acc = Polynomial(f.ring)
+    for c in reversed(f.coeffs):
+        acc = acc * inner + Polynomial(f.ring, (c,))
+    return acc
+
+
+K12 = cyclotomic_field(12)
+# per ring: (a root of unity or uniformiser, a non-unit or non-one, a dense element)
+COMPOSE_RINGS = {
+    "F7": (F7, F7.from_int(3), F7.from_int(2), F7.from_int(5)),
+    "F9": (F9, F9.gen(), F9.from_int(2), F9.gen() * 2 + 1),
+    "Q(zeta_5)": (K5, K5.zeta - 1, K5.from_int(2), K5.element([3, -1, 2, 5], 7)),
+    "Q(zeta_12)": (K12, K12.zeta**4 - 1, K12.from_int(2), K12.element([-2, 5, 1, 3], 4)),
+}
+
+
+@pytest.mark.parametrize("name", COMPOSE_RINGS)
+def test_compose_is_horner_for_every_linear_inner(name):
+    ring, special, non_one, dense = COMPOSE_RINGS[name]
+    fs = [
+        Polynomial(ring),
+        Polynomial(ring, [dense]),
+        Polynomial(ring, [1, dense, 0, special, -1, non_one, dense * dense]),
+    ]
+    for f, beta, alpha in itertools.product(
+        fs, (ring.zero, ring.one, non_one, special, dense), (ring.zero, ring.one, special, dense)
+    ):
+        inner = Polynomial(ring, [beta, alpha])  # alpha = 0: constant or zero inner
+        assert f.compose(inner) == _horner_compose(f, inner), (f, beta, alpha)
+    quadratic = Polynomial(ring, [0, 1, 1])
+    with pytest.raises(ValueError, match="degree <= 1"):
+        fs[2].compose(quadratic)
 
 
 def test_frobenius_freshman_dream():

@@ -258,6 +258,24 @@ def test_tau_preserves_special_fibre():
     assert not map_preserves_curve(red, bad)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_maps_with_general_beta_preserve_and_perturbations_fail(p):
+    # the report's maps have beta in {0, 1}; sigma^k and tau*sigma0 do not
+    c = construction(p)
+    zeta = c.sigma.alpha
+    for k in range(2, p):
+        m = map_power(c.sigma, k)
+        assert m.beta == sum((zeta**i for i in range(k)), c.spec.field.zero)
+        assert map_preserves_curve(c.family, m)
+        assert not map_preserves_curve(c.family, dataclasses.replace(m, beta=m.beta * 2))
+    fq = c.residue_field
+    m = map_compose(c.tau, c.sigma0)
+    assert (m.alpha, m.beta) == (fq.from_int(4), fq.from_int(4))
+    assert map_preserves_curve(c.reduced, m)
+    # 2u + 4 with gamma^2 = 4 scales u^p - u by 2, not 4
+    assert not map_preserves_curve(c.reduced, dataclasses.replace(m, alpha=fq.from_int(2)))
+
+
 @pytest.mark.parametrize("p", SUPPORTED)
 def test_sigma_has_order_p(p):
     c = construction(p)

@@ -233,6 +233,15 @@ def test_translation_freeness():
     assert not translation_is_fixed_point_free(curve, CurvePoint.infinity())
 
 
+def test_translation_rejects_a_point_off_the_curve():
+    curve = find_ordinary_with_trace_one(7)
+    pt = torsion_point_of_exact_order(curve, 7)
+    off = CurvePoint(pt.x, pt.y + 1)
+    assert not curve.contains(off)
+    with pytest.raises(ValueError, match="not on the curve"):
+        translation_is_fixed_point_free(curve, off)
+
+
 def test_searches_exist_for_medium_primes():
     for p in primes_upto(43):
         if p < 5:
