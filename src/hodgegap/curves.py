@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -40,7 +41,7 @@ from .algebra import (
     power,
     square_roots,
 )
-from .cyclotomic import PiSpec
+from .cyclotomic import CyclotomicField, PiSpec
 from .elliptic import find_curve, torsion_point_of_exact_order
 from .invariants import WeightMultiset, form_weights, hodge30_witnesses
 from .modularrep import H1Report, h1_de_rham_report
@@ -55,9 +56,54 @@ class HyperellipticModel:
 
     @functools.cached_property
     def squarefree(self) -> bool:
-        """Whether f has no repeated root; the model is frozen, so the gcd
-        behind this verdict runs once per model."""
-        return discriminant_squarefree(self.f)[0]
+        """Whether f has no repeated root: :func:`split_prime_certificate`
+        first, then the exact gcd of f and f' when it does not certify.  The
+        model is frozen, so this verdict is reached once per model."""
+        return split_prime_certificate(self.f) or discriminant_squarefree(self.f)[0]
+
+
+def split_prime_certificate(f: Polynomial) -> bool:
+    """True only if f, over Q(zeta_n), is squarefree, shown at one prime.
+
+    l is the least prime with l = 1 (mod n) and l > 2 deg f, and zeta goes to
+    an element w of exact order n in F_l, a root of Phi_n there.  If l divides
+    no denominator and the leading coefficient survives, reduction commutes
+    with the resultant of f and f' (f' keeps its degree, as l > deg f); a
+    repeated factor over Q(zeta_n) makes that resultant 0, so a squarefree
+    reduction proves f squarefree (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 6).  False means "not shown", never "not squarefree": f over
+    another ring, a denominator or leading coefficient that l divides, or a
+    reduction with a repeated root.  One l is tried, so a singular input pays
+    one small gcd over F_l before the exact one.
+    """
+    k = f.ring
+    if not isinstance(k, CyclotomicField) or f.degree < 1:
+        return False
+    n = k.n
+    ell = 2 * f.degree + 1
+    while ell % n != 1 or not is_prime(ell):
+        ell += 1
+    w = _element_of_order(n, ell)
+    w_powers = [pow(w, i, ell) for i in range(k.degree)]
+    reduced = []
+    for c in f.coeffs:
+        if c.den % ell == 0:
+            return False
+        reduced.append(sum(map(operator.mul, c.num, w_powers)) * pow(c.den, -1, ell))
+    if reduced[-1] % ell == 0:
+        return False
+    return discriminant_squarefree(Polynomial(FiniteField(ell), reduced))[0]
+
+
+def _element_of_order(n: int, ell: int) -> int:
+    """The first x^((l - 1)/n), x = 2, 3, ..., of exact order n in F_l, for
+    n | l - 1: its n/r-th power is not 1 for any prime r | n."""
+    rs = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    for x in range(2, ell):
+        w = pow(x, (ell - 1) // n, ell)
+        if all(pow(w, n // r, ell) != 1 for r in rs):
+            return w
+    raise ArithmeticError(f"F_{ell} has no element of order {n}")
 
 
 @dataclass(frozen=True)

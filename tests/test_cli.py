@@ -343,9 +343,10 @@ CURVE_DIGESTS = {
 
 
 # SHA-256 of the text report at p = 3 and 5, and of the JSON report at p = 43,
-# 61 and 101 (past the golden digests' p = 37), recorded before the checks
+# 61, 101 and 211 (past the golden digests' p = 37), recorded before the checks
 # became the ``cli.CHECKS`` table (p = 101: before the powers, evaluations and
-# cyclotomic products shared one kernel each)
+# cyclotomic products shared one kernel each; p = 211: before the split-prime
+# squarefree certificate and the prefix-sum division by pi)
 VERIFY_DIGESTS = {
     "verify --p 3 --no-banner": "55921a9926e69247f19622872f5cc526766099ef94c59a163eb19ab8cdb87525",
     "verify --p 5 --no-banner": "5af8a6657e0efdfc6183a26af6166c648a0d529668d90adc7baf44aaa5279e29",
@@ -357,6 +358,9 @@ VERIFY_DIGESTS = {
     ),
     "verify --p 101 --format json --no-banner": (
         "6a26f85a342d94903228e4db98456509ae195c5d2fee9bdfaa95e2582949dc28"
+    ),
+    "verify --p 211 --format json --no-banner": (
+        "f0153dff4ca5357d1971237012b92546e995fd44d8b55cef4a4ba373be170a85"
     ),
 }
 

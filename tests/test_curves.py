@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hodgegap.algebra import FiniteField, Polynomial
+from hodgegap.algebra import FiniteField, Polynomial, discriminant_squarefree, primes_upto
 from hodgegap.curves import (
     AffineCurveMap,
     HyperellipticModel,
@@ -23,6 +23,7 @@ from hodgegap.curves import (
     map_power,
     map_preserves_curve,
     reduce_model,
+    split_prime_certificate,
     substitution_check,
     x_multiplier,
     xy_model,
@@ -209,31 +210,89 @@ def test_smoothness_rejects_even_degree_alone(p):
     assert not is_relatively_smooth(model, spec)
 
 
-def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
+def _squared_root_control(p):
+    # f * (u - 2)^2 keeps odd degree and integral coefficients
+    f = _family(p).f
+    k = f.ring
+    linear = Polynomial(k, [k.from_int(-2), k.one])
+    return HyperellipticModel(f * linear * linear)
+
+
+def _count_verdicts(monkeypatch):
+    """Lists of the polynomials that the split-prime certificate and the
+    exact gcd are called on, filled as the calls happen."""
     from hodgegap import curves
 
+    certified, exact = [], []
+    real_certificate, real_gcd = curves.split_prime_certificate, curves.discriminant_squarefree
+
+    def counting_certificate(f):
+        certified.append(f)
+        return real_certificate(f)
+
+    def counting_gcd(f):
+        exact.append(f)
+        return real_gcd(f)
+
+    monkeypatch.setattr(curves, "split_prime_certificate", counting_certificate)
+    monkeypatch.setattr(curves, "discriminant_squarefree", counting_gcd)
+    return certified, exact
+
+
+def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
+    # one verdict per model: the family is settled by one certificate and no
+    # exact gcd over Q(zeta_5); the singular control pays one of each
     spec = default_spec(5)
     model = hyperelliptic_family(5, spec)
-    real = curves.discriminant_squarefree
-    seen = []
-
-    def counting(f):
-        seen.append(f)
-        return real(f)
-
-    monkeypatch.setattr(curves, "discriminant_squarefree", counting)
+    singular = _squared_root_control(5)
+    certified, exact = _count_verdicts(monkeypatch)
     assert is_relatively_smooth(model, spec)
     assert genus(model) == 2
-    assert sum(f is model.f for f in seen) == 1
+    assert sum(f is model.f for f in certified) == 1
+    assert sum(f is model.f for f in exact) == 0
+    assert not is_relatively_smooth(singular, spec)
+    with pytest.raises(ValueError, match="singular"):
+        genus(singular)
+    assert sum(f is singular.f for f in certified) == 1
+    assert sum(f is singular.f for f in exact) == 1
+
+
+@pytest.mark.parametrize("p", [3] + primes_upto(61)[2:])
+def test_split_prime_certificate_agrees_with_the_exact_gcd(p):
+    f = _family(p).f
+    assert split_prime_certificate(f) is discriminant_squarefree(f)[0] is True
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+def test_split_prime_certificate_never_certifies_a_square_factor(p):
+    assert not split_prime_certificate(_squared_root_control(p).f)
+
+
+K5 = cyclotomic_field(5)
+
+
+@pytest.mark.parametrize(
+    "lead, constant",
+    [(K5.one, K5.element([1], 11)), (K5.from_int(11), K5.one), (11 * K5.zeta**2, K5.one)],
+    ids=["denominator-11", "leading-11", "leading-11-zeta^2"],
+)
+def test_split_prime_certificate_declines_when_the_prime_divides(monkeypatch, lead, constant):
+    # lead*u^3 + u + constant is squarefree (its discriminant
+    # -4*lead - 27*lead^2*constant^2 is not 0) and of degree 3, so l = 11, the
+    # least prime = 1 (mod 5) above 6, which divides a denominator or the
+    # leading coefficient: the certificate declines before reducing, and the
+    # exact gcd gives the verdict
+    model = HyperellipticModel(Polynomial(K5, [constant, K5.one, K5.zero, lead]))
+    certified, exact = _count_verdicts(monkeypatch)
+    assert model.squarefree
+    assert [f is model.f for f in certified] == [True]
+    assert [f is model.f for f in exact] == [True]
 
 
 @pytest.mark.parametrize("p", [19, 23])
 def test_repeated_root_is_rejected_beyond_the_shipped_primes(p):
-    # control: f * (u - 2)^2 keeps odd degree and integral coefficients
     spec = default_spec(p)
-    k = spec.field
-    linear = Polynomial(k, [k.from_int(-2), k.one])
-    model = HyperellipticModel(_family(p).f * linear * linear)
+    model = _squared_root_control(p)
     assert not is_relatively_smooth(model, spec)
     with pytest.raises(ValueError, match="singular"):
         genus(model)

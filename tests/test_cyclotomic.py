@@ -257,7 +257,18 @@ def test_integrality_flag_matches_denominator():
     assert not (K5.one / pi).is_integral
 
 
-@pytest.mark.parametrize("spec", [SPEC12, SPEC5, PiSpec.for_prime(13)], ids=["n12", "p5", "p13"])
+def _pi_doubled(p):
+    """The n = p engine with uniformizer 2*(zeta - 1): (zeta - 1)/pi = 1/2,
+    so the division step must multiply by its cached unit."""
+    s = PiSpec.for_prime(p)
+    return PiSpec(s.field, 2 * s.pi, s.p, s.e, s.residue_field, s.zeta_image)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SPEC12, SPEC5, PiSpec.for_prime(13), PiSpec.for_prime(61), _pi_doubled(5)],
+    ids=["n12", "p5", "p13", "p61", "p5-pi-doubled"],
+)
 def test_over_pi_undoes_multiplication_by_pi_powers(spec):
     rng = random.Random(spec.n)
     k = spec.field
@@ -268,6 +279,38 @@ def test_over_pi_undoes_multiplication_by_pi_powers(spec):
         assert q == try_divide_exact(z, spec.pi**e)
     with pytest.raises(ValueError):
         spec.over_pi(k.one, -1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SPEC5, PiSpec.for_prime(13), PiSpec.for_prime(61), _pi_doubled(7)],
+    ids=["p5", "p13", "p61", "p7-pi-doubled"],
+)
+def test_division_step_equals_the_product_with_the_inverse_of_pi(spec):
+    # the prefix-sum step against the dense product it replaced
+    rng = random.Random(spec.n)
+    k = spec.field
+    for _ in range(20):
+        z = k.element([rng.randint(-50, 50) for _ in range(k.degree)], rng.randint(1, 3 * spec.p))
+        assert spec._divide_once(z) == z * spec.pi_inv
+    assert spec._divide_once(k.zero) == k.zero
+
+
+@pytest.mark.parametrize(
+    "spec", [SPEC12, SPEC5, PiSpec.for_prime(13), _pi_doubled(5)], ids=["n12", "p5", "p13", "p5-pi-doubled"]
+)
+def test_valuation_agrees_with_repeated_exact_division(spec):
+    rng = random.Random(spec.n + 1)
+    k = spec.field
+    for e in range(spec.p + 3):
+        unit = k.zero
+        while not spec.residue(unit):
+            unit = k.element([rng.randint(-9, 9) for _ in range(k.degree)])
+        z = spec.pi**e * unit
+        assert spec.valuation(z) == _valuation_by_division(z, spec) == e
+        # a denominator prime to p leaves the valuation alone; p in it costs e
+        assert spec.valuation(z / 7) == e
+        assert spec.valuation(z / spec.p) == _valuation_by_division(z / spec.p, spec) == e - spec.e
 
 
 def test_pispec_rejects_a_wrong_inverse_of_pi(monkeypatch):
