@@ -154,6 +154,16 @@ def test_inverse_raises_when_the_conjugate_product_is_not_rational(monkeypatch):
         a.inv()
 
 
+@pytest.mark.parametrize("n", [5, 12, 13])
+def test_integer_scaling_equals_the_product_with_the_integer_element(n):
+    k = cyclotomic_field(n)
+    rng = random.Random(n)
+    for _ in range(20):
+        z = k.element([rng.randint(-30, 30) for _ in range(k.degree)], rng.randint(1, 40))
+        m = rng.choice((0, 1, -1, rng.randint(-100, 100)))
+        assert z * m == m * z == z * k.from_int(m)
+
+
 def _valuation_by_division(z, spec):
     # independent oracle: strip the denominator, then divide by pi until it fails
     v = 0
