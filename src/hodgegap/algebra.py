@@ -47,6 +47,21 @@ def power(x, k: int, mul, one):
     return acc
 
 
+def element_of_order(n: int, ell: int) -> int:
+    """The first x^((l - 1)/n), x = 1, 2, ..., of exact order n in F_l, for a
+    prime l and n | l - 1: its n/r-th power is not 1 for any prime r | n.
+    With n = l - 1 this is the least primitive root mod l.  The one search
+    for such an element in the package."""
+    if (ell - 1) % n:
+        raise ValueError(f"{n} does not divide {ell} - 1")
+    rs = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    for x in range(1, ell):
+        w = pow(x, (ell - 1) // n, ell)
+        if all(pow(w, n // r, ell) != 1 for r in rs):
+            return w
+    raise ArithmeticError(f"F_{ell} has no element of order {n}")
+
+
 def field_pow(x, k: int):
     """x**k for an element of any coefficient field, through x.inv() when
     k < 0: the ``__pow__`` of :class:`FqElement` and of the cyclotomic
@@ -344,10 +359,11 @@ class Polynomial:
         )
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
+        """self over its leading coefficient; self when that is already one
+        (or self is zero), with no inverse and no product."""
+        if self.is_zero() or self.leading() == self.ring.one:
             return self
-        li = self.leading().inv()
-        return self.scale(li)
+        return self.scale(self.leading().inv())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -400,10 +416,13 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
     d = den.degree
     if num.degree < d:
         return Polynomial(ring), num
-    lead_inv = den.leading().inv()
+    # a monic divisor, as every one of poly_gcd's is, needs no inverse and
+    # no product per quotient coefficient
+    lead = den.leading()
+    lead_inv = None if lead == ring.one else lead.inv()
     quot = [ring.zero] * (num.degree - d + 1)
     for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + d] * lead_inv
+        c = rem[i + d] if lead_inv is None else rem[i + d] * lead_inv
         if not c:
             continue
         quot[i] = c
@@ -413,10 +432,15 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm (field coefficients)."""
-    a, b = f, g
+    """Monic gcd by the monic Euclidean algorithm (field coefficients): each
+    remainder is made monic before it divides (von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, 3.2 and ch. 6).  That costs one inverse per
+    step, which the division by a non-monic remainder paid anyway, keeps
+    the coefficients from swelling between steps, and leaves every divisor
+    monic.  poly_gcd(f, 0) is f.monic(), and poly_gcd(0, 0) is 0."""
+    a, b = f, g.monic()
     while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
+        a, b = b, poly_divmod(a, b)[1].monic()
     return a.monic()
 
 

@@ -36,6 +36,7 @@ from .algebra import (
     FiniteField,
     Polynomial,
     discriminant_squarefree,
+    element_of_order,
     fq_sqrt,
     is_prime,
     power,
@@ -83,7 +84,7 @@ def split_prime_certificate(f: Polynomial) -> bool:
     ell = 2 * f.degree + 1
     while ell % n != 1 or not is_prime(ell):
         ell += 1
-    w = _element_of_order(n, ell)
+    w = element_of_order(n, ell)
     w_powers = [pow(w, i, ell) for i in range(k.degree)]
     reduced = []
     for c in f.coeffs:
@@ -93,17 +94,6 @@ def split_prime_certificate(f: Polynomial) -> bool:
     if reduced[-1] % ell == 0:
         return False
     return discriminant_squarefree(Polynomial(FiniteField(ell), reduced))[0]
-
-
-def _element_of_order(n: int, ell: int) -> int:
-    """The first x^((l - 1)/n), x = 2, 3, ..., of exact order n in F_l, for
-    n | l - 1: its n/r-th power is not 1 for any prime r | n."""
-    rs = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
-    for x in range(2, ell):
-        w = pow(x, (ell - 1) // n, ell)
-        if all(pow(w, n // r, ell) != 1 for r in rs):
-            return w
-    raise ArithmeticError(f"F_{ell} has no element of order {n}")
 
 
 @dataclass(frozen=True)

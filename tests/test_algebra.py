@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from hodgegap import algebra
 from hodgegap.algebra import (
     FiniteField,
+    FqElement,
     Polynomial,
     discriminant_squarefree,
+    element_of_order,
     fq_sqrt,
     is_prime,
     kernel_dim_mod_p,
@@ -166,6 +169,69 @@ def test_gcd_against_divisor_enumeration(field):
         if f.is_zero() or g.is_zero() or f.degree < 1 or g.degree < 1:
             continue
         assert poly_gcd(f, g) == _naive_monic_gcd(f, g)
+
+
+@pytest.mark.parametrize("field", [F7, K5])
+def test_gcd_with_a_zero_argument(field):
+    f = Polynomial(field, [2, 0, 3, 5])
+    zero = Polynomial(field)
+    assert poly_gcd(f, zero) == poly_gcd(zero, f) == f.monic()
+    assert f.monic().leading() == field.one
+    assert poly_gcd(zero, zero).is_zero()
+
+
+@pytest.mark.parametrize("field", [F7, K5])
+def test_euclid_divides_by_monic_remainders_only(monkeypatch, field):
+    divisors = []
+    divmod_ = algebra.poly_divmod
+
+    def recording(num, den):
+        divisors.append(den)
+        return divmod_(num, den)
+
+    monkeypatch.setattr(algebra, "poly_divmod", recording)
+    rng = random.Random(5)
+    for _ in range(20):
+        f = Polynomial(field, [rng.randint(-3, 3) for _ in range(rng.randint(3, 7))])
+        g = Polynomial(field, [rng.randint(-3, 3) for _ in range(rng.randint(2, 6))])
+        if f.is_zero() or g.is_zero():
+            continue
+        d = poly_gcd(f, g)
+        assert divmod_(f, d)[1].is_zero() and divmod_(g, d)[1].is_zero()
+    assert divisors and all(den.leading() == field.one for den in divisors)
+
+
+def test_a_monic_divisor_takes_no_inverse(monkeypatch):
+    inverses = []
+    inv = FqElement.inv
+
+    def counting(self):
+        inverses.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(FqElement, "inv", counting)
+    f = Polynomial(F7, [3, 1, 4, 1, 5])
+    g = Polynomial(F7, [2, 6, 1])
+    assert g.monic() is g
+    q, r = poly_divmod(f, g)
+    assert q * g + r == f and r.degree < g.degree
+    assert inverses == []
+    poly_divmod(f, g.scale(3))
+    assert len(inverses) == 1
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13, 31, 61, 101])
+def test_element_of_order_has_exact_order(ell):
+    for n in range(1, ell):
+        if (ell - 1) % n:
+            with pytest.raises(ValueError):
+                element_of_order(n, ell)
+            continue
+        w = element_of_order(n, ell)
+        assert [k for k in range(1, n + 1) if pow(w, k, ell) == 1] == [n]
+    # n = l - 1: the least primitive root
+    g = element_of_order(ell - 1, ell)
+    assert all(len({pow(x, k, ell) for k in range(ell - 1)}) < ell - 1 for x in range(1, g))
 
 
 def test_kernel_dims():

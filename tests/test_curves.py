@@ -289,7 +289,17 @@ def test_split_prime_certificate_declines_when_the_prime_divides(monkeypatch, le
     assert [f is model.f for f in exact] == [True]
 
 
-@pytest.mark.parametrize("p", [19, 23])
+@pytest.mark.parametrize("p", [3] + primes_upto(23)[2:])
+def test_exact_gcd_of_the_square_control_is_the_squared_factor(p):
+    # f * (u - 2)^2 with f squarefree and f(2) != 0: the gcd with the
+    # derivative is u - 2 exactly, reached by the monic Euclidean algorithm
+    f = _squared_root_control(p).f
+    k = f.ring
+    assert _family(p).f(k.from_int(2))
+    assert discriminant_squarefree(f) == (False, Polynomial(k, [k.from_int(-2), k.one]))
+
+
+@pytest.mark.parametrize("p", [19, 23, 29])
 def test_repeated_root_is_rejected_beyond_the_shipped_primes(p):
     spec = default_spec(p)
     model = _squared_root_control(p)

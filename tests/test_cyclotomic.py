@@ -140,8 +140,73 @@ def test_inverse_of_wide_random_elements(n):
         done += 1
 
 
-def test_inverse_raises_when_the_conjugate_product_is_not_rational(monkeypatch):
-    a = K5.element([3, -1, 0, 2], 7)
+def _inverse_by_the_conjugate_loop(a):
+    # oracle: the product of the conjugates sigma_k(num), k != 1 in (Z/n)^*,
+    # one dense product at a time, over the norm num times that product
+    n = a.field.n
+    acc = (1,)
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            conj = [0] * n
+            for i, c in enumerate(a.num):
+                conj[i * k % n] += c
+            acc = _schoolbook_product(acc, conj, n)
+    norm = _schoolbook_product(a.num, acc, n)
+    assert norm[0] and not any(norm[1:])
+    return CycloElement(a.field, tuple(c * a.den for c in acc), norm[0])
+
+
+def _inverse_inputs(n):
+    """pi^e for e <= n (a sample of them at n = 61), wide random elements
+    over large denominators, and units: zeta^j and the cyclotomic units
+    1 + z + ... + z^(k-1), k prime to n."""
+    k = cyclotomic_field(n)
+    pi = k.zeta ** (4 if n == 12 else 1) - 1
+    small = n < 61
+    inputs = [("pi^%d" % e, pi**e) for e in (range(n + 1) if small else (1, 2, 30, 61))]
+    rng = random.Random(n)
+    while len(inputs) < (n + 5 if small else 6):
+        coords = [rng.randint(-(2**64), 2**64) * rng.randint(0, 1) for _ in range(k.degree)]
+        if any(coords):
+            inputs.append(("wide", k.element(coords, rng.randint(2, 2**64))))
+    units = [j for j in range(2, n) if math.gcd(j, n) == 1]
+    inputs += [("zeta^%d" % j, k.zeta**j) for j in (1, n - 1)]
+    inputs += [("unit %d" % j, k.element([1] * j)) for j in (units if small else (2, 30, 60))]
+    return inputs
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 17, 61, 12])
+def test_inverse_equals_the_conjugate_by_conjugate_product(n):
+    for name, a in _inverse_inputs(n):
+        inverse = a.inv()
+        expected = _inverse_by_the_conjugate_loop(a)
+        assert (inverse.num, inverse.den) == (expected.num, expected.den), name
+        if name.startswith(("zeta", "unit")):
+            assert inverse.is_integral, name
+
+
+@pytest.mark.parametrize("n", [61, 211])
+def test_inverse_takes_logarithmically_many_products(monkeypatch, n):
+    k = cyclotomic_field(n)
+    calls = []
+    mul = CyclotomicField._mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(CyclotomicField, "_mul", counting)
+    rng = random.Random(n)
+    a = k.element([rng.randint(-9, 9) for _ in range(k.degree)])
+    inverse = a.inv()
+    assert 0 < len(calls) <= 2 * math.ceil(math.log2(n - 2)) + 1
+    monkeypatch.setattr(CyclotomicField, "_mul", mul)
+    assert a * inverse == 1
+
+
+@pytest.mark.parametrize("n", [5, 17, 12])
+def test_inverse_raises_when_the_conjugate_product_is_not_rational(monkeypatch, n):
+    a = cyclotomic_field(n).element([3, -1, 0, 2], 7)
     reduce = CyclotomicField._reduce
 
     def broken(self, coords):
