@@ -10,9 +10,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, field
-from datetime import datetime, timezone
-from typing import Optional
+import time
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .algebra import is_prime
@@ -42,19 +41,18 @@ from .invariants import (
 PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     statement: str
     status: str
     witness: object = None
 
 
-@dataclass
 class VerificationReport:
-    p: int
-    checks: list[CheckResult] = field(default_factory=list)
-    summary: Optional[dict] = None
+    def __init__(self, p: int):
+        self.p = p
+        self.checks: list[CheckResult] = []
+        self.summary: Optional[dict] = None
 
     def add(self, check: CheckResult) -> None:
         """Append a check; ids are unique within a report."""
@@ -66,8 +64,10 @@ class VerificationReport:
         return [c for c in self.checks if c.status == FAIL]
 
     def to_dict(self) -> dict:
-        """The JSON schema: the dataclass fields, in declaration order."""
-        return asdict(self)
+        """The JSON schema: p, then each check's fields in declaration order,
+        then the summary."""
+        checks = [c._asdict() for c in self.checks]
+        return {"p": self.p, "checks": checks, "summary": self.summary}
 
 
 # The runs and statement parts of the CHECKS rows below that need more than a
@@ -139,7 +139,7 @@ def _witness(c):
 
 
 def _h1(c) -> dict:
-    return dict(zip(("h1Special", "h1Generic", "torsionDim"), astuple(c.h1)))
+    return dict(zip(("h1Special", "h1Generic", "torsionDim"), c.h1))
 
 
 # The one list of checks, in report order: (id, statement, run).  An id is a
@@ -208,7 +208,7 @@ CHECKS = (
     ("derham.h1",
      lambda c: "first de Rham numbers are 4 (special fibre) and 2 (generic fibre), "
                "so the middle crystalline cohomology has 2-dimensional p-torsion",
-     lambda c: (astuple(c.h1) == (4, 2, 2), _h1(c))),
+     lambda c: (c.h1 == (4, 2, 2), _h1(c))),
 )
 
 
@@ -255,7 +255,7 @@ def render_text(report: VerificationReport, conductor: int) -> str:
 
 
 def _banner(out) -> None:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     print(f"# hodgegap {__version__} ({stamp})", file=out)
 
 

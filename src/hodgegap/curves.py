@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .algebra import (
@@ -48,18 +47,18 @@ from .invariants import WeightMultiset, form_weights, hodge30_witnesses
 from .modularrep import H1Report, h1_de_rham_report
 
 
-@dataclass(frozen=True)
 class HyperellipticModel:
     """A curve v^2 = f(u); only odd-degree f is produced here, so there is a
     single point at infinity."""
 
-    f: Polynomial
+    def __init__(self, f: Polynomial):
+        self.f = f
 
     @functools.cached_property
     def squarefree(self) -> bool:
         """Whether f has no repeated root: :func:`split_prime_certificate`
-        first, then the exact gcd of f and f' when it does not certify.  The
-        model is frozen, so this verdict is reached once per model."""
+        first, then the exact gcd of f and f' when it does not certify.  No
+        caller rebinds f, so this verdict is reached once per model."""
         return split_prime_certificate(self.f) or discriminant_squarefree(self.f)[0]
 
 
@@ -96,17 +95,18 @@ def split_prime_certificate(f: Polynomial) -> bool:
     return discriminant_squarefree(Polynomial(FiniteField(ell), reduced))[0]
 
 
-@dataclass(frozen=True)
 class AffineCurveMap:
     """The map (u, v) -> (alpha*u + beta, gamma*v); alpha, gamma units."""
 
-    alpha: object
-    beta: object
-    gamma: object
-
-    def __post_init__(self):
-        if not self.alpha or not self.gamma:
+    def __init__(self, alpha, beta, gamma):
+        if not alpha or not gamma:
             raise ValueError("alpha and gamma must be invertible")
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineCurveMap):
+            return NotImplemented
+        return (self.alpha, self.beta, self.gamma) == (other.alpha, other.beta, other.gamma)
 
     @property
     def ring(self):
@@ -119,23 +119,36 @@ class AffineCurveMap:
         return self.alpha == 1 and not self.beta and self.gamma == 1
 
 
-@dataclass(frozen=True, eq=False)
 class Construction:
     """The data that differ at p = 3 (degree 9 over Q(zeta_12), its own twist
     exponent, an elliptic factor over F_9), and the objects a report builds
     from them: each built on first use and kept, so a report builds it once
-    and a failure to build it fails only the checks that read it."""
+    and a failure to build it fails only the checks that read it.  Equality
+    is identity: :func:`construction` makes one per prime."""
 
-    p: int
-    residue_field: FiniteField  # the special fibre is v^2 = u^q - u over F_q
-    twist: int  # Y is the quotient by (sigma, sigma^twist, tau_P)
-    engine: Callable[[], PiSpec]
-    point_count_ok: Callable[[int], bool]  # on #E(F_q), picks the elliptic factor
-    hodge_ok: Callable[[int, int], bool]
-    xy_text: str
-    elliptic_check: tuple[str, str]  # (id, statement)
-    hodge_text: str  # the claim on hX and hY; {twisted} is Y's generator
-    skips: Mapping[str, tuple[str, str]]  # check id -> (statement, reason with {twist})
+    def __init__(
+        self,
+        p: int,
+        residue_field: FiniteField,  # the special fibre is v^2 = u^q - u over F_q
+        twist: int,  # Y is the quotient by (sigma, sigma^twist, tau_P)
+        engine: Callable[[], PiSpec],
+        point_count_ok: Callable[[int], bool],  # on #E(F_q), picks the elliptic factor
+        hodge_ok: Callable[[int, int], bool],
+        xy_text: str,
+        elliptic_check: tuple[str, str],  # (id, statement)
+        hodge_text: str,  # the claim on hX and hY; {twisted} is Y's generator
+        skips: Mapping[str, tuple[str, str]],  # check id -> (statement, reason with {twist})
+    ):
+        self.p = p
+        self.residue_field = residue_field
+        self.twist = twist
+        self.engine = engine
+        self.point_count_ok = point_count_ok
+        self.hodge_ok = hodge_ok
+        self.xy_text = xy_text
+        self.elliptic_check = elliptic_check
+        self.hodge_text = hodge_text
+        self.skips = skips
 
     @property
     def q(self) -> int:

@@ -16,8 +16,7 @@ its coefficients and tests singularity only on a candidate whose count passes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .algebra import (
     FiniteField,
@@ -30,8 +29,7 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     x: Optional[FqElement]
     y: Optional[FqElement]
 

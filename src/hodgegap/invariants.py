@@ -10,29 +10,26 @@ counts X's h^{3,0}, the construction's twist counts Y's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import curves  # a module, not its names: curves imports this module too
 from .algebra import primes_upto
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
-    """Multiset of character exponents mod p, one per basis 1-form."""
+class WeightMultiset(NamedTuple):
+    """Multiset of character exponents mod p, one per basis 1-form, reduced
+    mod p and sorted by :func:`form_weights`, its one constructor."""
 
     p: int
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(sorted(w % self.p for w in self.weights)))
-
 
 def form_weights(p: int, multiplier: int, g: int) -> WeightMultiset:
-    """Weights {a*k mod p : k = 1..g} of x^(k-1) dx/y under x -> zeta^a x."""
+    """Weights {a*k mod p : k = 1..g} of x^(k-1) dx/y under x -> zeta^a x,
+    sorted, so two multisets are equal exactly when their tuples are."""
     if multiplier % p == 0:
         raise ValueError("multiplier must be prime to p")
-    return WeightMultiset(p, tuple((multiplier * k) % p for k in range(1, g + 1)))
+    return WeightMultiset(p, tuple(sorted((multiplier * k) % p for k in range(1, g + 1))))
 
 
 def invariant_pair_witnesses(w: WeightMultiset, twist: int) -> list[tuple[int, int]]:
@@ -89,8 +86,7 @@ def hy_interval_count(p: int) -> int:
     return (hi1 - lo1 + 1) + (hi2 - lo2 + 1)
 
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
+class DiscrepancyRow(NamedTuple):
     p: int
     h_x: int
     h_y: int
@@ -117,7 +113,8 @@ def discrepancy_series(p_max: int) -> list[DiscrepancyRow]:
 
 def least_squares_slope(points: list[tuple[int, int]]) -> float:
     """Slope of the least-squares line through integer points, exact until
-    the final float conversion."""
+    the final division: int / int is correctly rounded, so this is
+    ``float(Fraction(num, den))`` without the fractions module."""
     n = len(points)
     if n < 2:
         raise ValueError("need at least two points to fit a line")
@@ -125,4 +122,4 @@ def least_squares_slope(points: list[tuple[int, int]]) -> float:
     sy = sum(y for _, y in points)
     sxx = sum(x * x for x, _ in points)
     sxy = sum(x * y for x, y in points)
-    return float(Fraction(n * sxy - sx * sy, n * sxx - sx * sx))
+    return (n * sxy - sx * sy) / (n * sxx - sx * sx)

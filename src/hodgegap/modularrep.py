@@ -13,7 +13,7 @@ cohomology of the common special fibre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import is_prime, kernel_dim_mod_p, kernel_dim_rational
 
@@ -27,8 +27,7 @@ def g_minus_one(p: int) -> list[list[int]]:
     return [[(i == j + 1) - (i == 0) - (i == j) for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class H1Report:
+class H1Report(NamedTuple):
     h1_special: int
     h1_generic: int
     torsion_dim: int

@@ -1,12 +1,13 @@
-import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import replaced
 
 from hodgegap import cli, curves, invariants
 from hodgegap.cli import build_report, main
@@ -156,7 +157,7 @@ def test_witness_check_reads_the_twist_of_the_construction():
     real = curves.construction(11)
     assert witness(real).status == "pass"
     assert witness(real).witness == "weights 2 + 4*(p-1)/2 = 2p = 0 mod p"
-    perturbed = witness(dataclasses.replace(real, twist=3))
+    perturbed = witness(replaced(real, twist=3))
     assert perturbed.status == "fail"
     assert perturbed.statement.endswith("invariant under (sigma, sigma^3, tau_P)")
     assert perturbed.witness == "weights 2 + 3*(p-1)/2 = 6 mod p"
@@ -270,6 +271,41 @@ def test_banner_appears_only_when_wanted(capsys):
     assert not out.startswith("# hodgegap")
 
 
+BANNER = re.compile(r"^# hodgegap 0\.1\.0 \(\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00\)$")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--p", "5"], ["table", "--max", "50"]])
+def test_banner_is_one_utc_stamp_line_before_the_plain_output(capsys, argv):
+    code, out, _ = _run(capsys, argv)
+    plain_code, plain, _ = _run(capsys, [*argv, "--no-banner"])
+    assert code == plain_code == 0
+    first, rest = out.split("\n", 1)
+    assert BANNER.match(first), first
+    assert rest == plain
+
+
+# The stdlib modules the package imports; the rest of what a cold
+# ``import hodgegap.cli`` loads must be the package itself.
+STDLIB_DEPS = (
+    "__future__", "argparse", "functools", "itertools", "json", "math", "operator", "os",
+    "sys", "time", "typing",
+)
+
+
+def _loaded_modules(statement):
+    code = f"import sys\n{statement}\nprint('\\n'.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cold_import_loads_only_the_package_beyond_its_stdlib_deps():
+    # start-up is most of a small report's wall time, and a stdlib module no
+    # check needs costs every run (dataclasses alone pulls inspect, ast, dis)
+    baseline = _loaded_modules(f"import {', '.join(STDLIB_DEPS)}")
+    extra = _loaded_modules("import hodgegap.cli") - baseline
+    assert extra and all(m == "hodgegap" or m.startswith("hodgegap.") for m in extra), sorted(extra)
+
+
 def test_console_module_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "hodgegap", "table", "--max", "13", "--no-banner"],
@@ -346,7 +382,8 @@ CURVE_DIGESTS = {
 # 61, 101 and 211 (past the golden digests' p = 37), recorded before the checks
 # became the ``cli.CHECKS`` table (p = 101: before the powers, evaluations and
 # cyclotomic products shared one kernel each; p = 211: before the split-prime
-# squarefree certificate and the prefix-sum division by pi)
+# squarefree certificate and the prefix-sum division by pi), and of the JSON
+# table to 1000, recorded while its slope was the float of a Fraction
 VERIFY_DIGESTS = {
     "verify --p 3 --no-banner": "55921a9926e69247f19622872f5cc526766099ef94c59a163eb19ab8cdb87525",
     "verify --p 5 --no-banner": "5af8a6657e0efdfc6183a26af6166c648a0d529668d90adc7baf44aaa5279e29",
@@ -361,6 +398,9 @@ VERIFY_DIGESTS = {
     ),
     "verify --p 211 --format json --no-banner": (
         "f0153dff4ca5357d1971237012b92546e995fd44d8b55cef4a4ba373be170a85"
+    ),
+    "table --max 1000 --format json --no-banner": (
+        "aac4c96698e3bd458df9dd572350d54e6b5c1902804564abd0e822053992a7a7"
     ),
 }
 

@@ -1,7 +1,7 @@
-import dataclasses
 import random
 
 import pytest
+from conftest import replaced
 
 from hodgegap.algebra import FiniteField, Polynomial, discriminant_squarefree, primes_upto
 from hodgegap.curves import (
@@ -336,13 +336,13 @@ def test_maps_with_general_beta_preserve_and_perturbations_fail(p):
         m = map_power(c.sigma, k)
         assert m.beta == sum((zeta**i for i in range(k)), c.spec.field.zero)
         assert map_preserves_curve(c.family, m)
-        assert not map_preserves_curve(c.family, dataclasses.replace(m, beta=m.beta * 2))
+        assert not map_preserves_curve(c.family, replaced(m, beta=m.beta * 2))
     fq = c.residue_field
     m = map_compose(c.tau, c.sigma0)
     assert (m.alpha, m.beta) == (fq.from_int(4), fq.from_int(4))
     assert map_preserves_curve(c.reduced, m)
     # 2u + 4 with gamma^2 = 4 scales u^p - u by 2, not 4
-    assert not map_preserves_curve(c.reduced, dataclasses.replace(m, alpha=fq.from_int(2)))
+    assert not map_preserves_curve(c.reduced, replaced(m, alpha=fq.from_int(2)))
 
 
 @pytest.mark.parametrize("p", SUPPORTED)
@@ -431,7 +431,7 @@ def test_tau_p3_is_the_derived_square_root():
 
 
 def test_tau_reads_the_twist_of_its_own_construction():
-    tau = dataclasses.replace(construction(7), twist=2).tau
+    tau = replaced(construction(7), twist=2).tau
     assert tau.alpha == 2
     assert tau.gamma * tau.gamma == 2
     assert construction(7).tau.alpha == 4

@@ -1,7 +1,8 @@
-import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
+from conftest import replaced
 
 from hodgegap import curves, invariants
 from hodgegap.algebra import primes_upto
@@ -71,7 +72,7 @@ def test_witness_form_check_fails_for_twist_three():
             continue
         c = curves.construction(p)
         assert witness_form_weight(c.weights, c.twist) == 0
-        perturbed = dataclasses.replace(c, twist=3)
+        perturbed = replaced(c, twist=3)
         assert witness_form_weight(perturbed.weights, perturbed.twist) == (p + 1) // 2
 
 
@@ -176,3 +177,31 @@ def test_least_squares_slope_on_exact_line():
     assert least_squares_slope([(1, 3), (2, 5), (3, 7)]) == 2.0
     with pytest.raises(ValueError):
         least_squares_slope([(1, 1)])
+
+
+def _fraction_slope(points):
+    """The oracle: the slope sum((x - mx)(y - my)) / sum((x - mx)^2) in
+    Fractions about the exact means, rounded to a float once at the end."""
+    mx = Fraction(sum(x for x, _ in points), len(points))
+    my = Fraction(sum(y for _, y in points), len(points))
+    num = sum((x - mx) * (y - my) for x, y in points)
+    return float(num / sum((x - mx) ** 2 for x, _ in points))
+
+
+def test_slope_is_the_correctly_rounded_fraction():
+    rows = invariants.discrepancy_series(1000)
+    points = [(r.p, r.h_y) for r in rows]
+    assert least_squares_slope(points) == _fraction_slope(points)
+    # sums far beyond 2^53: rounding numerator and denominator to floats
+    # before dividing would miss the correctly rounded slope on some sets
+    rng = random.Random(2024)
+    naive_misses = 0
+    for _ in range(200):
+        points = [(rng.randrange(2**60), rng.randrange(2**70)) for _ in range(rng.randrange(2, 9))]
+        n = len(points)
+        sx, sy = sum(x for x, _ in points), sum(y for _, y in points)
+        num = n * sum(x * y for x, y in points) - sx * sy
+        den = n * sum(x * x for x, _ in points) - sx * sx
+        assert least_squares_slope(points) == _fraction_slope(points)
+        naive_misses += float(num) / float(den) != _fraction_slope(points)
+    assert naive_misses > 0

@@ -1,15 +1,16 @@
 """Every check of the report can fail: each named change of a construction
 fails exactly the listed checks and leaves the others passing.
 
-A change is a ``dataclasses.replace`` of a field, or a cached object put into
-the copy's ``__dict__`` before its first read; both reach the report through
+A change is a copy of the construction with one constructor argument
+replaced (``conftest.replaced``), or a cached object put into a fresh copy's
+``__dict__`` before its first read; both reach the report through
 ``build_report(c)`` alone.
 """
 
-import dataclasses
 import itertools
 
 import pytest
+from conftest import replaced
 
 from hodgegap.algebra import Polynomial
 from hodgegap.cli import CHECKS, build_report
@@ -29,7 +30,7 @@ PRIMES = (3, 5, 7, 13)
 
 def _with(c, **objects):
     """A copy of c whose named cached objects are the given ones."""
-    copy = dataclasses.replace(c)
+    copy = replaced(c)
     copy.__dict__.update(objects)
     return copy
 
@@ -48,7 +49,7 @@ def _twice_pi(c):
     """An engine whose uniformizer is 2*pi: binom(p, 1)/(2*pi) is not integral,
     so the family does not build."""
     s = c.spec
-    return dataclasses.replace(
+    return replaced(
         c, engine=lambda: PiSpec(s.field, 2 * s.pi, s.p, s.e, s.residue_field, s.zeta_image)
     )
 
@@ -75,7 +76,7 @@ FAMILY = FAMILY_P3 - {"conj.tau_sigma2"} | {"curve.chart2", "conj.tau_sigma4"}
 # name -> (change, {p: failing ids}), the key None for every other p
 PERTURBATIONS = {
     "twist-3": (
-        lambda c: dataclasses.replace(c, twist=3),
+        lambda c: replaced(c, twist=3),
         {
             3: {"conj.tau_sigma3", "hodge.h30.pair"},  # t = 0 in F_9: no tau
             13: {"hodge.witness"},  # 3 = 4^2 mod 13: tau conjugates sigma to sigma^3
@@ -83,7 +84,7 @@ PERTURBATIONS = {
         },
     ),
     "twist-1-Y-is-X": (
-        lambda c: dataclasses.replace(c, twist=1),
+        lambda c: replaced(c, twist=1),
         {3: {"hodge.h30.pair"}, None: {"hodge.h30.pair", "hodge.witness"}},
     ),
     "sigma-squared": (
@@ -181,7 +182,7 @@ def test_every_check_has_a_perturbation_that_fails_it(p):
 
 def test_an_unbuildable_tau_fails_its_checks_and_not_the_report():
     # 3 is no square mod 7, so tau = (3u, sqrt(3)v) does not exist
-    checks = {r.id: r for r in build_report(dataclasses.replace(construction(7), twist=3)).checks}
+    checks = {r.id: r for r in build_report(replaced(construction(7), twist=3)).checks}
     conj = checks["conj.tau_sigma3"]
     assert conj.statement.startswith("tau = (3u, sqrt(3)v) is an automorphism")
     assert conj.status == "fail"
@@ -192,13 +193,13 @@ def test_an_unbuildable_tau_fails_its_checks_and_not_the_report():
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_twist_1_fails_the_counts_and_not_as_an_error(p):
-    checks = {r.id: r for r in build_report(dataclasses.replace(construction(p), twist=1)).checks}
+    checks = {r.id: r for r in build_report(replaced(construction(p), twist=1)).checks}
     assert checks["hodge.h30.pair"].status == "fail"
     assert checks["hodge.h30.pair"].witness == {"hX": 0, "hY": 0, "hY_pairs": []}
 
 
 def test_the_p3_skip_reason_states_the_construction_twist():
     for twist in (2, 1):
-        checks = {r.id: r for r in build_report(dataclasses.replace(construction(3), twist=twist)).checks}
+        checks = {r.id: r for r in build_report(replaced(construction(3), twist=twist)).checks}
         assert checks["hodge.witness"].status == "skipped"
         assert checks["hodge.witness"].witness.endswith(f"the twisted exponent is {twist}")
