@@ -3,19 +3,20 @@ liftings whose h^{3,0} differ, verified identity by identity.
 
 The pieces: cyclotomic integer arithmetic with pi-adic valuations
 (:mod:`.cyclotomic`), polynomials, finite fields and exact kernels
-(:mod:`.algebra`), the ramified hyperelliptic family and its automorphisms
-(:mod:`.curves`), small elliptic-curve searches (:mod:`.elliptic`), character
-counts of invariant 3-forms (:mod:`.invariants`), the augmentation-ideal
-model of H^1 (:mod:`.modularrep`) and a reporting CLI (:mod:`.cli`).
+(:mod:`.algebra`), the per-prime construction, the ramified hyperelliptic
+family, its automorphisms and the h^{3,0} table (:mod:`.curves`), small
+elliptic-curve searches (:mod:`.elliptic`), character counts of invariant
+3-forms (:mod:`.invariants`), the augmentation-ideal model of H^1
+(:mod:`.modularrep`) and a reporting CLI (:mod:`.cli`).
 """
 
 __version__ = "0.1.0"
 
 from .algebra import FiniteField, FqElement, Polynomial
-from .curves import AffineCurveMap, HyperellipticModel, hyperelliptic_family
+from .curves import AffineCurveMap, HyperellipticModel, hodge30_pair, hyperelliptic_family
 from .cyclotomic import CycloElement, CyclotomicField, PiSpec, cyclotomic_field
 from .elliptic import CurvePoint, EllipticCurve
-from .invariants import WeightMultiset, hodge30_pair
+from .invariants import WeightMultiset
 from .modularrep import H1Report, h1_de_rham_report
 
 __all__ = [

@@ -21,6 +21,7 @@ from .curves import (
     chart_transition_check,
     conjugacy_check,
     construction,
+    discrepancy_series,
     genus,
     has_prime_order,
     hyperelliptic_family,  # unused: perfbench's wrapper test reads cli.hyperelliptic_family
@@ -31,12 +32,7 @@ from .curves import (
     x_multiplier,
 )
 from .elliptic import count_points, scalar_mul, translation_is_fixed_point_free
-from .invariants import (
-    discrepancy_series,
-    form_weights,
-    least_squares_slope,
-    witness_form_weight,
-)
+from .invariants import form_weights, least_squares_slope, witness_form_weight
 
 PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
 
@@ -260,8 +256,6 @@ def _banner(out) -> None:
 
 
 def cmd_verify(args, out) -> int:
-    if not args.no_banner:
-        _banner(out)
     c = construction(args.p)
     report = build_report(c)
     if args.format == "json":
@@ -272,8 +266,6 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_table(args, out) -> int:
-    if not args.no_banner:
-        _banner(out)
     rows = discrepancy_series(args.max)
     slope = least_squares_slope([(r.p, r.h_y) for r in rows])
     if args.format == "json":
@@ -294,8 +286,6 @@ def cmd_table(args, out) -> int:
 
 def cmd_curve(args, out) -> int:
     p = args.p
-    if not args.no_banner:
-        _banner(out)
     c = construction(p)
     if args.chart == 1:
         poly, var = c.family.f, "u"
@@ -353,6 +343,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    if not args.no_banner:
+        _banner(out)
     if args.command == "verify":
         return cmd_verify(args, out)
     if args.command == "table":

@@ -9,14 +9,18 @@ after the substitution x = pi*u + 1, y = v the generic fibre becomes
 pi^p y^2 = x^p - 1.  For p = 3 the same sum g, taken over Z_3[omega, i]
 (inside Q(zeta_12), pi = omega - 1), is g = u^3 + (omega^2-1)u^2 - omega^2 u,
 and the degree-9 family is v^2 = g^3 + g, reducing to v^2 = u^9 - u.
-:class:`Construction` is the one place that tells p = 3 apart.  It holds the
-residue field F_q (F_p, or F_9 at p = 3), the twist exponent and one
-point-count test per prime, and it builds and keeps the objects a report
-checks: the engine, the family and its reduction, the reduction target
-u^q - u, sigma on both fibres, tau, the elliptic factor (the first curve
-over F_q that passes the test), the form weights, the invariant pairs and
-the h1 report.  The functions below take the data they use as arguments,
-with no defaults, so a changed construction reaches every check.
+:func:`construction` is the root of the per-prime data and the one place
+that tells p = 3 apart.  Its :class:`Construction` holds the residue field
+F_q (F_p, or F_9 at p = 3, from which it also builds the p = 3 engine), the
+twist exponent and one point-count test per prime, and it builds and keeps
+the objects a report checks: the engine, the family and its reduction, the
+reduction target u^q - u, sigma on both fibres, tau, the elliptic factor
+(the first curve over F_q that passes the test), the form weights, the
+invariant pairs and the h1 report.  The functions below take the data they
+use as arguments, with no defaults, and never look the construction up
+again: the family builders read q off the engine they are given, so a
+changed construction reaches every check.  Only :func:`hodge30_pair`, the
+table's per-prime count, and ``default_spec`` call :func:`construction`.
 
 Curve automorphisms are restricted to the affine shape
 (u, v) -> (alpha*u + beta, gamma*v), which covers the order-p action
@@ -29,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .algebra import (
     FiniteField,
@@ -39,11 +43,17 @@ from .algebra import (
     fq_sqrt,
     is_prime,
     power,
+    primes_upto,
     square_roots,
 )
-from .cyclotomic import CyclotomicField, PiSpec
+from .cyclotomic import CyclotomicField, PiSpec, cyclotomic_field
 from .elliptic import find_curve, torsion_point_of_exact_order
-from .invariants import WeightMultiset, form_weights, hodge30_witnesses
+from .invariants import (
+    WeightMultiset,
+    form_weights,
+    hy_interval_count,
+    invariant_pair_witnesses,
+)
 from .modularrep import H1Report, h1_de_rham_report
 
 
@@ -218,8 +228,10 @@ class Construction:
 
     @functools.cached_property
     def hodge_pairs(self) -> tuple[list, list]:
-        """(untwisted, twisted) invariant pairs; hX and hY are their lengths."""
-        return hodge30_witnesses(self.weights, self.twist)
+        """The invariant pairs of the (sigma, sigma, tau_P) and the
+        (sigma, sigma^twist, tau_P) quotients; hX and hY are their lengths."""
+        w = self.weights
+        return invariant_pair_witnesses(w, 1), invariant_pair_witnesses(w, self.twist)
 
     @property
     def hodge(self) -> tuple[int, int]:
@@ -236,11 +248,19 @@ def construction(p: int) -> Construction:
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     if p == 3:
+        f9 = FiniteField(3, modulus=(1, 0))  # F_9 = F_3[i]
+
+        def engine() -> PiSpec:
+            """Z_3[omega, i] inside Q(zeta_12): pi = omega - 1 with omega = zeta^4,
+            e = 2, and zeta = omega * i^{-1} reduces to 1 * i^{-1} = -i in F_9."""
+            k = cyclotomic_field(12)
+            return PiSpec(k, k.zeta**4 - 1, 3, 2, f9, -f9.gen())
+
         return Construction(
             p,
-            residue_field=FiniteField(3, modulus=(1, 0)),  # F_9 = F_3[i]
+            residue_field=f9,
             twist=2,
-            engine=PiSpec.p3,
+            engine=engine,
             # q + 1 = 10 = 1 mod 3, so 3 | n forces trace 10 - n = 1 mod 3: ordinary
             point_count_ok=lambda n: n % 3 == 0,
             hodge_ok=lambda h_x, h_y: (h_x, h_y) == (5, 6),
@@ -290,22 +310,51 @@ def default_spec(p: int) -> PiSpec:
     return construction(p).spec
 
 
-def _residue_q(p: int, spec: PiSpec) -> int:
-    """q, once the engine is checked to be local at p with residue field F_q."""
-    if spec.p != p:
-        raise ValueError(f"engine is local at {spec.p}, not {p}")
-    q = construction(p).q
-    if spec.residue_field.q != q:
-        raise ValueError(f"the p = {p} construction needs an engine with residue field F_{q}")
-    return q
+def hodge30_pair(p: int) -> tuple[int, int]:
+    """(hX, hY), the numbers of invariant pairs under (sigma, sigma, tau_P)
+    and (sigma, sigma^twist, tau_P); genus and twist (4, or 2 when p = 3)
+    come from :func:`construction`, which also rejects a p that is not an odd
+    prime.  The table reads this, not ``Construction.hodge``, whose cache
+    would keep every prime's pair lists: that raised ``table --max 1000``
+    peak RSS from 17.0 to 18.5 MB."""
+    c = construction(p)
+    w = form_weights(p, 1, c.genus)
+    return len(invariant_pair_witnesses(w, 1)), len(invariant_pair_witnesses(w, c.twist))
+
+
+class DiscrepancyRow(NamedTuple):
+    p: int
+    h_x: int
+    h_y: int
+    gap: int
+
+
+def discrepancy_series(p_max: int) -> list[DiscrepancyRow]:
+    """Rows (p, hX, hY, hY - hX) for every prime 5 <= p <= p_max, each hX
+    checked to vanish and each hY cross-checked against the interval count."""
+    if p_max < 5:
+        raise ValueError("p_max must be at least 5")
+    rows = []
+    for p in primes_upto(p_max):
+        if p < 5:
+            continue
+        h_x, h_y = hodge30_pair(p)
+        if h_x != 0:
+            raise AssertionError(f"invariant 3-form for the untwisted action at p = {p}")
+        if h_y != hy_interval_count(p):
+            raise AssertionError(f"enumeration and interval count disagree at p = {p}")
+        rows.append(DiscrepancyRow(p, h_x, h_y, h_y - h_x))
+    return rows
 
 
 def hyperelliptic_family(p: int, spec: PiSpec) -> HyperellipticModel:
     """The family v^2 = f(u) over the ramified base: f = g, or g^3 + g when
-    q = 9 > p = 3, with g = sum binom(p,i)/pi^i u^(p-i) and every coefficient
-    of g verified integral.  An invalid p is rejected by :func:`construction`,
-    an engine with the wrong residue field by :func:`_residue_q`."""
-    q = _residue_q(p, spec)
+    the engine's residue field F_q is larger than F_p (q = 9, p = 3), with
+    g = sum binom(p,i)/pi^i u^(p-i) and every coefficient of g verified
+    integral.  An engine with the wrong residue field builds the wrong
+    family, and the report's genus and reduction checks fail on it."""
+    if spec.p != p:
+        raise ValueError(f"engine is local at {spec.p}, not {p}")
     k = spec.field
     coeffs = [k.zero] * (p + 1)
     for i in range(p):
@@ -314,7 +363,7 @@ def hyperelliptic_family(p: int, spec: PiSpec) -> HyperellipticModel:
             raise ArithmeticError(f"binom({p},{i})/pi^{i} is not integral")
         coeffs[p - i] = c
     g = Polynomial(k, coeffs)
-    return HyperellipticModel(g**p + g if q > p else g)
+    return HyperellipticModel(g**p + g if spec.residue_field.q > p else g)
 
 
 def genus(model: HyperellipticModel) -> int:
@@ -333,14 +382,15 @@ def reduce_model(model: HyperellipticModel, spec: PiSpec) -> HyperellipticModel:
 def xy_model(p: int, spec: PiSpec) -> HyperellipticModel:
     """The generic fibre in xy-coordinates: y^2 = h, or h^3 + h when q = 9,
     with h = (x^p - 1)/pi^p."""
-    q = _residue_q(p, spec)
+    if spec.p != p:
+        raise ValueError(f"engine is local at {spec.p}, not {p}")
     k = spec.field
     scale = spec.over_pi(1, p)
     coeffs = [k.zero] * (p + 1)
     coeffs[0] = -scale
     coeffs[p] = scale
     h = Polynomial(k, coeffs)
-    return HyperellipticModel(h**p + h if q > p else h)
+    return HyperellipticModel(h**p + h if spec.residue_field.q > p else h)
 
 
 def substitution_check(p: int, spec: PiSpec, model: HyperellipticModel) -> bool:

@@ -21,10 +21,12 @@ chain on the powers of a generator g (Itoh & Tsujii, *Inf. Comput.* 78,
 sigma_{g^r}(Q_r) and Q_{r+1} = Q_r * sigma_{g^{r+1}}(a), at most
 2 log2(p - 2) dense products in place of p - 3.
 
-On top of the field arithmetic this module provides the local data at the
-ramified prime above p: the uniformizer pi (zeta_p - 1, or zeta_12^4 - 1 for
-the p = 3 engine inside Q(zeta_12)), exact pi-adic valuations and the residue
-map onto F_p resp. F_9.  Every division by pi is one step,
+On top of the field arithmetic this module provides the local data at a
+ramified prime, :class:`PiSpec`: a uniformizer pi, exact pi-adic valuations
+and the residue map onto a finite field.  It builds the engine for n = p
+itself (pi = zeta_p - 1, residue field F_p) and holds no p = 3 data: the
+p = 3 engine (pi = zeta_12^4 - 1, residue field F_9) is assembled by the
+construction that owns that F_9.  Every division by pi is one step,
 :meth:`PiSpec._divide_once`: for n = p a prefix-sum pass that divides by
 zeta - 1 in O(p) (synthetic division by a linear factor, Knuth, TAOCP vol. 2,
 4.6.1, folded by Phi_p), times the cached unit (zeta - 1)/pi; for n = 12 a
@@ -325,10 +327,11 @@ class PiSpec:
     """Local data at the unique ramified prime above p.
 
     ``pi`` generates the maximal ideal, ``e`` is its ramification index
-    (the pi-valuation of p) and ``residue_field`` the quotient modulo pi.
-    Built by :meth:`for_prime` (n = p, residue field F_p, zeta -> 1) or
-    :meth:`p3` (n = 12, pi = omega - 1 with omega = zeta^4, residue field
-    F_9 = F_3[t]/(t^2+1), the square root of -1 mapping to t).
+    (the pi-valuation of p) and ``residue_field`` the quotient modulo pi,
+    into which ``zeta_image`` carries zeta_n.  :meth:`for_prime` builds the
+    engine for n = p (residue field F_p, zeta -> 1); the p = 3 engine over
+    Q(zeta_12) and F_9 is built by ``curves.construction(3)`` from its own
+    residue field.
     """
 
     def __init__(
@@ -369,17 +372,6 @@ class PiSpec:
         pi = k.zeta - 1
         fp = FiniteField(p)
         return cls(k, pi, p, p - 1, fp, fp.one)
-
-    @classmethod
-    @functools.lru_cache(maxsize=None)
-    def p3(cls) -> "PiSpec":
-        """Z_3[omega, i] realized inside Q(zeta_12); pi = omega - 1, residue F_9."""
-        k = cyclotomic_field(12)
-        omega = k.zeta**4
-        f9 = FiniteField(3, modulus=(1, 0))  # t^2 + 1
-        t = f9.gen()
-        # zeta_12 = omega * i^{-1} reduces to 1 * t^{-1} = -t
-        return cls(k, omega - 1, 3, 2, f9, -t)
 
     # -- local arithmetic -----------------------------------------------------
 

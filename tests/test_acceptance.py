@@ -16,6 +16,7 @@ from hodgegap.curves import (
     conjugacy_check,
     construction,
     default_spec,
+    hodge30_pair,
     hyperelliptic_family,
     map_order,
     map_preserves_curve,
@@ -33,7 +34,6 @@ from hodgegap.elliptic import (
 )
 from hodgegap.invariants import (
     form_weights,
-    hodge30_pair,
     hy_interval_count,
     invariant_pair_witnesses,
     least_squares_slope,

@@ -126,7 +126,7 @@ def test_report_builds_the_weights_once_and_enumerates_pairs_twice(monkeypatch, 
 def test_table_costs_one_weight_build_and_two_enumerations_per_prime(monkeypatch):
     calls = _count_calls(monkeypatch, ["form_weights", "invariant_pair_witnesses"])
     curves.construction.cache_clear()
-    assert [r.p for r in invariants.discrepancy_series(13)] == [5, 7, 11, 13]
+    assert [r.p for r in curves.discrepancy_series(13)] == [5, 7, 11, 13]
     assert calls == {"form_weights": 4, "invariant_pair_witnesses": 8}
 
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import replaced
 
 from hodgegap.algebra import FiniteField, Polynomial, discriminant_squarefree, primes_upto
+from hodgegap.cli import build_report
 from hodgegap.curves import (
     AffineCurveMap,
     HyperellipticModel,
@@ -45,11 +46,19 @@ def test_family_rejects_two_and_composites():
 
 
 def test_family_rejects_an_engine_with_the_wrong_residue_field():
-    # the p = 3 construction lives over F_9; Z_3[zeta_3] has residue field F_3
-    with pytest.raises(ValueError):
-        hyperelliptic_family(3, PiSpec.for_prime(3))
-    with pytest.raises(ValueError):
-        xy_model(3, PiSpec.for_prime(3))
+    # the p = 3 construction lives over F_9; Z_3[zeta_3] has residue field
+    # F_3, so its family is the cubic g, not g^3 + g, and the report says so
+    # in exactly the checks that see the degree or the residue field
+    c = replaced(construction(3), engine=lambda: PiSpec.for_prime(3))
+    assert c.family.f.degree == 3
+    failed = {r.id for r in build_report(c).failed()}
+    assert failed == {
+        "curve.genus",
+        "curve.reduction",
+        "action.sigma_reduction",
+        "conj.tau_sigma2",
+        "action.sigma_fixed_points",
+    }
 
 
 def test_family_coefficients_p5():
@@ -79,7 +88,7 @@ def test_family_coefficients_integral_p7():
 
 
 def test_family_p3_expands_the_composite():
-    spec = PiSpec.p3()
+    spec = construction(3).spec
     k = spec.field
     omega = k.zeta**4
     u = Polynomial(k, [k.zero, k.one])
@@ -161,7 +170,7 @@ def test_substitution_rejects_perturbations():
 
 def test_substitution_p3_rejects_perturbations():
     rng = random.Random(78)
-    spec = PiSpec.p3()
+    spec = construction(3).spec
     fam = hyperelliptic_family(3, spec)
     for _ in range(10):
         idx = rng.randint(0, fam.f.degree)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hodgegap.algebra import FiniteField
+from hodgegap.curves import construction
 from hodgegap.cyclotomic import (
     CycloElement,
     CyclotomicField,
@@ -16,7 +17,7 @@ from hodgegap.cyclotomic import (
 
 K5 = cyclotomic_field(5)
 SPEC5 = PiSpec.for_prime(5)
-SPEC12 = PiSpec.p3()
+SPEC12 = construction(3).spec
 
 
 def test_cyclotomic_polynomials():

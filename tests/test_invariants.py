@@ -7,10 +7,9 @@ from conftest import replaced
 from hodgegap import curves, invariants
 from hodgegap.algebra import primes_upto
 from hodgegap.cli import build_report
+from hodgegap.curves import discrepancy_series, hodge30_pair
 from hodgegap.invariants import (
-    discrepancy_series,
     form_weights,
-    hodge30_pair,
     hy_interval_count,
     invariant_pair_witnesses,
     least_squares_slope,
@@ -97,7 +96,8 @@ def test_impossible_counts_fail_the_table_and_the_report(monkeypatch, twist, pai
     def changed(w, t):
         return pairs if t == twist else real(w, t)
 
-    monkeypatch.setattr(invariants, "invariant_pair_witnesses", changed)
+    # curves counts the pairs for both the table and the construction
+    monkeypatch.setattr(curves, "invariant_pair_witnesses", changed)
     monkeypatch.setattr(curves, "construction", curves.construction.__wrapped__)
     with pytest.raises(AssertionError, match=message):
         discrepancy_series(7)
@@ -189,7 +189,7 @@ def _fraction_slope(points):
 
 
 def test_slope_is_the_correctly_rounded_fraction():
-    rows = invariants.discrepancy_series(1000)
+    rows = curves.discrepancy_series(1000)
     points = [(r.p, r.h_y) for r in rows]
     assert least_squares_slope(points) == _fraction_slope(points)
     # sums far beyond 2^53: rounding numerator and denominator to floats
