@@ -13,7 +13,7 @@ elliptic-curve searches (:mod:`.elliptic`), character counts of invariant
 __version__ = "0.1.0"
 
 from .algebra import FiniteField, FqElement, Polynomial
-from .curves import AffineCurveMap, HyperellipticModel, hodge30_pair, hyperelliptic_family
+from .curves import AffineCurveMap, HyperellipticModel, hyperelliptic_family
 from .cyclotomic import CycloElement, CyclotomicField, PiSpec, cyclotomic_field
 from .elliptic import CurvePoint, EllipticCurve
 from .invariants import WeightMultiset
@@ -34,7 +34,6 @@ __all__ = [
     "WeightMultiset",
     "cyclotomic_field",
     "h1_de_rham_report",
-    "hodge30_pair",
     "hyperelliptic_family",
     "__version__",
 ]

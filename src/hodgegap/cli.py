@@ -329,19 +329,19 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     out = sys.stdout
-    if args.command == "table" and args.max < 7:
-        print(
-            "invalid input: --max must be at least 7 (the slope needs two primes)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.command != "table" and (args.p < 3 or not is_prime(args.p)):
-        print(
+    error = None
+    if args.command == "table":
+        if args.max < 7:
+            error = "invalid input: --max must be at least 7 (the slope needs two primes)"
+    elif args.p == 2:
+        error = (
             "p = 2 is not supported: the construction needs odd characteristic "
-            "(a characteristic-2 analogue over Suzuki-type curves is an open "
-            "problem)" if args.p == 2 else f"invalid input: {args.p} is not an odd prime",
-            file=sys.stderr,
+            "(a characteristic-2 analogue over Suzuki-type curves is an open problem)"
         )
+    elif not is_prime(args.p):
+        error = f"invalid input: {args.p} is not an odd prime"
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     if not args.no_banner:
         _banner(out)

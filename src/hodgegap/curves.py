@@ -16,11 +16,12 @@ twist exponent and one point-count test per prime, and it builds and keeps
 the objects a report checks: the engine, the family and its reduction, the
 reduction target u^q - u, sigma on both fibres, tau, the elliptic factor
 (the first curve over F_q that passes the test), the form weights, the
-invariant pairs and the h1 report.  The functions below take the data they
-use as arguments, with no defaults, and never look the construction up
+invariant pairs and the h1 report.  Each call makes a fresh construction,
+freed with its caller's last reference.  The functions below take the data
+they use as arguments, with no defaults, and never look the construction up
 again: the family builders read q off the engine they are given, so a
-changed construction reaches every check.  Only :func:`hodge30_pair`, the
-table's per-prime count, and ``default_spec`` call :func:`construction`.
+changed construction reaches every check.  Only :func:`discrepancy_series`,
+one construction per row, and ``default_spec`` call :func:`construction`.
 
 Curve automorphisms are restricted to the affine shape
 (u, v) -> (alpha*u + beta, gamma*v), which covers the order-p action
@@ -134,7 +135,7 @@ class Construction:
     exponent, an elliptic factor over F_9), and the objects a report builds
     from them: each built on first use and kept, so a report builds it once
     and a failure to build it fails only the checks that read it.  Equality
-    is identity: :func:`construction` makes one per prime."""
+    is identity: :func:`construction` makes a fresh one per call."""
 
     def __init__(
         self,
@@ -242,7 +243,6 @@ class Construction:
         return h1_de_rham_report(self.p)
 
 
-@functools.cache
 def construction(p: int) -> Construction:
     """The construction at the odd prime p; nothing costly is built here."""
     if p == 2 or not is_prime(p):
@@ -310,18 +310,6 @@ def default_spec(p: int) -> PiSpec:
     return construction(p).spec
 
 
-def hodge30_pair(p: int) -> tuple[int, int]:
-    """(hX, hY), the numbers of invariant pairs under (sigma, sigma, tau_P)
-    and (sigma, sigma^twist, tau_P); genus and twist (4, or 2 when p = 3)
-    come from :func:`construction`, which also rejects a p that is not an odd
-    prime.  The table reads this, not ``Construction.hodge``, whose cache
-    would keep every prime's pair lists: that raised ``table --max 1000``
-    peak RSS from 17.0 to 18.5 MB."""
-    c = construction(p)
-    w = form_weights(p, 1, c.genus)
-    return len(invariant_pair_witnesses(w, 1)), len(invariant_pair_witnesses(w, c.twist))
-
-
 class DiscrepancyRow(NamedTuple):
     p: int
     h_x: int
@@ -338,7 +326,7 @@ def discrepancy_series(p_max: int) -> list[DiscrepancyRow]:
     for p in primes_upto(p_max):
         if p < 5:
             continue
-        h_x, h_y = hodge30_pair(p)
+        h_x, h_y = construction(p).hodge
         if h_x != 0:
             raise AssertionError(f"invariant 3-form for the untwisted action at p = {p}")
         if h_y != hy_interval_count(p):

@@ -30,13 +30,10 @@ construction that owns that F_9.  Every division by pi is one step,
 :meth:`PiSpec._divide_once`: for n = p a prefix-sum pass that divides by
 zeta - 1 in O(p) (synthetic division by a linear factor, Knuth, TAOCP vol. 2,
 4.6.1, folded by Phi_p), times the cached unit (zeta - 1)/pi; for n = 12 a
-product with the inverse of pi checked when the engine is built.  Building
-all binom(p, i)/pi^i through :meth:`PiSpec.over_pi` this way took 0.07 s at
-p = 211, against 1.9-2.1 s with dense products by powers of 1/pi (three runs
-each, 2-vCPU VM, Python 3.11).  Valuations are computed by repeated exact
-division by pi, which is correct here because a single prime sits above p, so
-an element is divisible by pi in the ring of integers iff its valuation is
-positive.
+product with the inverse of pi checked when the engine is built.  Valuations
+are computed by repeated exact division by pi, which is correct here because
+a single prime sits above p, so an element is divisible by pi in the ring of
+integers iff its valuation is positive.
 """
 
 from __future__ import annotations
@@ -363,7 +360,6 @@ class PiSpec:
             raise ValueError("residue data inconsistent with the uniformizer")
 
     @classmethod
-    @functools.lru_cache(maxsize=None)
     def for_prime(cls, p: int) -> "PiSpec":
         """The ring Z_p[zeta_p] with uniformizer zeta_p - 1, residue field F_p."""
         if not is_prime(p) or p < 3:

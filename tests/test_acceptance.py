@@ -16,7 +16,6 @@ from hodgegap.curves import (
     conjugacy_check,
     construction,
     default_spec,
-    hodge30_pair,
     hyperelliptic_family,
     map_order,
     map_preserves_curve,
@@ -61,7 +60,7 @@ def test_criterion_1_headline_hodge_numbers(capsys):
     for p in primes_upto(97):
         if p < 5:
             continue
-        h_x, h_y = hodge30_pair(p)
+        h_x, h_y = construction(p).hodge
         ok = ok and h_x == 0 and h_y >= 1
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
@@ -190,7 +189,7 @@ def test_criterion_7_linear_growth(capsys):
     for p in primes_upto(500):
         if p < 5:
             continue
-        h_y = hodge30_pair(p)[1]
+        h_y = construction(p).hodge[1]
         ok = ok and h_y == hy_interval_count(p)
         pairs.append((p, h_y))
     slope = least_squares_slope(pairs)

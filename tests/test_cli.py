@@ -91,7 +91,6 @@ def test_report_builds_the_family_once(monkeypatch, p):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(curves, "hyperelliptic_family", counting)
-    curves.construction.cache_clear()  # an earlier test may have built it
     assert not build_report(curves.construction(p)).failed()
     assert len(calls) == 1
 
@@ -116,7 +115,6 @@ def _count_calls(monkeypatch, names):
 @pytest.mark.parametrize("p", [3, 5, 13])
 def test_report_builds_the_weights_once_and_enumerates_pairs_twice(monkeypatch, p):
     calls = _count_calls(monkeypatch, ["form_weights", "invariant_pair_witnesses"])
-    curves.construction.cache_clear()  # an earlier test may have built them
     assert not build_report(curves.construction(p)).failed()
     # the construction's weights once, and sigma's, which forms.weights
     # derives from the map to compare with them
@@ -125,7 +123,6 @@ def test_report_builds_the_weights_once_and_enumerates_pairs_twice(monkeypatch, 
 
 def test_table_costs_one_weight_build_and_two_enumerations_per_prime(monkeypatch):
     calls = _count_calls(monkeypatch, ["form_weights", "invariant_pair_witnesses"])
-    curves.construction.cache_clear()
     assert [r.p for r in curves.discrepancy_series(13)] == [5, 7, 11, 13]
     assert calls == {"form_weights": 4, "invariant_pair_witnesses": 8}
 
@@ -243,11 +240,9 @@ def test_curve_reads_the_family_of_the_construction(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(curves, "hyperelliptic_family", counting)
-    curves.construction.cache_clear()
     for chart in ("1", "2"):
         assert _run(capsys, ["curve", "--p", "5", "--chart", chart, "--no-banner"])[0] == 0
-    assert len(calls) == 1
-    assert "family" in vars(curves.construction(5))
+    assert len(calls) == 2  # one family build per command
 
 
 def test_every_exported_name_resolves():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from conftest import replaced
@@ -43,6 +45,18 @@ def test_family_rejects_two_and_composites():
         construction(2)
     with pytest.raises(ValueError):
         construction(9)
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_a_construction_is_fresh_and_freed(p):
+    # nothing outside the caller keeps a construction or what it built
+    assert construction(p) is not construction(p)
+    c = construction(p)
+    assert not build_report(c).failed()
+    refs = [weakref.ref(c), weakref.ref(c.spec), weakref.ref(c.family)]
+    del c
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_family_rejects_an_engine_with_the_wrong_residue_field():
@@ -392,8 +406,8 @@ def test_map_power_matches_iterated_composition():
 
 
 def test_prime_order_check_past_the_scan_bound():
-    spec = PiSpec.for_prime(521)
-    sigma, sigma0 = construction(521).sigma, construction(521).sigma0
+    c = construction(521)
+    spec, sigma, sigma0 = c.spec, c.sigma, c.sigma0
     with pytest.raises(RuntimeError):
         map_order(sigma0)  # the linear scan stops at 512
     assert has_prime_order(sigma, 521)

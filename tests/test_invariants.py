@@ -7,7 +7,7 @@ from conftest import replaced
 from hodgegap import curves, invariants
 from hodgegap.algebra import primes_upto
 from hodgegap.cli import build_report
-from hodgegap.curves import discrepancy_series, hodge30_pair
+from hodgegap.curves import construction, discrepancy_series
 from hodgegap.invariants import (
     form_weights,
     hy_interval_count,
@@ -76,11 +76,9 @@ def test_witness_form_check_fails_for_twist_three():
 
 
 def test_hodge_pairs():
-    assert hodge30_pair(3) == (5, 6)
-    assert hodge30_pair(5) == (0, 2)
-    assert hodge30_pair(13) == (0, 4)
-    with pytest.raises(ValueError):
-        hodge30_pair(2)
+    assert construction(3).hodge == (5, 6)
+    assert construction(5).hodge == (0, 2)
+    assert construction(13).hodge == (0, 4)
 
 
 @pytest.mark.parametrize(
@@ -96,9 +94,8 @@ def test_impossible_counts_fail_the_table_and_the_report(monkeypatch, twist, pai
     def changed(w, t):
         return pairs if t == twist else real(w, t)
 
-    # curves counts the pairs for both the table and the construction
+    # the table and the report both count the pairs through the construction
     monkeypatch.setattr(curves, "invariant_pair_witnesses", changed)
-    monkeypatch.setattr(curves, "construction", curves.construction.__wrapped__)
     with pytest.raises(AssertionError, match=message):
         discrepancy_series(7)
     assert [r.id for r in build_report(curves.construction(7)).failed()] == ["hodge.h30.pair"]
@@ -108,7 +105,7 @@ def test_hx_vanishes_for_all_tested_primes():
     # weights live in [1, (p-1)/2], so a sum of two is in [2, p-1]: never zero
     for p in primes_upto(97):
         if p >= 5:
-            assert hodge30_pair(p)[0] == 0
+            assert construction(p).hodge[0] == 0
 
 
 def test_conjugate_actions_give_the_same_count():
@@ -164,7 +161,7 @@ def test_interval_count_matches_enumeration_up_to_500():
     for p in primes_upto(500):
         if p < 5:
             continue
-        assert hodge30_pair(p)[1] == hy_interval_count(p)
+        assert construction(p).hodge[1] == hy_interval_count(p)
 
 
 def test_slope_lands_in_the_linear_band():
