@@ -36,7 +36,10 @@ def primes_upto(bound: int) -> list[int]:
 def power(x, k: int, mul, one):
     """x^k for k >= 0 under an associative ``mul`` with identity ``one``, by
     binary square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3): the one such
-    loop, which every power in the package runs."""
+    loop, which every power in the package runs, and the one place that
+    rejects a negative k."""
+    if k < 0:
+        raise ValueError(f"negative exponent {k}")
     acc = one
     while k:
         if k & 1:
@@ -63,11 +66,8 @@ def element_of_order(n: int, ell: int) -> int:
 
 
 def field_pow(x, k: int):
-    """x**k for an element of any coefficient field, through x.inv() when
-    k < 0: the ``__pow__`` of :class:`FqElement` and of the cyclotomic
-    elements."""
-    if k < 0:
-        x, k = x.inv(), -k
+    """x**k, k >= 0, for an element of any coefficient field: the
+    ``__pow__`` of :class:`FqElement` and of the cyclotomic elements."""
     return power(x, k, operator.mul, x.field.one)
 
 
@@ -315,8 +315,6 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
         return power(self, k, operator.mul, Polynomial(self.ring, (self.ring.one,)))
 
     def scale(self, c) -> "Polynomial":
@@ -406,29 +404,19 @@ def _scale_powers(coeffs, r) -> list:
     return out
 
 
-def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    ring = num.ring
-    if den.ring != ring:
-        raise ValueError("polynomials over different coefficient rings")
+def _monic_remainder(num: Polynomial, den: Polynomial) -> Polynomial:
+    """num mod den for a monic den, the step of :func:`poly_gcd`: no quotient
+    is kept, and no inverse is taken.  Entry i + d, which the step cancels,
+    is never read again, so den's leading 1 is not multiplied in."""
     rem = list(num.coeffs)
     d = den.degree
-    if num.degree < d:
-        return Polynomial(ring), num
-    # a monic divisor, as every one of poly_gcd's is, needs no inverse and
-    # no product per quotient coefficient
-    lead = den.leading()
-    lead_inv = None if lead == ring.one else lead.inv()
-    quot = [ring.zero] * (num.degree - d + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + d] if lead_inv is None else rem[i + d] * lead_inv
-        if not c:
-            continue
-        quot[i] = c
-        for j, b in enumerate(den.coeffs):
-            rem[i + j] = rem[i + j] - c * b
-    return Polynomial(ring, quot), Polynomial(ring, rem[:d])
+    low = den.coeffs[:d]
+    for i in range(len(rem) - 1 - d, -1, -1):
+        c = rem[i + d]
+        if c:
+            for j, b in enumerate(low):
+                rem[i + j] = rem[i + j] - c * b
+    return Polynomial(num.ring, rem[:d])
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -437,23 +425,22 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     *Modern Computer Algebra*, 3.2 and ch. 6).  That costs one inverse per
     step, which the division by a non-monic remainder paid anyway, keeps
     the coefficients from swelling between steps, and leaves every divisor
-    monic.  poly_gcd(f, 0) is f.monic(), and poly_gcd(0, 0) is 0."""
+    monic, so each step is one :func:`_monic_remainder`.  poly_gcd(f, 0) is
+    f.monic(), and poly_gcd(0, 0) is 0."""
+    if f.ring != g.ring:
+        raise ValueError("polynomials over different coefficient rings")
     a, b = f, g.monic()
     while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1].monic()
+        a, b = b, _monic_remainder(a, b).monic()
     return a.monic()
 
 
-def discriminant_squarefree(f: Polynomial) -> tuple[bool, Polynomial]:
-    """Whether f is squarefree, together with gcd(f, f').
-
-    Squarefree means the gcd is a nonzero constant. Constant input is an
-    error since the question is vacuous there.
-    """
+def discriminant_squarefree(f: Polynomial) -> bool:
+    """Whether f is squarefree: gcd(f, f') is a nonzero constant.  Constant
+    input is an error since the question is vacuous there."""
     if f.degree < 1:
         raise ValueError("squarefreeness needs a nonconstant polynomial")
-    g = poly_gcd(f, f.derivative())
-    return g.degree == 0, g
+    return poly_gcd(f, f.derivative()).degree == 0
 
 
 # ---------------------------------------------------------------------------

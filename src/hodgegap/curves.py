@@ -70,7 +70,7 @@ class HyperellipticModel:
         """Whether f has no repeated root: :func:`split_prime_certificate`
         first, then the exact gcd of f and f' when it does not certify.  No
         caller rebinds f, so this verdict is reached once per model."""
-        return split_prime_certificate(self.f) or discriminant_squarefree(self.f)[0]
+        return split_prime_certificate(self.f) or discriminant_squarefree(self.f)
 
 
 def split_prime_certificate(f: Polynomial) -> bool:
@@ -103,7 +103,7 @@ def split_prime_certificate(f: Polynomial) -> bool:
         reduced.append(sum(map(operator.mul, c.num, w_powers)) * pow(c.den, -1, ell))
     if reduced[-1] % ell == 0:
         return False
-    return discriminant_squarefree(Polynomial(FiniteField(ell), reduced))[0]
+    return discriminant_squarefree(Polynomial(FiniteField(ell), reduced))
 
 
 class AffineCurveMap:
@@ -252,9 +252,9 @@ def construction(p: int) -> Construction:
 
         def engine() -> PiSpec:
             """Z_3[omega, i] inside Q(zeta_12): pi = omega - 1 with omega = zeta^4,
-            e = 2, and zeta = omega * i^{-1} reduces to 1 * i^{-1} = -i in F_9."""
+            e = 4/2 = 2, and zeta = omega * i^{-1} reduces to 1 * i^{-1} = -i in F_9."""
             k = cyclotomic_field(12)
-            return PiSpec(k, k.zeta**4 - 1, 3, 2, f9, -f9.gen())
+            return PiSpec(k, k.zeta**4 - 1, f9, -f9.gen())
 
         return Construction(
             p,
@@ -450,10 +450,7 @@ def map_inverse(m: AffineCurveMap) -> AffineCurveMap:
 
 
 def map_power(m: AffineCurveMap, k: int) -> AffineCurveMap:
-    """m^k by :func:`~hodgegap.algebra.power` under composition, through
-    :func:`map_inverse` when k < 0."""
-    if k < 0:
-        m, k = map_inverse(m), -k
+    """m^k, k >= 0, by :func:`~hodgegap.algebra.power` under composition."""
     return power(m, k, map_compose, identity_map(m.ring))
 
 

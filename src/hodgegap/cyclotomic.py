@@ -323,9 +323,11 @@ def try_divide_exact(
 class PiSpec:
     """Local data at the unique ramified prime above p.
 
-    ``pi`` generates the maximal ideal, ``e`` is its ramification index
-    (the pi-valuation of p) and ``residue_field`` the quotient modulo pi,
-    into which ``zeta_image`` carries zeta_n.  :meth:`for_prime` builds the
+    ``pi`` generates the maximal ideal, ``residue_field`` is the quotient
+    modulo pi, into which ``zeta_image`` carries zeta_n.  p and e, the
+    ramification index (the pi-valuation of p), are read off the residue
+    field: p is its characteristic, and e = phi(n)/k for F_{p^k}, since a
+    single prime sits above p.  :meth:`for_prime` builds the
     engine for n = p (residue field F_p, zeta -> 1); the p = 3 engine over
     Q(zeta_12) and F_9 is built by ``curves.construction(3)`` from its own
     residue field.
@@ -335,16 +337,14 @@ class PiSpec:
         self,
         field: CyclotomicField,
         pi: CycloElement,
-        p: int,
-        e: int,
         residue_field: FiniteField,
         zeta_image: FqElement,
     ):
         self.field = field
         self.n = field.n
         self.pi = pi
-        self.p = p
-        self.e = e
+        self.p = residue_field.p
+        self.e = field.degree // residue_field.k
         self.residue_field = residue_field
         self.zeta_image = zeta_image
         self.pi_inv = pi.inv()
@@ -353,7 +353,7 @@ class PiSpec:
         self._pi_inv_powers = [field.one, self.pi_inv]
         # (zeta - 1)/pi, a unit when n = p; None when it is 1, as it is for
         # the report's pi = zeta - 1, so that the product is skipped
-        unit = (field.zeta - 1) * self.pi_inv if self.n == p else None
+        unit = (field.zeta - 1) * self.pi_inv if self.n == self.p else None
         self._zeta_minus_one_over_pi = None if unit == field.one else unit
         # the image of zeta must kill both Phi_n and pi
         if Polynomial(residue_field, field.modulus)(zeta_image) or self.residue(pi):
@@ -367,7 +367,7 @@ class PiSpec:
         k = cyclotomic_field(p)
         pi = k.zeta - 1
         fp = FiniteField(p)
-        return cls(k, pi, p, p - 1, fp, fp.one)
+        return cls(k, pi, fp, fp.one)
 
     # -- local arithmetic -----------------------------------------------------
 
@@ -393,7 +393,7 @@ class PiSpec:
         unit = self._zeta_minus_one_over_pi
         return q if unit is None else q * unit
 
-    def over_pi(self, z, k: int = 1) -> CycloElement:
+    def over_pi(self, z, k: int) -> CycloElement:
         """z / pi^k for k >= 0, by cached powers of 1/pi, each power one
         :meth:`_divide_once` of the last (the n = 12 engine's step is still
         the dense product with ``pi_inv``); an integer z, such as the

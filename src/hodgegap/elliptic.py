@@ -54,7 +54,7 @@ class EllipticCurve:
         self.a4 = field.coerce(a4)
         self.a6 = field.coerce(a6)
         rhs = Polynomial(field, [self.a6, self.a4, self.a2, field.one])
-        if not discriminant_squarefree(rhs)[0]:
+        if not discriminant_squarefree(rhs):
             raise ValueError("singular curve: x^3 + a2 x^2 + a4 x + a6 has a repeated root")
         self.rhs_poly = rhs
 
@@ -141,17 +141,9 @@ def _chord_tangent(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> Curv
     return CurvePoint(x3, y3)
 
 
-def negate_point(curve: EllipticCurve, pt: CurvePoint) -> CurvePoint:
-    if pt.is_infinity:
-        return pt
-    return CurvePoint(pt.x, -pt.y)
-
-
 def scalar_mul(curve: EllipticCurve, k: int, pt: CurvePoint) -> CurvePoint:
-    """k*pt by :func:`~hodgegap.algebra.power` under :func:`add_points`,
-    through :func:`negate_point` when k < 0."""
-    if k < 0:
-        pt, k = negate_point(curve, pt), -k
+    """k*pt, k >= 0, by :func:`~hodgegap.algebra.power` under
+    :func:`add_points`."""
     return power(pt, k, functools.partial(add_points, curve), CurvePoint.infinity())
 
 

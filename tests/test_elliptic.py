@@ -13,7 +13,6 @@ from hodgegap.elliptic import (
     count_points,
     find_curve,
     find_ordinary_with_trace_one,
-    negate_point,
     scalar_mul,
     torsion_point_of_exact_order,
     translation_is_fixed_point_free,
@@ -180,7 +179,8 @@ def test_group_law_basics():
     inf = CurvePoint.infinity()
     for q in pts:
         assert add_points(curve, q, inf) == q
-        assert add_points(curve, q, negate_point(curve, q)).is_infinity
+        if not q.is_infinity:
+            assert add_points(curve, q, CurvePoint(q.x, -q.y)).is_infinity
         assert scalar_mul(curve, count_points(curve), q).is_infinity
     with pytest.raises(ValueError):
         add_points(curve, CurvePoint(F5.from_int(0), F5.from_int(1)), inf)
@@ -208,12 +208,10 @@ def test_scalar_mul_is_iterated_addition(maker):
     made = maker()
     curve = made[0] if isinstance(made, tuple) else made
     for q in curve.points():
-        for k in range(-6, 7):
-            step = q if k >= 0 else negate_point(curve, q)
-            expected = CurvePoint.infinity()
-            for _ in range(abs(k)):
-                expected = add_points(curve, expected, step)
+        expected = CurvePoint.infinity()
+        for k in range(7):
             assert scalar_mul(curve, k, q) == expected
+            expected = add_points(curve, expected, q)
 
 
 def test_torsion_point_selection():

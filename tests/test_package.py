@@ -3,12 +3,13 @@ and every input-validation raise is reached and stays a raise (an assert
 would vanish under ``python -O``)."""
 
 import ast
+import operator
 from pathlib import Path
 
 import pytest
 
 import hodgegap
-from hodgegap.algebra import FiniteField, Polynomial, poly_divmod
+from hodgegap.algebra import FiniteField, Polynomial, poly_gcd, power
 from hodgegap.curves import (
     HyperellipticModel,
     affine_fixed_points,
@@ -16,10 +17,16 @@ from hodgegap.curves import (
     construction,
     hyperelliptic_family,
     identity_map,
+    map_power,
     xy_model,
 )
 from hodgegap.cyclotomic import PiSpec, cyclotomic_field
-from hodgegap.elliptic import EllipticCurve, find_ordinary_with_trace_one
+from hodgegap.elliptic import (
+    CurvePoint,
+    EllipticCurve,
+    find_ordinary_with_trace_one,
+    scalar_mul,
+)
 
 PACKAGE = Path(hodgegap.__file__).parent
 
@@ -97,21 +104,27 @@ RAISES = {
         lambda: F5.zero.inv(), ZeroDivisionError, "inverse of zero"),
     "algebra.leading-zero": (
         lambda: Polynomial(F5).leading(), ValueError, "no leading coefficient"),
-    "algebra.divmod-zero": (
-        lambda: poly_divmod(Polynomial(F5, [1, 1]), Polynomial(F5)),
-        ZeroDivisionError, "division by zero"),
-    "algebra.divmod-rings": (
-        lambda: poly_divmod(Polynomial(F5, [1, 1]), Polynomial(FiniteField(7), [1, 1])),
+    "algebra.gcd-rings": (
+        lambda: poly_gcd(Polynomial(F5, [1, 1]), Polynomial(FiniteField(7), [1, 1])),
         ValueError, "different coefficient rings"),
+    # k < 0 is rejected by power alone, for every power in the package
+    "algebra.power-negative": (
+        lambda: power(2, -1, operator.mul, 1), ValueError, "negative"),
+    "algebra.fq-pow-negative": (
+        lambda: F5.from_int(2) ** -1, ValueError, "negative"),
+    "algebra.poly-pow-negative": (
+        lambda: Polynomial(F5, [1, 1]) ** -1, ValueError, "negative"),
     "cyclotomic.element-den-zero": (
         lambda: K5.element([1], den=0), ZeroDivisionError, "zero denominator"),
     "cyclotomic.coerce-other-field": (
         lambda: K5.coerce(cyclotomic_field(7).one), ValueError, "different cyclotomic field"),
     "cyclotomic.coerce-non-int": (
         lambda: K5.coerce(1.5), TypeError, "cannot coerce"),
+    "cyclotomic.pow-negative": (
+        lambda: K5.zeta ** -1, ValueError, "negative"),
     "cyclotomic.pispec-inconsistent": (
         # 1 + 2 + 4 + 8 + 16 = 31 = 1 mod 5: 2 is no root of Phi_5 in F_5
-        lambda: PiSpec(K5, K5.zeta - 1, 5, 4, F5, F5.from_int(2)),
+        lambda: PiSpec(K5, K5.zeta - 1, F5, F5.from_int(2)),
         ValueError, "inconsistent with the uniformizer"),
     "cyclotomic.for-prime-two": (
         lambda: PiSpec.for_prime(2), ValueError, "odd prime"),
@@ -129,10 +142,15 @@ RAISES = {
     "curves.fixed-points-infinite-ring": (
         lambda: affine_fixed_points(identity_map(K5), HyperellipticModel(Polynomial(K5, [0, 1]))),
         ValueError, "finite coefficient field"),
+    "curves.map-power-negative": (
+        lambda: map_power(identity_map(F5), -1), ValueError, "negative"),
     "elliptic.characteristic-two": (
         lambda: EllipticCurve(FiniteField(2), 0, 0, 1), ValueError, "characteristic 2"),
     "elliptic.trace-one-at-three": (
         lambda: find_ordinary_with_trace_one(3), ValueError, "p >= 5"),
+    "elliptic.scalar-mul-negative": (
+        lambda: scalar_mul(find_ordinary_with_trace_one(5), -1, CurvePoint.infinity()),
+        ValueError, "negative"),
 }
 
 

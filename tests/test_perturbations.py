@@ -49,9 +49,7 @@ def _twice_pi(c):
     """An engine whose uniformizer is 2*pi: binom(p, 1)/(2*pi) is not integral,
     so the family does not build."""
     s = c.spec
-    return replaced(
-        c, engine=lambda: PiSpec(s.field, 2 * s.pi, s.p, s.e, s.residue_field, s.zeta_image)
-    )
+    return replaced(c, engine=lambda: PiSpec(s.field, 2 * s.pi, s.residue_field, s.zeta_image))
 
 
 def _miscounted_curve(c):
