@@ -194,9 +194,6 @@ class FqElement:
     def __truediv__(self, other):
         return self * self._co(other).inv()
 
-    def __rtruediv__(self, other):
-        return self._co(other) * self.inv()
-
     __pow__ = field_pow
 
     def __bool__(self) -> bool:
@@ -299,13 +296,8 @@ class Polynomial:
             self.ring, [self.coeff(i) - o.coeff(i) for i in range(n)]
         )
 
-    def __neg__(self):
-        return Polynomial(self.ring, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         o = self._check(other)
-        if self.is_zero() or o.is_zero():
-            return Polynomial(self.ring)
         out = [self.ring.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:

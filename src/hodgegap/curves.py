@@ -22,6 +22,8 @@ they use as arguments, with no defaults, and never look the construction up
 again: the family builders read q off the engine they are given, so a
 changed construction reaches every check.  Only :func:`discrepancy_series`,
 one construction per row, and ``default_spec`` call :func:`construction`.
+Every reduction into a finite field goes through ``cyclotomic.residue_map``;
+this module never reads the coordinates of a cyclotomic element.
 
 Curve automorphisms are restricted to the affine shape
 (u, v) -> (alpha*u + beta, gamma*v), which covers the order-p action
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Callable, Mapping, NamedTuple
 
 from .algebra import (
@@ -47,7 +48,7 @@ from .algebra import (
     primes_upto,
     square_roots,
 )
-from .cyclotomic import CyclotomicField, PiSpec, cyclotomic_field
+from .cyclotomic import CyclotomicField, PiSpec, cyclotomic_field, residue_map
 from .elliptic import find_curve, torsion_point_of_exact_order
 from .invariants import (
     WeightMultiset,
@@ -76,16 +77,17 @@ class HyperellipticModel:
 def split_prime_certificate(f: Polynomial) -> bool:
     """True only if f, over Q(zeta_n), is squarefree, shown at one prime.
 
-    l is the least prime with l = 1 (mod n) and l > 2 deg f, and zeta goes to
-    an element w of exact order n in F_l, a root of Phi_n there.  If l divides
-    no denominator and the leading coefficient survives, reduction commutes
+    l is the least prime with l = 1 (mod n) and l > 2 deg f, and the
+    coefficients reduce by :func:`~hodgegap.cyclotomic.residue_map` with zeta
+    going to an element w of exact order n in F_l, a root of Phi_n there.  If
+    l divides no denominator and the degree survives, reduction commutes
     with the resultant of f and f' (f' keeps its degree, as l > deg f); a
     repeated factor over Q(zeta_n) makes that resultant 0, so a squarefree
     reduction proves f squarefree (von zur Gathen & Gerhard, *Modern Computer
     Algebra*, ch. 6).  False means "not shown", never "not squarefree": f over
-    another ring, a denominator or leading coefficient that l divides, or a
-    reduction with a repeated root.  One l is tried, so a singular input pays
-    one small gcd over F_l before the exact one.
+    another ring, a denominator that l divides, a leading coefficient that
+    reduces to 0, or a reduction with a repeated root.  One l is tried, so a
+    singular input pays one small gcd over F_l before the exact one.
     """
     k = f.ring
     if not isinstance(k, CyclotomicField) or f.degree < 1:
@@ -94,16 +96,13 @@ def split_prime_certificate(f: Polynomial) -> bool:
     ell = 2 * f.degree + 1
     while ell % n != 1 or not is_prime(ell):
         ell += 1
-    w = element_of_order(n, ell)
-    w_powers = [pow(w, i, ell) for i in range(k.degree)]
-    reduced = []
-    for c in f.coeffs:
-        if c.den % ell == 0:
-            return False
-        reduced.append(sum(map(operator.mul, c.num, w_powers)) * pow(c.den, -1, ell))
-    if reduced[-1] % ell == 0:
+    fl = FiniteField(ell)
+    residue = residue_map(k, fl, fl.from_int(element_of_order(n, ell)))
+    try:
+        reduced = Polynomial(fl, map(residue, f.coeffs))
+    except ValueError:  # l divides a denominator
         return False
-    return discriminant_squarefree(Polynomial(FiniteField(ell), reduced))
+    return reduced.degree == f.degree and discriminant_squarefree(reduced)
 
 
 class AffineCurveMap:

@@ -23,8 +23,9 @@ sigma_{g^r}(Q_r) and Q_{r+1} = Q_r * sigma_{g^{r+1}}(a), at most
 
 On top of the field arithmetic this module provides the local data at a
 ramified prime, :class:`PiSpec`: a uniformizer pi, exact pi-adic valuations
-and the residue map onto a finite field.  It builds the engine for n = p
-itself (pi = zeta_p - 1, residue field F_p) and holds no p = 3 data: the
+and the residue map onto the residue field, the package's one reduction of
+Z[zeta_n] into a finite field (:func:`residue_map`).  It builds the engine for
+n = p itself (pi = zeta_p - 1, residue field F_p) and holds no p = 3 data: the
 p = 3 engine (pi = zeta_12^4 - 1, residue field F_9) is assembled by the
 construction that owns that F_9.  Every division by pi is one step,
 :meth:`PiSpec._divide_once`: for n = p a prefix-sum pass that divides by
@@ -44,14 +45,7 @@ import math
 import operator
 from typing import Optional, Sequence, Union
 
-from .algebra import (
-    FiniteField,
-    FqElement,
-    Polynomial,
-    element_of_order,
-    field_pow,
-    is_prime,
-)
+from .algebra import FiniteField, FqElement, element_of_order, field_pow, is_prime
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -255,9 +249,6 @@ class CycloElement:
     def __truediv__(self, other):
         return self * self._co(other).inv()
 
-    def __rtruediv__(self, other):
-        return self._co(other) * self.inv()
-
     __pow__ = field_pow
 
     # -- predicates ------------------------------------------------------------
@@ -320,6 +311,30 @@ def try_divide_exact(
     return q
 
 
+def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: FqElement):
+    """The map into F_q sending zeta_n to ``zeta_image``, the one reduction of
+    Z[zeta_n] into a finite field.  ValueError unless the images of 1, z, ...,
+    z^(phi(n)), built once, make Phi_n vanish.  num/den maps to one integer dot
+    product of num per coordinate of F_q, times 1/den; ValueError when p divides
+    den, which for a canonical element and one prime above p means v_pi < 0."""
+    powers = [residue_field.one]  # each product coerces zeta_image into F_q
+    for _ in range(field.degree):
+        powers.append(powers[-1] * zeta_image)
+    columns = [tuple(x.coords[j] for x in powers) for j in range(residue_field.k)]
+    p = residue_field.p
+    if any(sum(map(operator.mul, field.modulus, col)) % p for col in columns):
+        raise ValueError(f"{zeta_image} is not a root of Phi_{field.n} in {residue_field!r}")
+
+    def residue(z) -> FqElement:
+        z = field.coerce(z)
+        if z.den % p == 0:
+            raise ValueError("element has negative valuation at pi")
+        d = pow(z.den, -1, p)  # each dot product stops at num's phi(n) coordinates
+        return FqElement(residue_field, [sum(map(operator.mul, z.num, c)) * d for c in columns])
+
+    return residue
+
+
 class PiSpec:
     """Local data at the unique ramified prime above p.
 
@@ -327,10 +342,10 @@ class PiSpec:
     modulo pi, into which ``zeta_image`` carries zeta_n.  p and e, the
     ramification index (the pi-valuation of p), are read off the residue
     field: p is its characteristic, and e = phi(n)/k for F_{p^k}, since a
-    single prime sits above p.  :meth:`for_prime` builds the
-    engine for n = p (residue field F_p, zeta -> 1); the p = 3 engine over
-    Q(zeta_12) and F_9 is built by ``curves.construction(3)`` from its own
-    residue field.
+    single prime sits above p.  ``residue`` is :func:`residue_map` on this
+    data, checked to send pi to 0.  :meth:`for_prime` builds the engine for
+    n = p (residue field F_p, zeta -> 1); the p = 3 engine over Q(zeta_12)
+    and F_9 is built by ``curves.construction(3)`` from its residue field.
     """
 
     def __init__(
@@ -355,8 +370,8 @@ class PiSpec:
         # the report's pi = zeta - 1, so that the product is skipped
         unit = (field.zeta - 1) * self.pi_inv if self.n == self.p else None
         self._zeta_minus_one_over_pi = None if unit == field.one else unit
-        # the image of zeta must kill both Phi_n and pi
-        if Polynomial(residue_field, field.modulus)(zeta_image) or self.residue(pi):
+        self.residue = residue_map(field, residue_field, zeta_image)
+        if self.residue(pi):
             raise ValueError("residue data inconsistent with the uniformizer")
 
     @classmethod
@@ -428,13 +443,6 @@ class PiSpec:
                 return v
             v += 1
             cur = nxt
-
-    def residue(self, z: CycloElement) -> FqElement:
-        """Image in the residue field; defined on the valuation ring only."""
-        z = self.field.coerce(z)
-        if z.den % self.p == 0:
-            raise ValueError("element has negative valuation at pi")
-        return Polynomial(self.residue_field, z.num)(self.zeta_image) / z.den
 
     def __repr__(self) -> str:
         return f"PiSpec(n={self.n}, p={self.p}, e={self.e})"

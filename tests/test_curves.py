@@ -9,6 +9,7 @@ from hodgegap.algebra import (
     FiniteField,
     Polynomial,
     discriminant_squarefree,
+    element_of_order,
     poly_gcd,
     primes_upto,
 )
@@ -302,15 +303,21 @@ K5 = cyclotomic_field(5)
 
 @pytest.mark.parametrize(
     "lead, constant",
-    [(K5.one, K5.element([1], 11)), (K5.from_int(11), K5.one), (11 * K5.zeta**2, K5.one)],
-    ids=["denominator-11", "leading-11", "leading-11-zeta^2"],
+    [
+        (K5.one, K5.element([1], 11)),
+        (K5.from_int(11), K5.one),
+        (11 * K5.zeta**2, K5.one),
+        (K5.zeta - element_of_order(5, 11), K5.one),
+    ],
+    ids=["denominator-11", "leading-11", "leading-11-zeta^2", "leading-zeta-minus-w"],
 )
 def test_split_prime_certificate_declines_when_the_prime_divides(monkeypatch, lead, constant):
     # lead*u^3 + u + constant is squarefree (its discriminant
     # -4*lead - 27*lead^2*constant^2 is not 0) and of degree 3, so l = 11, the
-    # least prime = 1 (mod 5) above 6, which divides a denominator or the
-    # leading coefficient: the certificate declines before reducing, and the
-    # exact gcd gives the verdict
+    # least prime = 1 (mod 5) above 6.  l divides a denominator, or the
+    # leading coefficient reduces to 0 (zeta - w lies in the prime above 11
+    # that zeta -> w picks, though 11 does not divide it): the certificate
+    # declines, and the exact gcd gives the verdict
     model = HyperellipticModel(Polynomial(K5, [constant, K5.one, K5.zero, lead]))
     certified, exact = _count_verdicts(monkeypatch)
     assert model.squarefree

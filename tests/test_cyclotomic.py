@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hodgegap.algebra import FiniteField
+from hodgegap.algebra import FiniteField, Polynomial, element_of_order, is_prime
 from hodgegap.curves import construction
 from hodgegap.cyclotomic import (
     CycloElement,
@@ -11,6 +11,7 @@ from hodgegap.cyclotomic import (
     PiSpec,
     cyclotomic_field,
     cyclotomic_polynomial,
+    residue_map,
     try_divide_exact,
 )
 
@@ -314,6 +315,45 @@ def test_residue_kernel_is_pi():
     i = SPEC12.field.zeta ** 3
     t = SPEC12.residue(i)
     assert t * t == -SPEC12.residue_field.one
+
+
+def _split_prime(n):
+    """The least prime l = 1 (mod n) with l > 2n: the prime at which the
+    squarefree certificate reduces a family of degree n."""
+    ell = 2 * n + 1
+    while ell % n != 1 or not is_prime(ell):
+        ell += 1
+    return ell
+
+
+def _residue_cases():
+    """name -> (n, F_q, image of zeta, the engine whose residue map this is)."""
+    cases = {f"n{n}-F{n}": (n, FiniteField(n), 1, PiSpec.for_prime(n)) for n in (5, 13, 61)}
+    cases["n12-F9"] = (12, SPEC12.residue_field, -SPEC12.residue_field.gen(), SPEC12)
+    for n in (5, 13):
+        ell = _split_prime(n)
+        cases[f"n{n}-F{ell}"] = (n, FiniteField(ell), element_of_order(n, ell), None)
+    return cases
+
+
+RESIDUE_CASES = _residue_cases()
+
+
+@pytest.mark.parametrize("name", RESIDUE_CASES)
+def test_residue_map_agrees_with_horner_evaluation(name):
+    # the oracle evaluates the coordinate polynomial at the image of zeta over
+    # F_q, then divides by the denominator
+    n, fq, image, spec = RESIDUE_CASES[name]
+    k = cyclotomic_field(n)
+    image = fq.coerce(image)
+    maps = [residue_map(k, fq, image)] + ([spec.residue] if spec else [])
+    rng = random.Random(n * fq.q)
+    for _ in range(40):
+        den = rng.choice([d for d in range(1, 60) if d % fq.p])
+        z = k.element([rng.randint(-10**6, 10**6) for _ in range(k.degree)], den)
+        expected = Polynomial(fq, z.num)(image) / z.den
+        assert [residue(z) for residue in maps] == [expected] * len(maps)
+    assert [residue(k.zeta) for residue in maps] == [image] * len(maps)
 
 
 def test_try_divide_exact():

@@ -1,6 +1,7 @@
 """Package-wide properties: the modules import one another without a cycle,
-and every input-validation raise is reached and stays a raise (an assert
-would vanish under ``python -O``)."""
+only ``cyclotomic`` reads an element's coordinates, and every
+input-validation raise is reached and stays a raise (an assert would vanish
+under ``python -O``)."""
 
 import ast
 import operator
@@ -90,6 +91,27 @@ def test_invariants_needs_only_algebra():
     assert _import_graph()["invariants"] <= {"algebra"}
 
 
+def _num_reads(path: Path) -> list[int]:
+    """The lines of path that read an attribute named ``num``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "num"
+    )
+
+
+def test_only_cyclotomic_reads_an_elements_coordinates():
+    # the power-basis-over-one-denominator format stays inside cyclotomic:
+    # every reduction into a finite field goes through its residue_map
+    reads = {
+        path.name: _num_reads(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cyclotomic.py"
+    }
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+    assert _num_reads(PACKAGE / "cyclotomic.py")
+
+
 F5 = FiniteField(5)
 K5 = cyclotomic_field(5)
 
@@ -123,9 +145,17 @@ RAISES = {
     "cyclotomic.pow-negative": (
         lambda: K5.zeta ** -1, ValueError, "negative"),
     "cyclotomic.pispec-inconsistent": (
-        # 1 + 2 + 4 + 8 + 16 = 31 = 1 mod 5: 2 is no root of Phi_5 in F_5
+        # 1 + 2 + 4 + 8 + 16 = 31 = 1 mod 5: 2 is no root of Phi_5 in F_5,
+        # which the residue map rejects as it is built
         lambda: PiSpec(K5, K5.zeta - 1, F5, F5.from_int(2)),
+        ValueError, "not a root of Phi_5"),
+    "cyclotomic.pispec-pi-not-killed": (
+        # zeta + 1 is a unit: its residue is 2, not 0
+        lambda: PiSpec(K5, K5.zeta + 1, F5, F5.one),
         ValueError, "inconsistent with the uniformizer"),
+    "cyclotomic.residue-denominator": (
+        lambda: PiSpec.for_prime(5).residue(K5.one / 5),
+        ValueError, "negative valuation at pi"),
     "cyclotomic.for-prime-two": (
         lambda: PiSpec.for_prime(2), ValueError, "odd prime"),
     "cyclotomic.for-prime-composite": (

@@ -22,7 +22,8 @@ SRC = ROOT / "src" / "hodgegap"
 COMMANDS = [
     "verify --p 3 --format json", "verify --p 23 --format json",
     "verify --p 61 --format json", "verify --p 13",
-    "table --max 1000", "curve --p 3 --chart 2", "curve --p 5",
+    "table --max 1000", "table --max 200 --format json", "curve --p 3 --chart 2",
+    "curve --p 5",
 ]
 
 
