@@ -191,9 +191,6 @@ class FqElement:
         ninv = pow(norm, -1, f.p)
         return FqElement(f, ((a0 - c1 * a1) * ninv, -a1 * ninv))
 
-    def __truediv__(self, other):
-        return self * self._co(other).inv()
-
     __pow__ = field_pow
 
     def __bool__(self) -> bool:
@@ -315,25 +312,22 @@ class Polynomial:
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(alpha*u + beta) for a linear ``inner`` = alpha*u + beta, by
-        the classical Taylor shift (von zur Gathen & Gerhard, ISSAC 1997):
-        scale coefficient k by beta^k, shift u -> u + 1 by additions alone,
-        then scale coefficient k by (alpha/beta)^k.  With beta = 1 the first
-        scaling and the division are skipped; with beta = 0 only the scaling
-        by alpha^k runs.  An inner of degree > 1 raises ValueError."""
+        one of two paths chosen from self's own coefficients.  With beta = 1
+        and at most a third of self's coefficients nonzero, a binomial
+        chain (:func:`_binomial_chain`): each nonzero c_k adds
+        binom(k, j) c_k alpha^j to coefficient j, from one running product
+        c_k alpha^j, so a sparse alpha such as pi makes every step a sparse
+        times dense product, O(nnz * deg * p) where the shift is O(p^3).
+        Otherwise the classical Taylor shift (:func:`_taylor_shift`).  An
+        inner of degree > 1 raises ValueError."""
         inner = self._check(inner)
         if inner.degree > 1:
             raise ValueError(f"compose needs an inner of degree <= 1, got {inner.degree}")
-        beta, ratio = inner.coeff(0), inner.coeff(1)
-        a = list(self.coeffs)
-        if beta:
-            if beta != self.ring.one:
-                a = _scale_powers(a, beta)
-                ratio = ratio * beta.inv()
-            n = len(a)
-            for i in range(n - 1):
-                for j in range(n - 2, i - 1, -1):
-                    a[j] = a[j] + a[j + 1]
-        return Polynomial(self.ring, _scale_powers(a, ratio))
+        beta, alpha = inner.coeff(0), inner.coeff(1)
+        a = self.coeffs
+        if beta == self.ring.one and 3 * sum(map(bool, a)) <= len(a):
+            return Polynomial(self.ring, _binomial_chain(self.ring, a, alpha))
+        return Polynomial(self.ring, _taylor_shift(a, beta, alpha))
 
     def __call__(self, x):
         x = self.ring.coerce(x)
@@ -385,8 +379,45 @@ class Polynomial:
         return " + ".join(parts)
 
 
+def _binomial_chain(ring, coeffs, alpha) -> list:
+    """The coefficients of sum_k c_k (alpha*u + 1)^k, the sparse path of
+    :meth:`Polynomial.compose`: for each nonzero c_k, binom(k, j) c_k alpha^j
+    is added to coefficient j, with one running product c_k alpha^j and
+    binom(k, j + 1) = binom(k, j) (k - j) / (j + 1)."""
+    out = [ring.zero] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        b = 1
+        for j in range(k):
+            out[j] = out[j] + c * b
+            c = c * alpha
+            b = b * (k - j) // (j + 1)
+        out[k] = out[k] + c
+    return out
+
+
+def _taylor_shift(coeffs, beta, alpha) -> list:
+    """The coefficients of f(alpha*u + beta), the dense path of
+    :meth:`Polynomial.compose`, by the classical Taylor shift (von zur
+    Gathen & Gerhard, ISSAC 1997): scale coefficient k by beta^k, shift
+    u -> u + 1 by additions alone, then scale coefficient k by
+    (alpha/beta)^k.  With beta = 1 the first scaling and the division are
+    skipped; with beta = 0 only the scaling by alpha^k runs."""
+    a = list(coeffs)
+    if beta:
+        if beta != beta.field.one:
+            a = _scale_powers(a, beta)
+            alpha = alpha * beta.inv()
+        n = len(a)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                a[j] = a[j] + a[j + 1]
+    return _scale_powers(a, alpha)
+
+
 def _scale_powers(coeffs, r) -> list:
-    """[c_k * r^k], the scaling step of :meth:`Polynomial.compose`, with one
+    """[c_k * r^k], the scaling step of :func:`_taylor_shift`, with one
     running power of r."""
     out = list(coeffs[:1])
     rk = None
@@ -467,9 +498,28 @@ def kernel_dim_mod_p(rows, p: int) -> int:
     return (len(rows[0]) if rows else 0) - rank_mod_p(rows, p)
 
 
+# 2^61 - 1, a Mersenne prime: the modulus of kernel_dim_rational's certificate
+_M61 = 2**61 - 1
+
+
 def kernel_dim_rational(entries) -> int:
+    """dim over Q of the kernel of an integer matrix.
+
+    First a one-sided certificate: reducing an integer matrix mod a prime l
+    can only lower its rank, so a zero kernel mod l = 2^61 - 1 proves a zero
+    kernel over Q, and 0 is returned at once.  l is a fixed large prime, not
+    the characteristic the caller cares about: mod p the matrix of g - 1 has
+    the norm element in its kernel and would never certify.  Otherwise the
+    exact answer comes from :func:`_bareiss_kernel_dim`.
+    """
+    if kernel_dim_mod_p(entries, _M61) == 0:
+        return 0
+    return _bareiss_kernel_dim(entries)
+
+
+def _bareiss_kernel_dim(entries) -> int:
     """dim over Q of the kernel of an integer matrix, by fraction-free
-    (Bareiss) elimination.
+    (Bareiss) elimination, the fallback of :func:`kernel_dim_rational`.
 
     After each pivot, every entry below it is a minor of the input, so the
     division by the previous pivot is exact (Sylvester's identity) and the
@@ -496,4 +546,3 @@ def kernel_dim_rational(entries) -> int:
         if rank == rows:
             break
     return cols - rank
-

@@ -14,3 +14,24 @@ def replaced(obj, **changes):
         raise TypeError(f"{type(obj).__name__} has no parameter {sorted(unknown)}")
     return type(obj)(**{name: changes[name] if name in changes else getattr(obj, name)
                         for name in params})
+
+
+def compose_paths(monkeypatch):
+    """Wrap the two paths of ``Polynomial.compose`` for one test: the list
+    returned gets ("chain", outer coefficients) or ("shift", ...) per call."""
+    from hodgegap import algebra
+
+    taken = []
+    chain, shift = algebra._binomial_chain, algebra._taylor_shift
+
+    def recording_chain(ring, coeffs, alpha):
+        taken.append(("chain", tuple(coeffs)))
+        return chain(ring, coeffs, alpha)
+
+    def recording_shift(coeffs, beta, alpha):
+        taken.append(("shift", tuple(coeffs)))
+        return shift(coeffs, beta, alpha)
+
+    monkeypatch.setattr(algebra, "_binomial_chain", recording_chain)
+    monkeypatch.setattr(algebra, "_taylor_shift", recording_shift)
+    return taken

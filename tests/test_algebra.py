@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import compose_paths
 
 from hodgegap import algebra
 from hodgegap.algebra import (
@@ -15,6 +16,7 @@ from hodgegap.algebra import (
     kernel_dim_mod_p,
     kernel_dim_rational,
     poly_gcd,
+    primes_upto,
     rank_mod_p,
     square_roots,
 )
@@ -96,6 +98,57 @@ def test_compose_is_horner_for_every_linear_inner(name):
     quadratic = Polynomial(ring, [0, 1, 1])
     with pytest.raises(ValueError, match="degree <= 1"):
         fs[2].compose(quadratic)
+
+
+def _sparse_outers(ring, special, non_one, dense):
+    """Outers on both sides of compose's rule, the chain for at most a third
+    of the coefficients nonzero: 1 (the shift), the monomials c u^3 and
+    c u^7, the binomial u^6 + c, and nine coefficients with three (the
+    chain) or four (the shift) nonzero."""
+    z = ring.zero
+    return [
+        Polynomial(ring, [ring.one]),  # u^0: 1 of 1 nonzero, the shift
+        Polynomial(ring, [z, z, z, dense]),
+        Polynomial(ring, [z] * 7 + [special]),
+        Polynomial(ring, [non_one] + [z] * 5 + [ring.one]),
+        Polynomial(ring, [dense, z, z, special, z, z, z, z, non_one]),
+        Polynomial(ring, [dense, z, z, special, z, dense, z, z, non_one]),
+    ]
+
+
+@pytest.mark.parametrize("name", COMPOSE_RINGS)
+def test_compose_of_a_sparse_outer_is_horner(name):
+    ring, special, non_one, dense = COMPOSE_RINGS[name]
+    for f, beta, alpha in itertools.product(
+        _sparse_outers(ring, special, non_one, dense),
+        (ring.zero, ring.one, non_one, dense),
+        (ring.zero, ring.one, special, dense),
+    ):
+        inner = Polynomial(ring, [beta, alpha])
+        assert f.compose(inner) == _horner_compose(f, inner), (f, beta, alpha)
+
+
+@pytest.mark.parametrize("name", COMPOSE_RINGS)
+def test_compose_takes_the_chain_only_for_a_sparse_outer_and_beta_one(monkeypatch, name):
+    ring, special, non_one, dense = COMPOSE_RINGS[name]
+    taken = compose_paths(monkeypatch)
+    unit, mono, mono7, binomial, third, past = _sparse_outers(ring, special, non_one, dense)
+    dense_outer = Polynomial(ring, [1, dense, 0, special, -1, non_one, dense * dense])
+    for f, beta, path in [
+        (mono, ring.one, "chain"),
+        (mono7, ring.one, "chain"),
+        (binomial, ring.one, "chain"),
+        (third, ring.one, "chain"),  # 3 of 9 nonzero
+        (past, ring.one, "shift"),  # 4 of 9
+        (unit, ring.one, "shift"),
+        (dense_outer, ring.one, "shift"),
+        (third, ring.zero, "shift"),
+        (third, non_one, "shift"),
+        (binomial, dense, "shift"),
+    ]:
+        taken.clear()
+        f.compose(Polynomial(ring, [beta, special]))
+        assert [name for name, _ in taken] == [path], (f, beta)
 
 
 def test_frobenius_freshman_dream():
@@ -270,12 +323,11 @@ def test_rank_nullity_on_random_matrices():
         assert 5 ** kernel_dim_mod_p(entries, 5) == kernel
 
 
-def test_rational_kernel():
-    assert kernel_dim_rational([[1, 0], [0, 1]]) == 0
-    assert kernel_dim_rational([[0, 0], [0, 0]]) == 2
-    assert kernel_dim_rational([[1, 2], [2, 4]]) == 1
-    # L = [I_k; random] and R = [I_k | random] make L*R of rank exactly k;
-    # shuffled rows and columns move the pivots off the diagonal
+def _rank_k_products():
+    """300 seeded integer matrices L*R of known rank k, with their kernel
+    dimension over Q: L = [I_k; random] and R = [I_k | random] make L*R of
+    rank exactly k, and shuffled rows and columns move the pivots off the
+    diagonal."""
     rng = random.Random(2024)
     for _ in range(300):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
@@ -286,8 +338,60 @@ def test_rational_kernel():
         m = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
         rng.shuffle(m)
         perm = rng.sample(range(cols), cols)
-        m = [[row[j] for j in perm] for row in m]
-        assert kernel_dim_rational(m) == cols - k
+        yield [[row[j] for j in perm] for row in m], cols - k
+
+
+def test_rational_kernel():
+    assert kernel_dim_rational([[1, 0], [0, 1]]) == 0
+    assert kernel_dim_rational([[0, 0], [0, 0]]) == 2
+    assert kernel_dim_rational([[1, 2], [2, 4]]) == 1
+    for m, kernel in _rank_k_products():
+        assert kernel_dim_rational(m) == kernel
+
+
+M61 = 2**61 - 1
+
+
+def test_certificate_mod_m61_agrees_with_bareiss():
+    # the entries and minors here are far below l, so the rank mod l is the
+    # rank over Q, and the certificate fires exactly when the kernel is zero
+    cases = list(_rank_k_products()) + [(g_minus_one(p), 0) for p in primes_upto(61) if p > 2]
+    assert any(kernel == 0 for _, kernel in cases) and any(kernel for _, kernel in cases)
+    for m, kernel in cases:
+        assert kernel_dim_mod_p(m, M61) == algebra._bareiss_kernel_dim(m) == kernel
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    bareiss = algebra._bareiss_kernel_dim
+
+    def counting(entries):
+        calls.append(entries)
+        return bareiss(entries)
+
+    monkeypatch.setattr(algebra, "_bareiss_kernel_dim", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "m, kernel",
+    [([[M61]], 0), ([[1, 2], [2, 4]], 1), ([[0, 0], [0, 0]], 2), ([[3, M61 + 6], [1, 2]], 0)],
+    ids=["l", "rank-one", "zero", "singular-mod-l"],
+)
+def test_rational_kernel_falls_back_to_bareiss_once(monkeypatch, m, kernel):
+    # [[l]] and [[3, l + 6], [1, 2]] have kernel 1 mod l and 0 over Q
+    calls = _count_bareiss(monkeypatch)
+    assert kernel_dim_mod_p(m, M61) > 0
+    assert kernel_dim_rational(m) == kernel
+    assert calls == [m]
+
+
+def test_rational_kernel_certified_takes_no_bareiss(monkeypatch):
+    calls = _count_bareiss(monkeypatch)
+    assert kernel_dim_rational([[1, 0], [0, 1]]) == 0
+    assert kernel_dim_rational([[2, 1], [M61, 3]]) == 0  # det 6 - l, a unit mod l
+    assert kernel_dim_rational([]) == 0
+    assert calls == []
 
 
 def test_sqrt_examples():

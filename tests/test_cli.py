@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import replaced
+from conftest import compose_paths, replaced
 
 from hodgegap import cli, curves, invariants
 from hodgegap.cli import build_report, main
@@ -359,6 +359,20 @@ GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
 )["sha256"]
 
+
+def test_report_composes_the_xy_model_by_the_chain_and_the_family_by_the_shift(monkeypatch):
+    # the xy model h has 2 nonzero coefficients of 14 and is pulled back along
+    # pi*u + 1; the family is dense and is moved by sigma = zeta*u + 1
+    taken = compose_paths(monkeypatch)
+    c = curves.construction(13)
+    report = build_report(c)
+    assert not report.failed()
+    xy = curves.xy_model(13, c.spec).f.coeffs
+    family = c.family.f.coeffs
+    assert ("chain", xy) in taken and ("shift", xy) not in taken
+    assert ("shift", family) in taken and ("chain", family) not in taken
+
+
 # SHA-256 of ``curve --p P --chart C --no-banner``, recorded before the
 # per-prime construction data moved into ``curves.construction``
 CURVE_DIGESTS = {
@@ -374,11 +388,13 @@ CURVE_DIGESTS = {
 
 
 # SHA-256 of the text report at p = 3 and 5, and of the JSON report at p = 43,
-# 61, 101 and 211 (past the golden digests' p = 37), recorded before the checks
-# became the ``cli.CHECKS`` table (p = 101: before the powers, evaluations and
-# cyclotomic products shared one kernel each; p = 211: before the split-prime
-# squarefree certificate and the prefix-sum division by pi), and of the JSON
-# table to 1000, recorded while its slope was the float of a Fraction
+# 61, 101, 211 and 401 (past the golden digests' p = 37), recorded before the
+# checks became the ``cli.CHECKS`` table (p = 101: before the powers,
+# evaluations and cyclotomic products shared one kernel each; p = 211: before
+# the split-prime squarefree certificate and the prefix-sum division by pi;
+# p = 401: before compose's binomial chain and the mod 2^61 - 1 certificate of
+# the rational kernel), and of the JSON table to 1000, recorded while its
+# slope was the float of a Fraction
 VERIFY_DIGESTS = {
     "verify --p 3 --no-banner": "55921a9926e69247f19622872f5cc526766099ef94c59a163eb19ab8cdb87525",
     "verify --p 5 --no-banner": "5af8a6657e0efdfc6183a26af6166c648a0d529668d90adc7baf44aaa5279e29",
@@ -393,6 +409,9 @@ VERIFY_DIGESTS = {
     ),
     "verify --p 211 --format json --no-banner": (
         "f0153dff4ca5357d1971237012b92546e995fd44d8b55cef4a4ba373be170a85"
+    ),
+    "verify --p 401 --format json --no-banner": (
+        "f2b414a7b81105548e751d85a803780c51d16674b35227b5dbaae78aae50ef5a"
     ),
     "table --max 1000 --format json --no-banner": (
         "aac4c96698e3bd458df9dd572350d54e6b5c1902804564abd0e822053992a7a7"

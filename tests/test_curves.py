@@ -3,7 +3,7 @@ import random
 import weakref
 
 import pytest
-from conftest import replaced
+from conftest import compose_paths, replaced
 
 from hodgegap.algebra import (
     FiniteField,
@@ -167,6 +167,16 @@ def test_substitution_identity_p3():
     k = spec.field
     x_without_offset = Polynomial(k, [k.zero, spec.pi])
     assert xy_model(3, spec).f.compose(x_without_offset) != _family(3).f
+
+
+@pytest.mark.parametrize("p, path", [(3, "shift"), (5, "chain"), (7, "chain"), (61, "chain")])
+def test_substitution_takes_the_chain_from_p5(monkeypatch, p, path):
+    # h has 2 nonzero coefficients of p + 1, on the chain's side of compose's
+    # rule from p = 5; at p = 3, h^3 + h has 4 of 10
+    taken = compose_paths(monkeypatch)
+    c = construction(p)
+    assert substitution_check(p, c.spec, c.family)
+    assert [name for name, _ in taken] == [path]
 
 
 def _perturbed(model, index, delta):

@@ -342,7 +342,7 @@ RESIDUE_CASES = _residue_cases()
 @pytest.mark.parametrize("name", RESIDUE_CASES)
 def test_residue_map_agrees_with_horner_evaluation(name):
     # the oracle evaluates the coordinate polynomial at the image of zeta over
-    # F_q, then divides by the denominator
+    # F_q, then multiplies by the inverse of the denominator
     n, fq, image, spec = RESIDUE_CASES[name]
     k = cyclotomic_field(n)
     image = fq.coerce(image)
@@ -351,7 +351,7 @@ def test_residue_map_agrees_with_horner_evaluation(name):
     for _ in range(40):
         den = rng.choice([d for d in range(1, 60) if d % fq.p])
         z = k.element([rng.randint(-10**6, 10**6) for _ in range(k.degree)], den)
-        expected = Polynomial(fq, z.num)(image) / z.den
+        expected = Polynomial(fq, z.num)(image) * fq.from_int(z.den).inv()
         assert [residue(z) for residue in maps] == [expected] * len(maps)
     assert [residue(k.zeta) for residue in maps] == [image] * len(maps)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from hodgegap import algebra
 from hodgegap.algebra import kernel_dim_mod_p, kernel_dim_rational, primes_upto
 from hodgegap.modularrep import H1Report, g_minus_one, h1_de_rham_report
 
@@ -121,6 +122,16 @@ def test_h1_report_all_small_primes():
             continue
         r = h1_de_rham_report(p)
         assert (r.h1_special, r.h1_generic, r.torsion_dim) == (4, 2, 2)
+
+
+def test_h1_report_never_runs_bareiss(monkeypatch):
+    # g - 1 has no kernel mod 2^61 - 1, which certifies its zero kernel over
+    # Q, so the report never reaches the fraction-free elimination
+    calls = []
+    monkeypatch.setattr(algebra, "_bareiss_kernel_dim", calls.append)
+    for p in primes_upto(61)[1:]:
+        assert h1_de_rham_report(p) == H1Report(4, 2, 2)
+    assert calls == []
 
 
 def test_h1_report_rejects_bad_p():
