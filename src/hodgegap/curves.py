@@ -11,9 +11,10 @@ pi^p y^2 = x^p - 1.  For p = 3 the same sum g, taken over Z_3[omega, i]
 and the degree-9 family is v^2 = g^3 + g, reducing to v^2 = u^9 - u.
 :func:`construction` is the root of the per-prime data and the one place
 that tells p = 3 apart.  Its :class:`Construction` holds the residue field
-F_q (F_p, or F_9 at p = 3, from which it also builds the p = 3 engine), the
-twist exponent and one point-count test per prime, and it builds and keeps
-the objects a report checks: the engine, the family and its reduction, the
+F_q (F_p, or F_9 at p = 3, from which it also builds the engine, so that
+every object of a report over F_q shares one field object), the twist
+exponent and one point-count test per prime, and it builds and keeps the
+objects a report checks: the engine, the family and its reduction, the
 reduction target u^q - u, sigma on both fibres, tau, the elliptic factor
 (the first curve over F_q that passes the test), the form weights, the
 invariant pairs and the h1 report.  Each call makes a fresh construction,
@@ -283,11 +284,18 @@ def construction(p: int) -> Construction:
                 ),
             },
         )
+    fp = FiniteField(p)
+
+    def engine() -> PiSpec:
+        """``PiSpec.for_prime(p)``'s engine over this construction's F_p."""
+        k = cyclotomic_field(p)
+        return PiSpec(k, k.zeta - 1, fp, fp.one)
+
     return Construction(
         p,
-        residue_field=FiniteField(p),
+        residue_field=fp,
         twist=4,
-        engine=functools.partial(PiSpec.for_prime, p),
+        engine=engine,
         point_count_ok=lambda n: n == p,
         hodge_ok=lambda h_x, h_y: h_x == 0 and h_y >= 1,
         xy_text="pi^p y^2 = x^p - 1",

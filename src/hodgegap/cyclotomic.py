@@ -24,14 +24,15 @@ sigma_{g^r}(Q_r) and Q_{r+1} = Q_r * sigma_{g^{r+1}}(a), at most
 On top of the field arithmetic this module provides the local data at a
 ramified prime, :class:`PiSpec`: a uniformizer pi, exact pi-adic valuations
 and the residue map onto the residue field, the package's one reduction of
-Z[zeta_n] into a finite field (:func:`residue_map`).  It builds the engine for
-n = p itself (pi = zeta_p - 1, residue field F_p) and holds no p = 3 data: the
-p = 3 engine (pi = zeta_12^4 - 1, residue field F_9) is assembled by the
-construction that owns that F_9.  Every division by pi is one step,
-:meth:`PiSpec._divide_once`: for n = p a prefix-sum pass that divides by
-zeta - 1 in O(p) (synthetic division by a linear factor, Knuth, TAOCP vol. 2,
-4.6.1, folded by Phi_p), times the cached unit (zeta - 1)/pi; for n = 12 a
-product with the inverse of pi checked when the engine is built.  Valuations
+Z[zeta_n] into a finite field (:func:`residue_map`).  It can build the engine
+for n = p itself (pi = zeta_p - 1, residue field F_p) and holds no p = 3 data:
+a report's engine, at p = 3 (pi = zeta_12^4 - 1, residue field F_9) as at
+p >= 5, is assembled by the construction that owns its residue field.
+Every division by pi is one step, :meth:`PiSpec._divide_once`: for n = p a
+prefix-sum pass that divides by zeta - 1 in O(p) (synthetic division by a
+linear factor, Knuth, TAOCP vol. 2, 4.6.1, folded by Phi_p), times the
+cached unit (zeta - 1)/pi; for n = 12 a product with the inverse of pi
+checked when the engine is built.  Valuations
 are computed by repeated exact division by pi, which is correct here because
 a single prime sits above p, so an element is divisible by pi in the ring of
 integers iff its valuation is positive.
@@ -89,7 +90,7 @@ class CyclotomicField:
 
     def coerce(self, x) -> "CycloElement":
         if isinstance(x, CycloElement):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise ValueError("element belongs to a different cyclotomic field")
             return x
         if isinstance(x, int):
@@ -136,7 +137,7 @@ class CyclotomicField:
         return self._reduce(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CyclotomicField) and other.n == self.n
+        return other is self or (isinstance(other, CyclotomicField) and other.n == self.n)
 
     def __hash__(self) -> int:
         return hash(("CyclotomicField", self.n))
@@ -169,6 +170,8 @@ class CycloElement:
     # -- ring/field structure ------------------------------------------------
 
     def _co(self, other) -> "CycloElement":
+        if other.__class__ is CycloElement and other.field is self.field:
+            return other
         return self.field.coerce(other)
 
     def __add__(self, other):
@@ -344,8 +347,9 @@ class PiSpec:
     field: p is its characteristic, and e = phi(n)/k for F_{p^k}, since a
     single prime sits above p.  ``residue`` is :func:`residue_map` on this
     data, checked to send pi to 0.  :meth:`for_prime` builds the engine for
-    n = p (residue field F_p, zeta -> 1); the p = 3 engine over Q(zeta_12)
-    and F_9 is built by ``curves.construction(3)`` from its residue field.
+    n = p (residue field F_p, zeta -> 1); a report's engine, over Q(zeta_12)
+    and F_9 at p = 3, is built by ``curves.construction(p)`` from its own
+    residue field.
     """
 
     def __init__(

@@ -35,3 +35,21 @@ def compose_paths(monkeypatch):
     monkeypatch.setattr(algebra, "_binomial_chain", recording_chain)
     monkeypatch.setattr(algebra, "_taylor_shift", recording_shift)
     return taken
+
+
+def distinct_field_comparisons(monkeypatch):
+    """Wrap ``FiniteField.__eq__`` for one test: the list returned gets
+    (self, other) for each comparison of two distinct field objects, the
+    ones that an identity check cannot settle."""
+    from hodgegap.algebra import FiniteField
+
+    compared = []
+    eq = FiniteField.__eq__
+
+    def recording_eq(self, other):
+        if other is not self:
+            compared.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(FiniteField, "__eq__", recording_eq)
+    return compared

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import compose_paths
+from conftest import compose_paths, distinct_field_comparisons
 
 from hodgegap import algebra
 from hodgegap.algebra import (
@@ -20,7 +20,7 @@ from hodgegap.algebra import (
     rank_mod_p,
     square_roots,
 )
-from hodgegap.cyclotomic import cyclotomic_field
+from hodgegap.cyclotomic import CyclotomicField, cyclotomic_field
 from hodgegap.modularrep import g_minus_one
 
 F5 = FiniteField(5)
@@ -48,6 +48,90 @@ def test_f9_arithmetic():
         if a:
             assert a * a.inv() == F9.one
     assert len(list(F9)) == 9
+
+
+def _raw_mul(field, a, b):
+    """The product of two coordinate tuples, unreduced mod p."""
+    if field.k == 1:
+        return (a[0] * b[0],)
+    c0, c1 = field.modulus
+    hi = a[1] * b[1]
+    return (a[0] * b[0] - c0 * hi, a[0] * b[1] + a[1] * b[0] - c1 * hi)
+
+
+@pytest.mark.parametrize("field", [F5, FiniteField(61), F9])
+def test_every_result_is_canonical_and_matches_the_reducing_constructor(field):
+    # each operation builds its result already reduced, past the public
+    # constructor; oracle: that constructor applied to the raw integers
+    p, k = field.p, field.k
+    rng = random.Random(field.q)
+
+    def raw_element():
+        raw = tuple(rng.randint(-3 * p, 3 * p) for _ in range(k))
+        return FqElement(field, raw), raw
+
+    def raw_int():
+        n = rng.choice([rng.randint(-3 * p, -1), rng.randint(p, 3 * p), rng.randrange(p)])
+        return n, (n,) + (0,) * (k - 1)
+
+    def check(result, raw):
+        assert type(result) is FqElement and result.field is field
+        assert all(0 <= c < p for c in result.coords)
+        expected = FqElement(field, raw)
+        assert result == expected and result.coords == expected.coords
+        assert hash(result) == hash(expected)
+
+    for _ in range(300):
+        x, a = raw_element()
+        y, b = raw_element() if rng.random() < 0.5 else raw_int()
+        neg_b = tuple(-c for c in b)
+        check(x + y, tuple(map(sum, zip(a, b))))
+        check(y + x, tuple(map(sum, zip(b, a))))
+        check(x - y, tuple(map(sum, zip(a, neg_b))))
+        check(y - x, tuple(bi - ai for ai, bi in zip(a, b)))
+        check(x * y, _raw_mul(field, a, b))
+        check(y * x, _raw_mul(field, b, a))
+        check(-x, tuple(-c for c in a))
+        check(field.from_int(b[0]), (b[0],) + (0,) * (k - 1))
+        e = rng.randrange(6)
+        acc = (1,) + (0,) * (k - 1)
+        for _ in range(e):
+            acc = _raw_mul(field, acc, a)
+        check(x**e, acc)
+        if x:
+            # the inverse's oracle: the one y in the field with x*y = 1,
+            # its coordinates shifted by random multiples of p
+            inv = next(z for z in field if x * z == field.one)
+            check(x.inv(), tuple(c + p * rng.randint(-3, 3) for c in inv.coords))
+    for m, z in enumerate(field):
+        check(z, (m % p, m // p)[:k])
+
+
+def test_equal_fields_are_one_field_for_arithmetic_and_hashing(monkeypatch):
+    # the identity check is only a shortcut: elements over two distinct but
+    # equal field objects add, compare and hash as over one
+    compared = distinct_field_comparisons(monkeypatch)
+    f, g = FiniteField(7), FiniteField(7)
+    assert f is not g and f == g and hash(f) == hash(g)
+    x, y = f.from_int(3), g.from_int(4)
+    assert x + y == f.zero and y + x == g.zero and x * y == f.from_int(5)
+    assert x == g.from_int(3) and hash(x) == hash(g.from_int(3))
+    assert f.coerce(y) is y
+    assert compared  # every one of them took the comparison by value
+    # a hash, and with it dict and square_roots order, is the hash of the
+    # field's parameters and of the coordinates, as it always was
+    assert hash(f) == hash(("FiniteField", 7, None))
+    assert hash(F9) == hash(("FiniteField", 3, (1, 0)))
+    for z in [*F9, x, y]:
+        assert hash(z) == hash((z.field, z.coords))
+    k, k2 = CyclotomicField(5), cyclotomic_field(5)
+    assert k is not k2 and k == k2 and hash(k) == hash(k2)
+    z, z2 = k.zeta + 2, k2.zeta + 2
+    assert z == z2 and hash(z) == hash(z2)
+    assert z + z2 == 2 * z2 and z2 * z == z * z2 and z - z2 == k.zero
+    assert k2.coerce(z) is z
+    for w in (z, z2 / 3, k.zero, k2.one):
+        assert hash(w) == hash((w.field, w.num, w.den))
 
 
 def test_poly_compose():

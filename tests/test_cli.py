@@ -7,9 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import compose_paths, replaced
+from conftest import compose_paths, distinct_field_comparisons, replaced
 
-from hodgegap import cli, curves, invariants
+from hodgegap import algebra, cli, curves, elliptic, invariants
 from hodgegap.cli import build_report, main
 
 
@@ -93,6 +93,19 @@ def test_report_builds_the_family_once(monkeypatch, p):
     monkeypatch.setattr(curves, "hyperelliptic_family", counting)
     assert not build_report(curves.construction(p)).failed()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 23])
+def test_a_report_holds_one_residue_field(monkeypatch, p):
+    # the engine, the reduction, tau and the elliptic factor share the
+    # construction's F_q, so no field check needs a comparison by value.
+    # The per-field tables are process-wide and would hand a later report
+    # the elements of an earlier equal field: start from a fresh process's.
+    algebra.square_roots.cache_clear()
+    elliptic._root_counts.cache_clear()
+    compared = distinct_field_comparisons(monkeypatch)
+    assert not build_report(curves.construction(p)).failed()
+    assert compared == []
 
 
 def _count_calls(monkeypatch, names):
