@@ -6,10 +6,9 @@ A "coefficient field" is any object exposing ``zero``, ``one`` and
 ``coerce(x)``, whose elements overload ``+ - *`` and provide ``inv()``.
 Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
 
-Reduction mod p happens where an :class:`FqElement` is made from raw
-integers: in its public constructor, in ``from_int`` and in each field
-operation, which computes its coordinates already in [0, p) and builds its
-result by :func:`_fq`, which does not reduce them again.  A field check
+Reduction mod p happens where an :class:`FqElement`'s coordinates are
+computed: in ``from_int``, in each field operation and in
+``cyclotomic.residue_map``; the constructor stores them as given.  A field check
 between elements tests the identity of their field objects first; elements
 over equal but distinct field objects still combine, compare and hash alike.
 """
@@ -101,11 +100,11 @@ class FiniteField:
             self.modulus = (c0, c1)
         self.q = p**self.k
         self._hash = hash(("FiniteField", p, self.modulus))
-        self.zero = _fq(self, (0,) * self.k)
-        self.one = _fq(self, (1,) + (0,) * (self.k - 1))
+        self.zero = FqElement(self, (0,) * self.k)
+        self.one = FqElement(self, (1,) + (0,) * (self.k - 1))
 
     def from_int(self, a: int) -> "FqElement":
-        return _fq(self, (a % self.p,) + (0,) * (self.k - 1))
+        return FqElement(self, (a % self.p,) + (0,) * (self.k - 1))
 
     def coerce(self, x) -> "FqElement":
         if isinstance(x, FqElement):
@@ -126,7 +125,7 @@ class FiniteField:
         # canonical enumeration: 0, 1, ..., p-1, t, 1+t, ...
         p = self.p
         for m in range(self.q):
-            yield _fq(self, (m,) if self.k == 1 else (m % p, m // p))
+            yield FqElement(self, (m,) if self.k == 1 else (m % p, m // p))
 
     def __eq__(self, other) -> bool:
         return other is self or (
@@ -147,14 +146,14 @@ class FiniteField:
 
 class FqElement:
     """An element of a :class:`FiniteField`: its coordinates in the basis
-    ``1, t``, each in [0, p).  This constructor reduces any integers mod p;
-    the field operations build their already reduced results by :func:`_fq`."""
+    ``1, t``, a tuple of integers each in [0, p), which its caller has
+    reduced: the constructor stores them as given."""
 
     __slots__ = ("field", "coords")
 
     def __init__(self, field: FiniteField, coords: tuple[int, ...]):
         self.field = field
-        self.coords = tuple(c % field.p for c in coords)
+        self.coords = coords
 
     def _co(self, other) -> "FqElement":
         if other.__class__ is FqElement and other.field is self.field:
@@ -165,8 +164,8 @@ class FqElement:
         o = self._co(other)
         f = self.field
         if f.k == 1:
-            return _fq(f, ((self.coords[0] + o.coords[0]) % f.p,))
-        return _fq(f, tuple([(a + b) % f.p for a, b in zip(self.coords, o.coords)]))
+            return FqElement(f, ((self.coords[0] + o.coords[0]) % f.p,))
+        return FqElement(f, tuple([(a + b) % f.p for a, b in zip(self.coords, o.coords)]))
 
     __radd__ = __add__
 
@@ -174,25 +173,25 @@ class FqElement:
         o = self._co(other)
         f = self.field
         if f.k == 1:
-            return _fq(f, ((self.coords[0] - o.coords[0]) % f.p,))
-        return _fq(f, tuple([(a - b) % f.p for a, b in zip(self.coords, o.coords)]))
+            return FqElement(f, ((self.coords[0] - o.coords[0]) % f.p,))
+        return FqElement(f, tuple([(a - b) % f.p for a, b in zip(self.coords, o.coords)]))
 
     def __rsub__(self, other):
         return self._co(other) - self
 
     def __neg__(self):
-        return _fq(self.field, tuple([-a % self.field.p for a in self.coords]))
+        return FqElement(self.field, tuple([-a % self.field.p for a in self.coords]))
 
     def __mul__(self, other):
         o = self._co(other)
         f = self.field
         if f.k == 1:
-            return _fq(f, (self.coords[0] * o.coords[0] % f.p,))
+            return FqElement(f, (self.coords[0] * o.coords[0] % f.p,))
         a0, a1 = self.coords
         b0, b1 = o.coords
         c0, c1 = f.modulus
         hi = a1 * b1
-        return _fq(f, ((a0 * b0 - c0 * hi) % f.p, (a0 * b1 + a1 * b0 - c1 * hi) % f.p))
+        return FqElement(f, ((a0 * b0 - c0 * hi) % f.p, (a0 * b1 + a1 * b0 - c1 * hi) % f.p))
 
     __rmul__ = __mul__
 
@@ -201,13 +200,13 @@ class FqElement:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
         if f.k == 1:
-            return _fq(f, (pow(self.coords[0], -1, f.p),))
+            return FqElement(f, (pow(self.coords[0], -1, f.p),))
         # conjugate over F_p divided by the norm, both exact
         a0, a1 = self.coords
         c0, c1 = f.modulus
         norm = (a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1) % f.p
         ninv = pow(norm, -1, f.p)
-        return _fq(f, ((a0 - c1 * a1) * ninv % f.p, -a1 * ninv % f.p))
+        return FqElement(f, ((a0 - c1 * a1) * ninv % f.p, -a1 * ninv % f.p))
 
     __pow__ = field_pow
 
@@ -236,16 +235,6 @@ class FqElement:
             return str(a0)
         t = "t" if a1 == 1 else f"{a1}t"
         return t if a0 == 0 else f"{t}+{a0}"
-
-
-def _fq(field: FiniteField, coords: tuple[int, ...]) -> FqElement:
-    """The element of ``field`` with ``coords``, which the caller has
-    already reduced into [0, p): the constructor of every field operation's
-    result, which skips the public constructor's reduction."""
-    x = object.__new__(FqElement)
-    x.field = field
-    x.coords = coords
-    return x
 
 
 @functools.cache

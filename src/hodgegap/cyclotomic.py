@@ -318,7 +318,8 @@ def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: 
     """The map into F_q sending zeta_n to ``zeta_image``, the one reduction of
     Z[zeta_n] into a finite field.  ValueError unless the images of 1, z, ...,
     z^(phi(n)), built once, make Phi_n vanish.  num/den maps to one integer dot
-    product of num per coordinate of F_q, times 1/den; ValueError when p divides
+    product of num per coordinate of F_q, times 1/den, reduced mod p, the
+    coordinates the F_q element is built from; ValueError when p divides
     den, which for a canonical element and one prime above p means v_pi < 0."""
     powers = [residue_field.one]  # each product coerces zeta_image into F_q
     for _ in range(field.degree):
@@ -333,7 +334,8 @@ def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: 
         if z.den % p == 0:
             raise ValueError("element has negative valuation at pi")
         d = pow(z.den, -1, p)  # each dot product stops at num's phi(n) coordinates
-        return FqElement(residue_field, [sum(map(operator.mul, z.num, c)) * d for c in columns])
+        dots = [sum(map(operator.mul, z.num, c)) * d % p for c in columns]
+        return FqElement(residue_field, tuple(dots))
 
     return residue
 

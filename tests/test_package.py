@@ -1,7 +1,7 @@
 """Package-wide properties: the modules import one another without a cycle,
-only ``cyclotomic`` reads an element's coordinates, only ``algebra`` builds
-an F_q element past the reduction mod p, and every input-validation raise is
-reached and stays a raise (an assert would vanish under ``python -O``)."""
+only ``cyclotomic`` reads an element's coordinates, and every
+input-validation raise is reached and stays a raise (an assert would vanish
+under ``python -O``)."""
 
 import ast
 import operator
@@ -110,30 +110,6 @@ def test_only_cyclotomic_reads_an_elements_coordinates():
     }
     assert {name: lines for name, lines in reads.items() if lines} == {}
     assert _num_reads(PACKAGE / "cyclotomic.py")
-
-
-def _references(path: Path, name: str) -> list[int]:
-    """The lines of path that name ``name``: as a variable, an attribute or
-    an imported name."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(path.read_text()))
-        if (isinstance(node, ast.Name) and node.id == name)
-        or (isinstance(node, ast.Attribute) and node.attr == name)
-        or (isinstance(node, ast.alias) and name in (node.name, node.asname))
-    )
-
-
-def test_only_algebra_builds_an_unreduced_element():
-    # algebra._fq skips the reduction mod p, so only the field operations,
-    # whose results are already reduced, may call it
-    refs = {
-        path.name: _references(path, "_fq")
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "algebra.py"
-    }
-    assert {name: lines for name, lines in refs.items() if lines} == {}
-    assert _references(PACKAGE / "algebra.py", "_fq")
 
 
 F5 = FiniteField(5)
