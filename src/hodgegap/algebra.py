@@ -5,17 +5,22 @@ Everything is immutable and pure; no floats appear anywhere in this module.
 A "coefficient field" is any object exposing ``zero``, ``one`` and
 ``coerce(x)``, whose elements overload ``+ - *`` and provide ``inv()``.
 Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
+:func:`poly_gcd` also runs over ``cyclotomic.SplitPrime``, a product of
+fields whose ``inv`` raises ZeroDivisionError on a non-unit.
 
 Reduction mod p happens where an :class:`FqElement`'s coordinates are
 computed: in ``from_int``, in each field operation and in
 ``cyclotomic.residue_map``; the constructor stores them as given.  A field check
 between elements tests the identity of their field objects first; elements
 over equal but distinct field objects still combine, compare and hash alike.
+A per-field table (:func:`field_table`) is kept on its field object, so the
+elements it holds are that object's.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from typing import Iterator, Optional
 
@@ -100,6 +105,7 @@ class FiniteField:
             self.modulus = (c0, c1)
         self.q = p**self.k
         self._hash = hash(("FiniteField", p, self.modulus))
+        self.tables: dict = {}  # filled by field_table
         self.zero = FqElement(self, (0,) * self.k)
         self.one = FqElement(self, (1,) + (0,) * (self.k - 1))
 
@@ -237,11 +243,25 @@ class FqElement:
         return t if a0 == 0 else f"{t}+{a0}"
 
 
-@functools.cache
+def field_table(build):
+    """``build(field)`` as a per-field table: built on the first call for a
+    field object and kept in that object's ``tables``, so it holds that
+    object's elements, and equal but distinct fields build one each."""
+
+    def table(field: FiniteField):
+        tables = field.tables
+        if build not in tables:
+            tables[build] = build(field)
+        return tables[build]
+
+    return functools.wraps(build)(table)
+
+
+@field_table
 def square_roots(field: FiniteField) -> dict[FqElement, tuple[FqElement, ...]]:
     """Each square s of the field mapped to every y with y^2 = s, in the
     field's canonical order: the one place that finds square roots, built in
-    one pass over the field, once per field, and only read."""
+    one pass over the field, once per field object, and only read."""
     roots: dict[FqElement, tuple[FqElement, ...]] = {}
     for y in field:
         s = y * y
@@ -474,6 +494,23 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     while not b.is_zero():
         a, b = b, _monic_remainder(a, b).monic()
     return a.monic()
+
+
+def rational_reconstruction(a: int, m: int) -> Optional[tuple[int, int]]:
+    """For a prime m, the one (r, s) with r = a*s (mod m), |r| <= B and
+    0 < s <= B for B = isqrt(m // 2), in lowest terms, or None when there is
+    none: Wang's half extended Euclid, stopped at the first remainder <= B
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, 5.10).  Each
+    remainder is r = sigma*m + s*a with gcd(sigma, s) = 1, so a prime m
+    leaves r and s coprime with no gcd taken."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    return (r1, s1) if s1 <= bound else None
 
 
 def discriminant_squarefree(f: Polynomial) -> bool:

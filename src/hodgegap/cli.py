@@ -25,9 +25,9 @@ from .curves import (
     genus,
     has_prime_order,
     hyperelliptic_family,  # unused: perfbench's wrapper test reads cli.hyperelliptic_family
-    is_relatively_smooth,
     map_preserves_curve,
     second_chart_polynomial,
+    smoothness_failure,
     substitution_check,
     x_multiplier,
 )
@@ -78,6 +78,11 @@ def _integrality(c):
 def _genus(c):
     found = genus(c.family)
     return found == c.genus, found
+
+
+def _smoothness(c):
+    failure = smoothness_failure(c.family, c.spec)
+    return failure is None, failure
 
 
 def _polynomial_identity(ok: bool):
@@ -150,7 +155,7 @@ CHECKS = (
     ("curve.smoothness",
      lambda c: "f is squarefree on both fibres and of odd degree, so the model is "
                "smooth on both charts",
-     lambda c: (is_relatively_smooth(c.family, c.spec), None)),
+     _smoothness),
     ("curve.reduction",
      lambda c: f"reduction mod pi is v^2 = {c.target.render()}",
      lambda c: (c.reduced.f == c.target, c.reduced.f.render())),

@@ -36,20 +36,22 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .algebra import (
     FiniteField,
     Polynomial,
+    _monic_remainder,
     discriminant_squarefree,
     element_of_order,
     fq_sqrt,
     is_prime,
+    poly_gcd,
     power,
     primes_upto,
     square_roots,
 )
-from .cyclotomic import CyclotomicField, PiSpec, cyclotomic_field, residue_map
+from .cyclotomic import CyclotomicField, PiSpec, SplitPrime, cyclotomic_field, residue_map
 from .elliptic import find_curve, torsion_point_of_exact_order
 from .invariants import (
     WeightMultiset,
@@ -69,10 +71,15 @@ class HyperellipticModel:
 
     @functools.cached_property
     def squarefree(self) -> bool:
-        """Whether f has no repeated root: :func:`split_prime_certificate`
-        first, then the exact gcd of f and f' when it does not certify.  No
-        caller rebinds f, so this verdict is reached once per model."""
-        return split_prime_certificate(self.f) or discriminant_squarefree(self.f)
+        """Whether f has no repeated root: True from
+        :func:`split_prime_certificate`, else False from
+        :func:`common_factor_certificate`, and the exact gcd of f and f' only
+        when both decline.  No caller rebinds f, so this verdict is reached
+        once per model."""
+        f = self.f
+        return split_prime_certificate(f) or (
+            common_factor_certificate(f) is None and discriminant_squarefree(f)
+        )
 
 
 def split_prime_certificate(f: Polynomial) -> bool:
@@ -88,22 +95,59 @@ def split_prime_certificate(f: Polynomial) -> bool:
     Algebra*, ch. 6).  False means "not shown", never "not squarefree": f over
     another ring, a denominator that l divides, a leading coefficient that
     reduces to 0, or a reduction with a repeated root.  One l is tried, so a
-    singular input pays one small gcd over F_l before the exact one.
+    singular input pays one small gcd over F_l before
+    :func:`common_factor_certificate`.
     """
     k = f.ring
     if not isinstance(k, CyclotomicField) or f.degree < 1:
         return False
-    n = k.n
-    ell = 2 * f.degree + 1
-    while ell % n != 1 or not is_prime(ell):
-        ell += 1
+    ell = _least_prime(k.n, 2 * f.degree)
     fl = FiniteField(ell)
-    residue = residue_map(k, fl, fl.from_int(element_of_order(n, ell)))
+    residue = residue_map(k, fl, fl.from_int(element_of_order(k.n, ell)))
     try:
         reduced = Polynomial(fl, map(residue, f.coeffs))
     except ValueError:  # l divides a denominator
         return False
     return reduced.degree == f.degree and discriminant_squarefree(reduced)
+
+
+def common_factor_certificate(f: Polynomial) -> Optional[Polynomial]:
+    """A nonconstant monic h dividing f and f' exactly over Q(zeta_n), which
+    proves f not squarefree, or None for "not shown".
+
+    A modular gcd proved by trial division (Langemyr & McCallum, *J. Symb.
+    Comput.* 8, 1989; Encarnacion, *J. Symb. Comput.* 20, 1995): f and f'
+    reduce in all phi(n) embeddings into F_l at once, for l the least prime
+    = 1 (mod 2n) above 2^20 (:class:`~hodgegap.cyclotomic.SplitPrime`),
+    :func:`poly_gcd` runs on them, and the gcd's coefficients lift back by
+    interpolation and rational reconstruction (von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, 5.10).  None when l divides a denominator, a
+    leading coefficient vanishes in some embeddings only, the gcd is
+    constant, a coordinate does not reconstruct, or
+    :func:`~hodgegap.algebra._monic_remainder` leaves a nonzero remainder on
+    f or f'.
+    """
+    k = f.ring
+    if not isinstance(k, CyclotomicField) or f.degree < 1:
+        return None
+    ring = SplitPrime(k, _least_prime(2 * k.n, 2**20))
+    try:
+        reduced = Polynomial(ring, f.coeffs)
+        lifted = [ring.lift(c) for c in poly_gcd(reduced, reduced.derivative()).coeffs]
+    except (ValueError, ZeroDivisionError):
+        return None
+    h = Polynomial(k, lifted)
+    if h.degree < 1 or _monic_remainder(f, h).coeffs or _monic_remainder(f.derivative(), h).coeffs:
+        return None
+    return h
+
+
+def _least_prime(step: int, bound: int) -> int:
+    """The least prime l > bound with l = 1 (mod step)."""
+    ell = bound + 1 + -bound % step
+    while not is_prime(ell):
+        ell += step
+    return ell
 
 
 class AffineCurveMap:
@@ -422,16 +466,28 @@ def chart_transition_check(p: int, spec: PiSpec, model: HyperellipticModel) -> b
     return second_chart_polynomial(model) == second_chart_closed_form(p, spec)
 
 
-def is_relatively_smooth(model: HyperellipticModel, spec: PiSpec) -> bool:
-    """Smoothness of v^2 = f(u) over the engine's ring of integers, on both
-    charts and both fibres: odd degree, integral coefficients, f squarefree,
-    and f mod pi squarefree."""
+def smoothness_failure(model: HyperellipticModel, spec: PiSpec) -> Optional[str]:
+    """The first condition for v^2 = f(u) to be smooth over the engine's ring
+    of integers, on both charts and both fibres, that fails, or None: odd
+    degree, integral coefficients, f squarefree, and f mod pi squarefree."""
     f = model.f
     if f.degree < 1 or f.degree % 2 == 0:
-        return False
-    if not all(c.is_integral for c in f.coeffs):
-        return False
-    return model.squarefree and reduce_model(model, spec).squarefree
+        return f"f has degree {f.degree}, not odd and positive"
+    for k, c in enumerate(f.coeffs):
+        if not c.is_integral:
+            return f"the u^{k} coefficient is not integral"
+    if not model.squarefree:
+        return "f has a repeated factor on the generic fibre"
+    if not reduce_model(model, spec).squarefree:
+        return "f mod pi has a repeated factor on the special fibre"
+    return None
+
+
+def is_relatively_smooth(model: HyperellipticModel, spec: PiSpec) -> bool:
+    """Whether v^2 = f(u) is smooth: :func:`smoothness_failure` finds no
+    failed condition.  The report reads the condition; the benchmark's
+    square items and the tests call this."""
+    return smoothness_failure(model, spec) is None
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ Z[zeta_n] into a finite field (:func:`residue_map`).  It can build the engine
 for n = p itself (pi = zeta_p - 1, residue field F_p) and holds no p = 3 data:
 a report's engine, at p = 3 (pi = zeta_12^4 - 1, residue field F_9) as at
 p >= 5, is assembled by the construction that owns its residue field.
+:class:`SplitPrime` applies :func:`residue_map` in all phi(n) embeddings
+into F_l, for a prime l that splits completely, and goes back by
+interpolation and rational reconstruction.
 Every division by pi is one step, :meth:`PiSpec._divide_once`: for n = p a
 prefix-sum pass that divides by zeta - 1 in O(p) (synthetic division by a
 linear factor, Knuth, TAOCP vol. 2, 4.6.1, folded by Phi_p), times the
@@ -47,6 +50,7 @@ import operator
 from typing import Optional, Sequence, Union
 
 from .algebra import FiniteField, FqElement, element_of_order, field_pow, is_prime
+from .algebra import rational_reconstruction
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -338,6 +342,83 @@ def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: 
         return FqElement(residue_field, tuple(dots))
 
     return residue
+
+
+class SplitPrime:
+    """Q(zeta_n) at a prime l = 1 (mod n), where Phi_n has the phi(n) roots
+    w^i, i in (Z/n)^*, for w of exact order n in F_l: the coefficient ring of
+    the vectors of residues in all embeddings zeta -> w^i at once, where a
+    product costs phi(n) products mod l.  An element reduces by one
+    :func:`residue_map` per embedding (ValueError when l divides its
+    denominator), and :meth:`lift` goes back.  The elements carry what
+    ``algebra.poly_gcd`` needs: ``-``, ``*`` and ``inv``, which raises
+    ZeroDivisionError on a vector with a zero entry."""
+
+    def __init__(self, field: CyclotomicField, ell: int):
+        n, fl, w = field.n, FiniteField(ell), element_of_order(field.n, ell)
+        self.field, self.ell = field, ell
+        self.units = [i for i in range(1, n) if math.gcd(i, n) == 1]
+        self._powers = [pow(w, j, ell) for j in range(n)]
+        self._maps = [residue_map(field, fl, fl.from_int(self._powers[i])) for i in self.units]
+        self.zero, self.one = self.coerce(0), self.coerce(1)
+
+    def coerce(self, x) -> "SplitResidues":
+        if isinstance(x, SplitResidues):
+            return x
+        if isinstance(x, int):
+            return SplitResidues(self, (x % self.ell,) * len(self.units))
+        return SplitResidues(self, tuple([r(x).coords[0] for r in self._maps]))
+
+    def lift(self, x: "SplitResidues") -> CycloElement:
+        """The element with the residues x whose coordinates are fractions
+        r/s with |r|, s <= sqrt(l/2); ValueError when one has no such
+        fraction.  The inverse DFT over the n-th roots of unity of x, set to
+        0 at the non-primitive ones, is a polynomial b of degree < n that
+        takes x's values at the primitive ones; so does b mod Phi_n, whose
+        coordinates are therefore the element's mod l, each rationally
+        reconstructed (:func:`~hodgegap.algebra.rational_reconstruction`)."""
+        n, ell, w = self.field.n, self.ell, self._powers
+        scale = pow(n, -1, ell)
+        b = [sum(v * w[-i * j % n] for i, v in zip(self.units, x.values)) * scale
+             for j in range(n)]
+        fractions = [rational_reconstruction(c, ell) for c in self.field._reduce(b)]
+        if None in fractions:
+            raise ValueError(f"a coordinate is out of reach mod {ell}")
+        den = math.lcm(*(s for _, s in fractions))
+        return self.field.element([r * (den // s) for r, s in fractions], den)
+
+
+class SplitResidues:
+    """An element of a :class:`SplitPrime`: its residues mod l, in the order
+    of the ring's ``units``."""
+
+    __slots__ = ("ring", "values")
+
+    def __init__(self, ring: SplitPrime, values: tuple[int, ...]):
+        self.ring, self.values = ring, values
+
+    def _zip(self, other, op) -> "SplitResidues":
+        o = other if other.__class__ is SplitResidues else self.ring.coerce(other)
+        ell = self.ring.ell
+        return SplitResidues(self.ring, tuple([c % ell for c in map(op, self.values, o.values)]))
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __mul__(self, other):
+        return self._zip(other, operator.mul)
+
+    def inv(self) -> "SplitResidues":
+        if not all(self.values):
+            raise ZeroDivisionError("residue 0 in some embedding")
+        return SplitResidues(self.ring, tuple([pow(a, -1, self.ring.ell) for a in self.values]))
+
+    def __bool__(self) -> bool:
+        return any(self.values)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, SplitResidues) and other.ring is self.ring
+        return same and other.values == self.values
 
 
 class PiSpec:

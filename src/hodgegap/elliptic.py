@@ -23,6 +23,7 @@ from .algebra import (
     FqElement,
     Polynomial,
     discriminant_squarefree,
+    field_table,
     is_prime,
     power,
     square_roots,
@@ -82,11 +83,11 @@ class EllipticCurve:
         return f"E[y^2 = x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6}) / GF({self.q})]"
 
 
-@functools.cache
+@field_table
 def _root_counts(field: FiniteField) -> tuple[int, ...]:
     """Entry m is the number of y with y^2 = the m-th element of ``field`` in
-    canonical order (the integer m over a prime field): one tuple per field,
-    read from :func:`square_roots`."""
+    canonical order (the integer m over a prime field): one tuple per field
+    object, read from :func:`square_roots`."""
     roots = square_roots(field)
     return tuple(len(roots.get(s, ())) for s in field)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from hodgegap.algebra import (
     poly_gcd,
     primes_upto,
     rank_mod_p,
+    rational_reconstruction,
     square_roots,
 )
 from hodgegap.cyclotomic import CyclotomicField, cyclotomic_field
@@ -31,6 +33,21 @@ K5 = cyclotomic_field(5)
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_rational_reconstruction_against_every_fraction_within_reach():
+    # mod m = 2003 every residue is the image of at most one r/s with
+    # |r|, s <= 31 = isqrt(m // 2) in lowest terms: that fraction comes back,
+    # and None for every residue that no such fraction reaches
+    m = 2003
+    bound = math.isqrt(m // 2)
+    within = [(r, s) for s in range(1, bound + 1) for r in range(-bound, bound + 1)
+              if math.gcd(r, s) == 1]
+    images = {r * pow(s, -1, m) % m: (r, s) for r, s in within}
+    assert len(images) == len(within) < m
+    for a in range(m):
+        assert rational_reconstruction(a, m) == images.get(a)
+    assert rational_reconstruction(-5 * m + 7, m) == (7, 1)
 
 
 def test_field_constructor_rejects_bad_input():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -8,8 +9,10 @@ from conftest import compose_paths, replaced
 from hodgegap.algebra import (
     FiniteField,
     Polynomial,
+    _monic_remainder,
     discriminant_squarefree,
     element_of_order,
+    is_prime,
     poly_gcd,
     primes_upto,
 )
@@ -19,6 +22,7 @@ from hodgegap.curves import (
     HyperellipticModel,
     affine_fixed_points,
     chart_transition_check,
+    common_factor_certificate,
     conjugacy_check,
     construction,
     default_spec,
@@ -33,12 +37,13 @@ from hodgegap.curves import (
     map_power,
     map_preserves_curve,
     reduce_model,
+    smoothness_failure,
     split_prime_certificate,
     substitution_check,
     x_multiplier,
     xy_model,
 )
-from hodgegap.cyclotomic import PiSpec, cyclotomic_field
+from hodgegap.cyclotomic import PiSpec, SplitPrime, cyclotomic_field
 
 SUPPORTED = (3, 5, 7, 11, 13)
 
@@ -259,42 +264,45 @@ def _squared_root_control(p):
 
 
 def _count_verdicts(monkeypatch):
-    """Lists of the polynomials that the split-prime certificate and the
-    exact gcd are called on, filled as the calls happen."""
+    """Lists of the polynomials that the split-prime certificate, the
+    common-factor certificate and the exact gcd are called on, filled as the
+    calls happen."""
     from hodgegap import curves
 
-    certified, exact = [], []
-    real_certificate, real_gcd = curves.split_prime_certificate, curves.discriminant_squarefree
+    calls = []
+    names = ("split_prime_certificate", "common_factor_certificate", "discriminant_squarefree")
+    for name in names:
+        called, real = [], getattr(curves, name)
 
-    def counting_certificate(f):
-        certified.append(f)
-        return real_certificate(f)
+        def counting(f, _called=called, _real=real):
+            _called.append(f)
+            return _real(f)
 
-    def counting_gcd(f):
-        exact.append(f)
-        return real_gcd(f)
-
-    monkeypatch.setattr(curves, "split_prime_certificate", counting_certificate)
-    monkeypatch.setattr(curves, "discriminant_squarefree", counting_gcd)
-    return certified, exact
+        monkeypatch.setattr(curves, name, counting)
+        calls.append(called)
+    return calls
 
 
 def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
-    # one verdict per model: the family is settled by one certificate and no
-    # exact gcd over Q(zeta_5); the singular control pays one of each
+    # one verdict per model: the family is settled by the split-prime
+    # certificate alone over Q(zeta_5); the singular control by one split
+    # certificate that declines and one common-factor certificate, with no
+    # exact gcd
     spec = default_spec(5)
     model = hyperelliptic_family(5, spec)
     singular = _squared_root_control(5)
-    certified, exact = _count_verdicts(monkeypatch)
+    certified, factored, exact = _count_verdicts(monkeypatch)
     assert is_relatively_smooth(model, spec)
     assert genus(model) == 2
     assert sum(f is model.f for f in certified) == 1
+    assert sum(f is model.f for f in factored) == 0
     assert sum(f is model.f for f in exact) == 0
     assert not is_relatively_smooth(singular, spec)
     with pytest.raises(ValueError, match="singular"):
         genus(singular)
     assert sum(f is singular.f for f in certified) == 1
-    assert sum(f is singular.f for f in exact) == 1
+    assert sum(f is singular.f for f in factored) == 1
+    assert sum(f is singular.f for f in exact) == 0
 
 
 @pytest.mark.parametrize("p", [3] + primes_upto(61)[2:])
@@ -327,11 +335,13 @@ def test_split_prime_certificate_declines_when_the_prime_divides(monkeypatch, le
     # least prime = 1 (mod 5) above 6.  l divides a denominator, or the
     # leading coefficient reduces to 0 (zeta - w lies in the prime above 11
     # that zeta -> w picks, though 11 does not divide it): the certificate
-    # declines, and the exact gcd gives the verdict
+    # declines, the common-factor certificate finds no factor of a
+    # squarefree f, and the exact gcd gives the verdict
     model = HyperellipticModel(Polynomial(K5, [constant, K5.one, K5.zero, lead]))
-    certified, exact = _count_verdicts(monkeypatch)
+    certified, factored, exact = _count_verdicts(monkeypatch)
     assert model.squarefree
     assert [f is model.f for f in certified] == [True]
+    assert [f is model.f for f in factored] == [True]
     assert [f is model.f for f in exact] == [True]
 
 
@@ -346,7 +356,143 @@ def test_exact_gcd_of_the_square_control_is_the_squared_factor(p):
     assert poly_gcd(f, f.derivative()) == Polynomial(k, [k.from_int(-2), k.one])
 
 
-@pytest.mark.parametrize("p", [19, 23, 29])
+@pytest.mark.parametrize("step, bound", [(5, 6), (12, 18), (13, 38), (10, 2**20), (24, 2**20)])
+def test_least_prime_is_the_first_of_a_search_one_by_one(step, bound):
+    from hodgegap.curves import _least_prime
+
+    expected = next(ell for ell in itertools.count(bound + 1) if ell % step == 1 and is_prime(ell))
+    assert _least_prime(step, bound) == expected
+
+
+def _linear(k, root):
+    return Polynomial(k, [-k.coerce(root), k.one])
+
+
+def _certificate_prime(n):
+    # the least prime = 1 (mod 2n) above 2^20, searched one by one
+    return next(ell for ell in itertools.count(2**20 + 1) if ell % (2 * n) == 1 and is_prime(ell))
+
+
+def _divides_f_and_its_derivative(h, f):
+    return _monic_remainder(f, h).is_zero() and _monic_remainder(f.derivative(), h).is_zero()
+
+
+@pytest.mark.parametrize("n", [5, 12, 13])
+def test_common_factor_certificate_agrees_with_the_exact_gcd(n):
+    # seeded squarefree f of degree 3 and f*h^2 for a monic h of degree 1 or 2
+    # with non-integral coordinates: f gives no factor, f*h^2 gives
+    # poly_gcd(f*h^2, its derivative) = h, which divides both exactly
+    k = cyclotomic_field(n)
+    rng = random.Random(n)
+
+    def element(den):
+        return k.element([rng.randint(-4, 4) for _ in range(k.degree)], den)
+
+    for _ in range(3):
+        f = Polynomial(k, [element(rng.randint(1, 6)) for _ in range(3)] + [element(1) or k.one])
+        low = [element(rng.choice([2, 3, 5])) for _ in range(rng.randint(1, 2))]
+        h = Polynomial(k, low + [k.one])
+        assert not all(c.is_integral for c in h.coeffs)
+        assert discriminant_squarefree(f) and poly_gcd(f, h).degree == 0
+        assert common_factor_certificate(f) is None
+        assert HyperellipticModel(f).squarefree
+        singular = f * h * h
+        found = common_factor_certificate(singular)
+        assert found == h == poly_gcd(singular, singular.derivative())
+        assert _divides_f_and_its_derivative(found, singular)
+        assert not HyperellipticModel(singular).squarefree
+        assert not discriminant_squarefree(singular)
+
+
+@pytest.mark.parametrize("p", [3] + primes_upto(23)[2:])
+def test_common_factor_of_the_square_control_is_u_minus_2(p):
+    # u - 2 is poly_gcd(f, f'), see test_exact_gcd_of_the_square_control_is_the_squared_factor
+    f = _squared_root_control(p).f
+    found = common_factor_certificate(f)
+    assert found == _linear(f.ring, 2)
+    assert _divides_f_and_its_derivative(found, f)
+
+
+def _beyond_reach(k):
+    # a root with the coordinate 10^6 + 3, out of rational reconstruction's
+    # reach mod l: its residues lift to nothing or to another element
+    root = k.element([10**6 + 3, 1])
+    split = SplitPrime(k, _certificate_prime(k.n))
+    try:
+        assert split.lift(split.coerce(root)) != root
+    except ValueError:
+        pass
+    return root
+
+
+DECLINES = {
+    # l divides every denominator of (u - 2)^2 (u + 1/l)
+    "denominator-l": lambda k: _linear(k, 2) ** 2
+    * _linear(k, k.element([-1], _certificate_prime(k.n))),
+    # the lead zeta - w vanishes in the embedding zeta -> w only
+    "lead-zeta-minus-w": lambda k: (_linear(k, 2) ** 2 * _linear(k, -1)).scale(
+        k.zeta - element_of_order(k.n, _certificate_prime(k.n))
+    ),
+    "beyond-reach": lambda k: _linear(k, _beyond_reach(k)) ** 2 * _linear(k, -1),
+}
+
+
+@pytest.mark.parametrize("n", [5, 12])
+@pytest.mark.parametrize("case", DECLINES)
+def test_common_factor_certificate_declines_to_the_exact_gcd_once(monkeypatch, case, n):
+    f = DECLINES[case](cyclotomic_field(n))
+    assert common_factor_certificate(f) is None
+    model = HyperellipticModel(f)
+    certified, factored, exact = _count_verdicts(monkeypatch)
+    assert model.squarefree is False
+    # the split-prime certificate runs its own gcd over F_l, hence the filter
+    assert [[g is f for g in calls] for calls in (certified, factored)] == [[True], [True]]
+    assert sum(g is f for g in exact) == 1
+
+
+def test_a_wrong_lift_is_caught_by_the_exact_division(monkeypatch):
+    # a lift that moves the root of u - 2 to 1 gives u - 1, which does not
+    # divide the square control: the certificate declines
+    f = _squared_root_control(5).f
+    real = SplitPrime.lift
+    monkeypatch.setattr(SplitPrime, "lift", lambda self, x: real(self, x) + int(x != self.one))
+    assert common_factor_certificate(f) is None
+    assert not HyperellipticModel(f).squarefree
+
+
+@pytest.mark.parametrize("root", [0, 1], ids=["divides-f-only", "divides-f'-only"])
+def test_a_factor_of_one_side_is_no_certificate(monkeypatch, root):
+    # f = u^3 - 3u = u(u^2 - 3) is squarefree and f' = 3(u - 1)(u + 1): a
+    # candidate u that divides f alone, or u - 1 that divides f' alone,
+    # proves nothing, and the certificate declines
+    from hodgegap import curves
+
+    f = Polynomial(K5, [0, -3, 0, 1])
+    monkeypatch.setattr(curves, "poly_gcd", lambda a, b: Polynomial(a.ring, [-root, 1]))
+    assert common_factor_certificate(f) is None
+
+
+def test_smoothness_failure_names_the_condition():
+    spec = default_spec(5)
+    k, pi = spec.field, spec.pi
+    square = _linear(k, 2) ** 2 * _linear(k, -1)
+    lifted = square + Polynomial(k, [0, pi])  # squarefree, with the same reduction
+    assert discriminant_squarefree(lifted)
+    cases = {
+        "f has degree 2, not odd and positive": Polynomial(k, [0, 0, 1]),
+        "f has degree -1, not odd and positive": Polynomial(k, []),
+        "the u^1 coefficient is not integral": Polynomial(k, [1, k.one / 3, 0, 1]),
+        "f has a repeated factor on the generic fibre": square,
+        "f mod pi has a repeated factor on the special fibre": lifted,
+        None: _family(5).f,
+    }
+    for witness, f in cases.items():
+        model = HyperellipticModel(f)
+        assert smoothness_failure(model, spec) == witness
+        assert is_relatively_smooth(model, spec) is (witness is None)
+
+
+@pytest.mark.parametrize("p", [19, 23, 29, 37, 61])
 def test_repeated_root_is_rejected_beyond_the_shipped_primes(p):
     spec = default_spec(p)
     model = _squared_root_control(p)

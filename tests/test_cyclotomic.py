@@ -9,6 +9,7 @@ from hodgegap.cyclotomic import (
     CycloElement,
     CyclotomicField,
     PiSpec,
+    SplitPrime,
     cyclotomic_field,
     cyclotomic_polynomial,
     residue_map,
@@ -306,6 +307,40 @@ def test_residue_is_a_ring_homomorphism():
             b = k.element([rng.randint(-9, 9) for _ in range(k.degree)])
             assert spec.residue(a + b) == spec.residue(a) + spec.residue(b)
             assert spec.residue(a * b) == spec.residue(a) * spec.residue(b)
+
+
+@pytest.mark.parametrize("n", [5, 12, 13])
+def test_split_prime_reduces_in_every_embedding_and_lifts_back(n):
+    # at the least prime l = 1 (mod 2n) above 2^20 the residues of an element
+    # are its values at w^i, i in (Z/n)^*, each computed here by a direct
+    # sum; differences and products map to differences and products, and an
+    # element whose coordinates are small fractions lifts back to itself
+    k = cyclotomic_field(n)
+    ell = next(m for m in range(2 * n + 1, 2**21, 2 * n) if m > 2**20 and is_prime(m))
+    split = SplitPrime(k, ell)
+    w = element_of_order(n, ell)
+    assert split.units == [i for i in range(1, n) if math.gcd(i, n) == 1]
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = (k.element([rng.randint(-9, 9) for _ in range(k.degree)], rng.randint(1, 20))
+                for _ in range(2))
+        ra, rb = split.coerce(a), split.coerce(b)
+        values = [sum(c * pow(w, i * j, ell) for j, c in enumerate(a.num)) * pow(a.den, -1, ell)
+                  % ell for i in split.units]
+        assert ra.values == tuple(values)
+        assert split.coerce(a * b) == ra * rb
+        assert split.coerce(a - b) == ra - rb
+        assert split.lift(ra) == a
+        if a:
+            assert ra * ra.inv() == split.one
+    assert split.lift(split.coerce(7)) == k.from_int(7) and split.coerce(7) == split.one * 7
+    assert split.coerce(ell + 7) == split.coerce(7)
+    assert split.coerce(-1).values == (ell - 1,) * k.degree
+    with pytest.raises(ValueError):
+        split.coerce(k.element([1], ell))
+    with pytest.raises(ZeroDivisionError):  # zeta - w is 0 in the embedding zeta -> w only
+        split.coerce(k.zeta - w).inv()
+    assert sum(v == 0 for v in split.coerce(k.zeta - w).values) == 1
 
 
 def test_residue_kernel_is_pi():

@@ -85,20 +85,25 @@ def test_count_points_raises_past_the_hasse_bound(monkeypatch):
 
 
 def test_count_points_builds_one_squares_table_per_field():
-    # count_points reads one root-count tuple per field, built from the one
-    # square_roots table that points() and fq_sqrt read; equal fields share both
+    # count_points reads one root-count tuple per field object, built from the
+    # one square_roots table that points() and fq_sqrt read; each is built on
+    # first use and then handed back as is.  An equal but distinct field
+    # builds its own, of its own elements
     f7 = FiniteField(7)
-    algebra.square_roots.cache_clear()
-    elliptic._root_counts.cache_clear()
     for b in range(1, 7):
         count_points(EllipticCurve(f7, 0, 0, b))
-    count_points(EllipticCurve(FiniteField(7), 0, 0, 1))
-    assert len(list(EllipticCurve(FiniteField(7), 0, 0, 1).points())) == 12
-    assert fq_sqrt(FiniteField(7).from_int(2)) == 3
-    assert algebra.square_roots.cache_info().misses == 1
-    assert algebra.square_roots.cache_info().hits == 2  # points(), fq_sqrt
-    assert elliptic._root_counts.cache_info().misses == 1
-    assert elliptic._root_counts.cache_info().hits == 6
+    assert len(list(EllipticCurve(f7, 0, 0, 1).points())) == 12
+    assert fq_sqrt(f7.from_int(2)) == 3
+    roots, counts = algebra.square_roots(f7), elliptic._root_counts(f7)
+    assert list(f7.tables.values()) == [roots, counts]
+    assert algebra.square_roots(f7) is roots and elliptic._root_counts(f7) is counts
+    other = FiniteField(7)
+    assert count_points(EllipticCurve(other, 0, 0, 1)) == count_points(EllipticCurve(f7, 0, 0, 1))
+    assert elliptic._root_counts(other) == counts
+    assert elliptic._root_counts(other) is not counts
+    other_roots = algebra.square_roots(other)
+    assert other_roots == roots
+    assert all(y.field is other for ys in other_roots.values() for y in ys)
 
 
 def _points_by_pairs(curve):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hodgegap
-from hodgegap.algebra import FiniteField, Polynomial, poly_gcd, power
+from hodgegap.algebra import FiniteField, Polynomial, element_of_order, poly_gcd, power
 from hodgegap.curves import (
     HyperellipticModel,
     affine_fixed_points,
@@ -21,7 +21,7 @@ from hodgegap.curves import (
     map_power,
     xy_model,
 )
-from hodgegap.cyclotomic import PiSpec, cyclotomic_field
+from hodgegap.cyclotomic import PiSpec, SplitPrime, cyclotomic_field
 from hodgegap.elliptic import (
     CurvePoint,
     EllipticCurve,
@@ -158,6 +158,10 @@ RAISES = {
     "cyclotomic.residue-denominator": (
         lambda: PiSpec.for_prime(5).residue(K5.one / 5),
         ValueError, "negative valuation at pi"),
+    "cyclotomic.split-residue-zero": (
+        # zeta - w is 0 in the embedding zeta -> w of Q(zeta_5) into F_11
+        lambda: SplitPrime(K5, 11).coerce(K5.zeta - element_of_order(5, 11)).inv(),
+        ZeroDivisionError, "residue 0 in some embedding"),
     "cyclotomic.for-prime-two": (
         lambda: PiSpec.for_prime(2), ValueError, "odd prime"),
     "cyclotomic.for-prime-composite": (

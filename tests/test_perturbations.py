@@ -178,6 +178,21 @@ def test_every_check_has_a_perturbation_that_fails_it(p):
     assert set(run) <= falsified
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_smoothness_failure_names_its_condition(p):
+    # the square factor fails on the generic fibre, the half on integrality
+    witnesses = {
+        name: {r.id: r for r in build_report(PERTURBATIONS[name][0](construction(p))).checks}[
+            "curve.smoothness"
+        ].witness
+        for name in ("f-times-(u-2)^2", "f-plus-half")
+    }
+    assert witnesses == {
+        "f-times-(u-2)^2": "f has a repeated factor on the generic fibre",
+        "f-plus-half": "the u^0 coefficient is not integral",
+    }
+
+
 def test_an_unbuildable_tau_fails_its_checks_and_not_the_report():
     # 3 is no square mod 7, so tau = (3u, sqrt(3)v) does not exist
     checks = {r.id: r for r in build_report(replaced(construction(7), twist=3)).checks}
