@@ -5,8 +5,9 @@ Everything is immutable and pure; no floats appear anywhere in this module.
 A "coefficient field" is any object exposing ``zero``, ``one`` and
 ``coerce(x)``, whose elements overload ``+ - *`` and provide ``inv()``.
 Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
-:func:`poly_gcd` also runs over ``cyclotomic.SplitPrime``, a product of
-fields whose ``inv`` raises ZeroDivisionError on a non-unit.
+:func:`poly_gcd` also runs over ``cyclotomic.SplitPrime``, at the second
+prime of ``curves.modular_squarefree``: a product of fields whose ``inv``
+raises ZeroDivisionError on a non-unit.
 
 Reduction mod p happens where an :class:`FqElement`'s coordinates are
 computed: in ``from_int``, in each field operation and in

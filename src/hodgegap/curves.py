@@ -71,75 +71,59 @@ class HyperellipticModel:
 
     @functools.cached_property
     def squarefree(self) -> bool:
-        """Whether f has no repeated root: True from
-        :func:`split_prime_certificate`, else False from
-        :func:`common_factor_certificate`, and the exact gcd of f and f' only
-        when both decline.  No caller rebinds f, so this verdict is reached
-        once per model."""
-        f = self.f
-        return split_prime_certificate(f) or (
-            common_factor_certificate(f) is None and discriminant_squarefree(f)
-        )
+        """Whether f has no repeated root: the verdict of
+        :func:`modular_squarefree`, and the exact gcd of f and f' only when it
+        is None.  No caller rebinds f, so this verdict is reached once per
+        model."""
+        verdict = modular_squarefree(self.f)
+        return discriminant_squarefree(self.f) if verdict is None else verdict
 
 
-def split_prime_certificate(f: Polynomial) -> bool:
-    """True only if f, over Q(zeta_n), is squarefree, shown at one prime.
+def modular_squarefree(f: Polynomial) -> Optional[bool]:
+    """Whether f over Q(zeta_n) is squarefree, shown modulo two primes that
+    split completely, or None for "not shown".
 
-    l is the least prime with l = 1 (mod n) and l > 2 deg f, and the
-    coefficients reduce by :func:`~hodgegap.cyclotomic.residue_map` with zeta
-    going to an element w of exact order n in F_l, a root of Phi_n there.  If
-    l divides no denominator and the degree survives, reduction commutes
-    with the resultant of f and f' (f' keeps its degree, as l > deg f); a
-    repeated factor over Q(zeta_n) makes that resultant 0, so a squarefree
-    reduction proves f squarefree (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 6).  False means "not shown", never "not squarefree": f over
-    another ring, a denominator that l divides, a leading coefficient that
-    reduces to 0, or a reduction with a repeated root.  One l is tried, so a
-    singular input pays one small gcd over F_l before
-    :func:`common_factor_certificate`.
+    True: at l1, the least prime = 1 (mod n) above 2 deg f, with zeta -> w
+    of exact order n in F_l (:func:`~hodgegap.cyclotomic.residue_map`), f
+    keeps its degree and is squarefree.  Reduction then commutes with the
+    resultant of f and f' (l > deg f), which a repeated factor over
+    Q(zeta_n) makes 0 (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    ch. 6).
+
+    False: a modular gcd proved by trial division (Langemyr & McCallum,
+    *J. Symb. Comput.* 8, 1989; Encarnacion, *J. Symb. Comput.* 20, 1995).
+    At l2, the least prime = 1 (mod 2n) above 2^20, f and f' reduce in all
+    phi(n) embeddings at once (:class:`~hodgegap.cyclotomic.SplitPrime`),
+    and their :func:`poly_gcd` lifts back by interpolation and rational
+    reconstruction (ibid., 5.10) to a nonconstant h that leaves remainder 0
+    on f and on f'.
+
+    None otherwise: f is constant or over another ring, l divides a
+    denominator, a leading coefficient reduces to 0 (at l2, in some
+    embeddings only), f has a repeated root mod l1, or at l2 the gcd is
+    constant, out of reconstruction's reach, or leaves a remainder.
     """
     k = f.ring
     if not isinstance(k, CyclotomicField) or f.degree < 1:
-        return False
+        return None
     ell = _least_prime(k.n, 2 * f.degree)
     fl = FiniteField(ell)
     residue = residue_map(k, fl, fl.from_int(element_of_order(k.n, ell)))
     try:
         reduced = Polynomial(fl, map(residue, f.coeffs))
-    except ValueError:  # l divides a denominator
-        return False
-    return reduced.degree == f.degree and discriminant_squarefree(reduced)
-
-
-def common_factor_certificate(f: Polynomial) -> Optional[Polynomial]:
-    """A nonconstant monic h dividing f and f' exactly over Q(zeta_n), which
-    proves f not squarefree, or None for "not shown".
-
-    A modular gcd proved by trial division (Langemyr & McCallum, *J. Symb.
-    Comput.* 8, 1989; Encarnacion, *J. Symb. Comput.* 20, 1995): f and f'
-    reduce in all phi(n) embeddings into F_l at once, for l the least prime
-    = 1 (mod 2n) above 2^20 (:class:`~hodgegap.cyclotomic.SplitPrime`),
-    :func:`poly_gcd` runs on them, and the gcd's coefficients lift back by
-    interpolation and rational reconstruction (von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, 5.10).  None when l divides a denominator, a
-    leading coefficient vanishes in some embeddings only, the gcd is
-    constant, a coordinate does not reconstruct, or
-    :func:`~hodgegap.algebra._monic_remainder` leaves a nonzero remainder on
-    f or f'.
-    """
-    k = f.ring
-    if not isinstance(k, CyclotomicField) or f.degree < 1:
-        return None
+        if reduced.degree == f.degree and discriminant_squarefree(reduced):
+            return True
+    except ValueError:  # l1 divides a denominator
+        pass
     ring = SplitPrime(k, _least_prime(2 * k.n, 2**20))
     try:
         reduced = Polynomial(ring, f.coeffs)
-        lifted = [ring.lift(c) for c in poly_gcd(reduced, reduced.derivative()).coeffs]
+        h = Polynomial(k, [ring.lift(c) for c in poly_gcd(reduced, reduced.derivative()).coeffs])
     except (ValueError, ZeroDivisionError):
         return None
-    h = Polynomial(k, lifted)
     if h.degree < 1 or _monic_remainder(f, h).coeffs or _monic_remainder(f.derivative(), h).coeffs:
         return None
-    return h
+    return False
 
 
 def _least_prime(step: int, bound: int) -> int:

@@ -31,11 +31,11 @@ p >= 5, is assembled by the construction that owns its residue field.
 :class:`SplitPrime` applies :func:`residue_map` in all phi(n) embeddings
 into F_l, for a prime l that splits completely, and goes back by
 interpolation and rational reconstruction.
-Every division by pi is one step, :meth:`PiSpec._divide_once`: for n = p a
-prefix-sum pass that divides by zeta - 1 in O(p) (synthetic division by a
-linear factor, Knuth, TAOCP vol. 2, 4.6.1, folded by Phi_p), times the
-cached unit (zeta - 1)/pi; for n = 12 a product with the inverse of pi
-checked when the engine is built.  Valuations
+Every division by pi is one step, :meth:`PiSpec._divide_once`: for
+pi = zeta_p - 1 a prefix-sum pass in O(p) (synthetic division by a linear
+factor, Knuth, TAOCP vol. 2, 4.6.1, folded by Phi_p); for any other
+uniformizer, such as n = 12's, a product with the inverse of pi checked when
+the engine is built.  Valuations
 are computed by repeated exact division by pi, which is correct here because
 a single prime sits above p, so an element is divisible by pi in the ring of
 integers iff its valuation is positive.
@@ -324,7 +324,8 @@ def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: 
     z^(phi(n)), built once, make Phi_n vanish.  num/den maps to one integer dot
     product of num per coordinate of F_q, times 1/den, reduced mod p, the
     coordinates the F_q element is built from; ValueError when p divides
-    den, which for a canonical element and one prime above p means v_pi < 0."""
+    den.  For :class:`PiSpec`'s residue, with one prime above p, that means
+    v_pi < 0 for a canonical element."""
     powers = [residue_field.one]  # each product coerces zeta_image into F_q
     for _ in range(field.degree):
         powers.append(powers[-1] * zeta_image)
@@ -336,7 +337,7 @@ def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: 
     def residue(z) -> FqElement:
         z = field.coerce(z)
         if z.den % p == 0:
-            raise ValueError("element has negative valuation at pi")
+            raise ValueError(f"{p} divides the denominator")
         d = pow(z.den, -1, p)  # each dot product stops at num's phi(n) coordinates
         dots = [sum(map(operator.mul, z.num, c)) * d % p for c in columns]
         return FqElement(residue_field, tuple(dots))
@@ -453,10 +454,8 @@ class PiSpec:
         if pi * self.pi_inv != field.one:
             raise ArithmeticError("cached inverse of pi does not satisfy pi * pi_inv == 1")
         self._pi_inv_powers = [field.one, self.pi_inv]
-        # (zeta - 1)/pi, a unit when n = p; None when it is 1, as it is for
-        # the report's pi = zeta - 1, so that the product is skipped
-        unit = (field.zeta - 1) * self.pi_inv if self.n == self.p else None
-        self._zeta_minus_one_over_pi = None if unit == field.one else unit
+        # the prefix sum of _divide_once divides by zeta_p - 1 and by no other pi
+        self._prefix_step = self.n == self.p and pi == field.zeta - 1
         self.residue = residue_map(field, residue_field, zeta_image)
         if self.residue(pi):
             raise ValueError("residue data inconsistent with the uniformizer")
@@ -476,30 +475,27 @@ class PiSpec:
     def _divide_once(self, z: CycloElement) -> CycloElement:
         """z / pi, the one division step.
 
-        For n = p and z = a/den: (zeta - 1) q = z in Q[z]/Phi_p for
+        For pi = zeta_p - 1 and z = a/den: pi q = z in Q[z]/Phi_p for
         q_i = ((i + 1) S - p (a_0 + ... + a_i)) / (p den), with
         S = a_0 + ... + a_(p-2), one prefix-sum pass that ``CycloElement``
-        normalises; then a product with the cached unit (zeta - 1)/pi,
-        skipped when it is 1.  The n = 12 engine multiplies by the checked
-        ``pi_inv``.
+        normalises.  Any other uniformizer, such as the n = 12 engine's,
+        multiplies by the checked ``pi_inv``.
         """
-        if self.n != self.p:
+        if not self._prefix_step:
             return z * self.pi_inv
         p, a = self.p, z.num
         s = sum(a)
-        q = CycloElement(
+        return CycloElement(
             self.field,
             tuple((i + 1) * s - p * t for i, t in enumerate(itertools.accumulate(a))),
             p * z.den,
         )
-        unit = self._zeta_minus_one_over_pi
-        return q if unit is None else q * unit
 
     def over_pi(self, z, k: int) -> CycloElement:
         """z / pi^k for k >= 0, by cached powers of 1/pi, each power one
-        :meth:`_divide_once` of the last (the n = 12 engine's step is still
-        the dense product with ``pi_inv``); an integer z, such as the
-        family's binom(p, i), only scales the cached power."""
+        :meth:`_divide_once` of the last (the step of a pi other than
+        zeta_p - 1 is still the dense product with ``pi_inv``); an integer
+        z, such as the family's binom(p, i), only scales the cached power."""
         if k < 0:
             raise ValueError("over_pi needs k >= 0")
         powers = self._pi_inv_powers

@@ -10,6 +10,7 @@ import pytest
 from conftest import compose_paths, distinct_field_comparisons, replaced
 
 from hodgegap import cli, curves, invariants
+from hodgegap.algebra import primes_upto
 from hodgegap.cli import build_report, main
 
 
@@ -93,6 +94,35 @@ def test_report_builds_the_family_once(monkeypatch, p):
     monkeypatch.setattr(curves, "hyperelliptic_family", counting)
     assert not build_report(curves.construction(p)).failed()
     assert len(calls) == 1
+
+
+def test_every_odd_prime_to_101_passes_with_a_modular_squarefree_verdict(monkeypatch):
+    # the claim is made for each odd prime, and several paths depend on the
+    # prime (modular_squarefree's search for its first prime, the elliptic
+    # search, tau's square root, p mod 8 in the interval count), so a ladder
+    # of primes could step over the one where a path breaks.  The family is
+    # shown squarefree at that first prime, with no exact gcd over Q(zeta_n)
+    verdicts, exact = [], []
+    real_verdict, real_exact = curves.modular_squarefree, curves.discriminant_squarefree
+
+    def verdict(f):
+        verdicts.append((f, real_verdict(f)))
+        return verdicts[-1][1]
+
+    def exact_gcd(f):
+        exact.append(f)
+        return real_exact(f)
+
+    monkeypatch.setattr(curves, "modular_squarefree", verdict)
+    monkeypatch.setattr(curves, "discriminant_squarefree", exact_gcd)
+    for p in primes_upto(101)[1:]:
+        c = curves.construction(p)
+        assert not build_report(c).failed(), p
+        f = c.family.f
+        assert [v for g, v in verdicts if g is f] == [True], p
+        assert not any(g is f for g in exact), p
+        verdicts.clear()
+        exact.clear()
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 23])

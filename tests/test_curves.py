@@ -22,7 +22,6 @@ from hodgegap.curves import (
     HyperellipticModel,
     affine_fixed_points,
     chart_transition_check,
-    common_factor_certificate,
     conjugacy_check,
     construction,
     default_spec,
@@ -36,9 +35,9 @@ from hodgegap.curves import (
     map_order,
     map_power,
     map_preserves_curve,
+    modular_squarefree,
     reduce_model,
     smoothness_failure,
-    split_prime_certificate,
     substitution_check,
     x_multiplier,
     xy_model,
@@ -264,14 +263,12 @@ def _squared_root_control(p):
 
 
 def _count_verdicts(monkeypatch):
-    """Lists of the polynomials that the split-prime certificate, the
-    common-factor certificate and the exact gcd are called on, filled as the
-    calls happen."""
+    """Lists of the polynomials that modular_squarefree and the exact gcd are
+    called on, filled as the calls happen."""
     from hodgegap import curves
 
     calls = []
-    names = ("split_prime_certificate", "common_factor_certificate", "discriminant_squarefree")
-    for name in names:
+    for name in ("modular_squarefree", "discriminant_squarefree"):
         called, real = [], getattr(curves, name)
 
         def counting(f, _called=called, _real=real):
@@ -283,37 +280,53 @@ def _count_verdicts(monkeypatch):
     return calls
 
 
+def _tried_divisors(monkeypatch):
+    """The lifted gcds that modular_squarefree divides f and f' by, filled as
+    the divisions happen (it is the only caller of _monic_remainder in
+    curves)."""
+    from hodgegap import curves
+
+    tried, real = [], curves._monic_remainder
+
+    def recording(num, den):
+        tried.append(den)
+        return real(num, den)
+
+    monkeypatch.setattr(curves, "_monic_remainder", recording)
+    return tried
+
+
 def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
-    # one verdict per model: the family is settled by the split-prime
-    # certificate alone over Q(zeta_5); the singular control by one split
-    # certificate that declines and one common-factor certificate, with no
-    # exact gcd
+    # one verdict per model: the family is settled by modular_squarefree
+    # alone over Q(zeta_5), at its first prime; the singular control by
+    # modular_squarefree at its second prime, with no exact gcd
     spec = default_spec(5)
     model = hyperelliptic_family(5, spec)
     singular = _squared_root_control(5)
-    certified, factored, exact = _count_verdicts(monkeypatch)
+    verdicts, exact = _count_verdicts(monkeypatch)
     assert is_relatively_smooth(model, spec)
     assert genus(model) == 2
-    assert sum(f is model.f for f in certified) == 1
-    assert sum(f is model.f for f in factored) == 0
+    assert sum(f is model.f for f in verdicts) == 1
     assert sum(f is model.f for f in exact) == 0
     assert not is_relatively_smooth(singular, spec)
     with pytest.raises(ValueError, match="singular"):
         genus(singular)
-    assert sum(f is singular.f for f in certified) == 1
-    assert sum(f is singular.f for f in factored) == 1
+    assert sum(f is singular.f for f in verdicts) == 1
     assert sum(f is singular.f for f in exact) == 0
+    assert modular_squarefree(model.f) is True
+    assert modular_squarefree(singular.f) is False
 
 
 @pytest.mark.parametrize("p", [3] + primes_upto(61)[2:])
 def test_split_prime_certificate_agrees_with_the_exact_gcd(p):
+    # modular_squarefree's True, the split-prime certificate at its first prime
     f = _family(p).f
-    assert split_prime_certificate(f) is discriminant_squarefree(f) is True
+    assert modular_squarefree(f) is discriminant_squarefree(f) is True
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
 def test_split_prime_certificate_never_certifies_a_square_factor(p):
-    assert not split_prime_certificate(_squared_root_control(p).f)
+    assert modular_squarefree(_squared_root_control(p).f) is False
 
 
 K5 = cyclotomic_field(5)
@@ -331,17 +344,16 @@ K5 = cyclotomic_field(5)
 )
 def test_split_prime_certificate_declines_when_the_prime_divides(monkeypatch, lead, constant):
     # lead*u^3 + u + constant is squarefree (its discriminant
-    # -4*lead - 27*lead^2*constant^2 is not 0) and of degree 3, so l = 11, the
-    # least prime = 1 (mod 5) above 6.  l divides a denominator, or the
-    # leading coefficient reduces to 0 (zeta - w lies in the prime above 11
-    # that zeta -> w picks, though 11 does not divide it): the certificate
-    # declines, the common-factor certificate finds no factor of a
-    # squarefree f, and the exact gcd gives the verdict
+    # -4*lead - 27*lead^2*constant^2 is not 0) and of degree 3, so
+    # modular_squarefree's first prime is 11, the least prime = 1 (mod 5)
+    # above 6.  11 divides a denominator, or the leading coefficient reduces
+    # to 0 (zeta - w lies in the prime above 11 that zeta -> w picks, though
+    # 11 does not divide it): the first prime shows nothing, the second
+    # finds no factor of a squarefree f, and the exact gcd gives the verdict
     model = HyperellipticModel(Polynomial(K5, [constant, K5.one, K5.zero, lead]))
-    certified, factored, exact = _count_verdicts(monkeypatch)
+    verdicts, exact = _count_verdicts(monkeypatch)
     assert model.squarefree
-    assert [f is model.f for f in certified] == [True]
-    assert [f is model.f for f in factored] == [True]
+    assert [f is model.f for f in verdicts] == [True]
     assert [f is model.f for f in exact] == [True]
 
 
@@ -369,7 +381,8 @@ def _linear(k, root):
 
 
 def _certificate_prime(n):
-    # the least prime = 1 (mod 2n) above 2^20, searched one by one
+    # modular_squarefree's second prime: the least prime = 1 (mod 2n) above
+    # 2^20, searched one by one
     return next(ell for ell in itertools.count(2**20 + 1) if ell % (2 * n) == 1 and is_prime(ell))
 
 
@@ -378,12 +391,14 @@ def _divides_f_and_its_derivative(h, f):
 
 
 @pytest.mark.parametrize("n", [5, 12, 13])
-def test_common_factor_certificate_agrees_with_the_exact_gcd(n):
+def test_common_factor_certificate_agrees_with_the_exact_gcd(monkeypatch, n):
     # seeded squarefree f of degree 3 and f*h^2 for a monic h of degree 1 or 2
-    # with non-integral coordinates: f gives no factor, f*h^2 gives
-    # poly_gcd(f*h^2, its derivative) = h, which divides both exactly
+    # with non-integral coordinates: f is never shown singular, and for f*h^2
+    # modular_squarefree's False rests on poly_gcd(f*h^2, its derivative) = h,
+    # which divides both exactly
     k = cyclotomic_field(n)
     rng = random.Random(n)
+    tried = _tried_divisors(monkeypatch)
 
     def element(den):
         return k.element([rng.randint(-4, 4) for _ in range(k.degree)], den)
@@ -394,23 +409,26 @@ def test_common_factor_certificate_agrees_with_the_exact_gcd(n):
         h = Polynomial(k, low + [k.one])
         assert not all(c.is_integral for c in h.coeffs)
         assert discriminant_squarefree(f) and poly_gcd(f, h).degree == 0
-        assert common_factor_certificate(f) is None
+        assert modular_squarefree(f) is not False
         assert HyperellipticModel(f).squarefree
         singular = f * h * h
-        found = common_factor_certificate(singular)
-        assert found == h == poly_gcd(singular, singular.derivative())
-        assert _divides_f_and_its_derivative(found, singular)
+        tried.clear()
+        assert modular_squarefree(singular) is False
+        assert tried == [h, h] and h == poly_gcd(singular, singular.derivative())
+        assert _divides_f_and_its_derivative(h, singular)
         assert not HyperellipticModel(singular).squarefree
         assert not discriminant_squarefree(singular)
 
 
 @pytest.mark.parametrize("p", [3] + primes_upto(23)[2:])
-def test_common_factor_of_the_square_control_is_u_minus_2(p):
-    # u - 2 is poly_gcd(f, f'), see test_exact_gcd_of_the_square_control_is_the_squared_factor
+def test_common_factor_of_the_square_control_is_u_minus_2(monkeypatch, p):
+    # u - 2 is poly_gcd(f, f'), see test_exact_gcd_of_the_square_control_is_the_squared_factor:
+    # modular_squarefree's False divides f and f' by it, and nothing else
     f = _squared_root_control(p).f
-    found = common_factor_certificate(f)
-    assert found == _linear(f.ring, 2)
-    assert _divides_f_and_its_derivative(found, f)
+    tried = _tried_divisors(monkeypatch)
+    assert modular_squarefree(f) is False
+    assert tried == [_linear(f.ring, 2)] * 2
+    assert _divides_f_and_its_derivative(tried[0], f)
 
 
 def _beyond_reach(k):
@@ -440,36 +458,39 @@ DECLINES = {
 @pytest.mark.parametrize("n", [5, 12])
 @pytest.mark.parametrize("case", DECLINES)
 def test_common_factor_certificate_declines_to_the_exact_gcd_once(monkeypatch, case, n):
+    # each case defeats modular_squarefree's second prime l on a singular f
     f = DECLINES[case](cyclotomic_field(n))
-    assert common_factor_certificate(f) is None
+    assert modular_squarefree(f) is None
     model = HyperellipticModel(f)
-    certified, factored, exact = _count_verdicts(monkeypatch)
+    verdicts, exact = _count_verdicts(monkeypatch)
     assert model.squarefree is False
-    # the split-prime certificate runs its own gcd over F_l, hence the filter
-    assert [[g is f for g in calls] for calls in (certified, factored)] == [[True], [True]]
+    # the first prime runs its own exact gcd over F_l, hence the filter
+    assert [g is f for g in verdicts] == [True]
     assert sum(g is f for g in exact) == 1
 
 
 def test_a_wrong_lift_is_caught_by_the_exact_division(monkeypatch):
     # a lift that moves the root of u - 2 to 1 gives u - 1, which does not
-    # divide the square control: the certificate declines
+    # divide the square control: modular_squarefree shows nothing
     f = _squared_root_control(5).f
     real = SplitPrime.lift
     monkeypatch.setattr(SplitPrime, "lift", lambda self, x: real(self, x) + int(x != self.one))
-    assert common_factor_certificate(f) is None
+    assert modular_squarefree(f) is None
     assert not HyperellipticModel(f).squarefree
 
 
 @pytest.mark.parametrize("root", [0, 1], ids=["divides-f-only", "divides-f'-only"])
 def test_a_factor_of_one_side_is_no_certificate(monkeypatch, root):
-    # f = u^3 - 3u = u(u^2 - 3) is squarefree and f' = 3(u - 1)(u + 1): a
-    # candidate u that divides f alone, or u - 1 that divides f' alone,
-    # proves nothing, and the certificate declines
+    # f = 11u^3 - 33u = 11u(u^2 - 3) is squarefree, its lead vanishes at the
+    # first prime 11, and f' = 33(u - 1)(u + 1): a candidate u that divides f
+    # alone, or u - 1 that divides f' alone, proves nothing at the second
+    # prime, and modular_squarefree shows nothing
     from hodgegap import curves
 
-    f = Polynomial(K5, [0, -3, 0, 1])
+    f = Polynomial(K5, [0, -33, 0, 11])
     monkeypatch.setattr(curves, "poly_gcd", lambda a, b: Polynomial(a.ring, [-root, 1]))
-    assert common_factor_certificate(f) is None
+    assert modular_squarefree(f) is None
+    assert HyperellipticModel(f).squarefree
 
 
 def test_smoothness_failure_names_the_condition():

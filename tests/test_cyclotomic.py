@@ -353,8 +353,8 @@ def test_residue_kernel_is_pi():
 
 
 def _split_prime(n):
-    """The least prime l = 1 (mod n) with l > 2n: the prime at which the
-    squarefree certificate reduces a family of degree n."""
+    """The least prime l = 1 (mod n) with l > 2n: the first prime of
+    ``curves.modular_squarefree`` on a family of degree n."""
     ell = 2 * n + 1
     while ell % n != 1 or not is_prime(ell):
         ell += 1
@@ -411,8 +411,9 @@ def test_integrality_flag_matches_denominator():
 
 
 def _pi_doubled(p):
-    """The n = p engine with uniformizer 2*(zeta - 1): (zeta - 1)/pi = 1/2,
-    so the division step must multiply by its cached unit."""
+    """The n = p engine with uniformizer 2*(zeta - 1), which is not
+    zeta - 1: the division step must take the product with ``pi_inv``, not
+    the prefix sum."""
     s = PiSpec.for_prime(p)
     return PiSpec(s.field, 2 * s.pi, s.residue_field, s.zeta_image)
 

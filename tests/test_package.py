@@ -155,9 +155,13 @@ RAISES = {
         # zeta + 1 is a unit: its residue is 2, not 0
         lambda: PiSpec(K5, K5.zeta + 1, F5, F5.one),
         ValueError, "inconsistent with the uniformizer"),
+    # the residue map states the fact, for PiSpec (v_pi < 0) and SplitPrime alike
     "cyclotomic.residue-denominator": (
         lambda: PiSpec.for_prime(5).residue(K5.one / 5),
-        ValueError, "negative valuation at pi"),
+        ValueError, "^5 divides the denominator$"),
+    "cyclotomic.split-denominator": (
+        lambda: SplitPrime(K5, 11).coerce(K5.one / 11),
+        ValueError, "^11 divides the denominator$"),
     "cyclotomic.split-residue-zero": (
         # zeta - w is 0 in the embedding zeta -> w of Q(zeta_5) into F_11
         lambda: SplitPrime(K5, 11).coerce(K5.zeta - element_of_order(5, 11)).inv(),
