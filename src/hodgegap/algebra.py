@@ -14,8 +14,9 @@ computed: in ``from_int``, in each field operation and in
 ``cyclotomic.residue_map``; the constructor stores them as given.  A field check
 between elements tests the identity of their field objects first; elements
 over equal but distinct field objects still combine, compare and hash alike.
-A per-field table (:func:`field_table`) is kept on its field object, so the
-elements it holds are that object's.
+A per-field table (:attr:`FiniteField.square_roots`,
+:attr:`FiniteField.root_counts`) is a cached property of its field object,
+so the elements it holds are that object's.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ class FiniteField:
             self.modulus = (c0, c1)
         self.q = p**self.k
         self._hash = hash(("FiniteField", p, self.modulus))
-        self.tables: dict = {}  # filled by field_table
         self.zero = FqElement(self, (0,) * self.k)
         self.one = FqElement(self, (1,) + (0,) * (self.k - 1))
 
@@ -133,6 +133,25 @@ class FiniteField:
         p = self.p
         for m in range(self.q):
             yield FqElement(self, (m,) if self.k == 1 else (m % p, m // p))
+
+    @functools.cached_property
+    def square_roots(self) -> dict["FqElement", tuple["FqElement", ...]]:
+        """Each square s of the field mapped to every y with y^2 = s, in the
+        field's canonical order: the one place that finds square roots, built
+        in one pass over the field, once per field object, and only read."""
+        roots: dict[FqElement, tuple[FqElement, ...]] = {}
+        for y in self:
+            s = y * y
+            roots[s] = roots.get(s, ()) + (y,)
+        return roots
+
+    @functools.cached_property
+    def root_counts(self) -> tuple[int, ...]:
+        """Entry m is the number of y with y^2 = the m-th element in canonical
+        order (the integer m over a prime field), read from
+        :attr:`square_roots`."""
+        roots = self.square_roots
+        return tuple(len(roots.get(s, ())) for s in self)
 
     def __eq__(self, other) -> bool:
         return other is self or (
@@ -244,36 +263,10 @@ class FqElement:
         return t if a0 == 0 else f"{t}+{a0}"
 
 
-def field_table(build):
-    """``build(field)`` as a per-field table: built on the first call for a
-    field object and kept in that object's ``tables``, so it holds that
-    object's elements, and equal but distinct fields build one each."""
-
-    def table(field: FiniteField):
-        tables = field.tables
-        if build not in tables:
-            tables[build] = build(field)
-        return tables[build]
-
-    return functools.wraps(build)(table)
-
-
-@field_table
-def square_roots(field: FiniteField) -> dict[FqElement, tuple[FqElement, ...]]:
-    """Each square s of the field mapped to every y with y^2 = s, in the
-    field's canonical order: the one place that finds square roots, built in
-    one pass over the field, once per field object, and only read."""
-    roots: dict[FqElement, tuple[FqElement, ...]] = {}
-    for y in field:
-        s = y * y
-        roots[s] = roots.get(s, ()) + (y,)
-    return roots
-
-
 def fq_sqrt(a: FqElement) -> Optional[FqElement]:
     """First root of ``a`` in the field's canonical order, looked up in
-    :func:`square_roots`; None when ``a`` is not a square."""
-    roots = square_roots(a.field).get(a)
+    :attr:`FiniteField.square_roots`; None when ``a`` is not a square."""
+    roots = a.field.square_roots.get(a)
     return roots[0] if roots else None
 
 

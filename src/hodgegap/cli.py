@@ -81,7 +81,7 @@ def _genus(c):
 
 
 def _smoothness(c):
-    failure = smoothness_failure(c.family, c.spec)
+    failure = smoothness_failure(c.family, c.reduced)
     return failure is None, failure
 
 

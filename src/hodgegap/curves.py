@@ -49,7 +49,6 @@ from .algebra import (
     poly_gcd,
     power,
     primes_upto,
-    square_roots,
 )
 from .cyclotomic import CyclotomicField, PiSpec, SplitPrime, cyclotomic_field, residue_map
 from .elliptic import find_curve, torsion_point_of_exact_order
@@ -88,7 +87,9 @@ def modular_squarefree(f: Polynomial) -> Optional[bool]:
     keeps its degree and is squarefree.  Reduction then commutes with the
     resultant of f and f' (l > deg f), which a repeated factor over
     Q(zeta_n) makes 0 (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-    ch. 6).
+    ch. 6).  Or f keeps its degree mod l1 but shows a repeated root there,
+    and at l2 below, in every embedding, f keeps its degree and its gcd with
+    f' is constant: the same argument at l2, so l1 was unlucky.
 
     False: a modular gcd proved by trial division (Langemyr & McCallum,
     *J. Symb. Comput.* 8, 1989; Encarnacion, *J. Symb. Comput.* 20, 1995).
@@ -100,8 +101,9 @@ def modular_squarefree(f: Polynomial) -> Optional[bool]:
 
     None otherwise: f is constant or over another ring, l divides a
     denominator, a leading coefficient reduces to 0 (at l2, in some
-    embeddings only), f has a repeated root mod l1, or at l2 the gcd is
-    constant, out of reconstruction's reach, or leaves a remainder.
+    embeddings only), or at l2 the gcd is out of reconstruction's reach,
+    leaves a remainder, or is constant after f lost its degree mod l1 or
+    did not reduce there.
     """
     k = f.ring
     if not isinstance(k, CyclotomicField) or f.degree < 1:
@@ -109,9 +111,11 @@ def modular_squarefree(f: Polynomial) -> Optional[bool]:
     ell = _least_prime(k.n, 2 * f.degree)
     fl = FiniteField(ell)
     residue = residue_map(k, fl, fl.from_int(element_of_order(k.n, ell)))
+    kept = False  # f keeps its degree mod l1
     try:
         reduced = Polynomial(fl, map(residue, f.coeffs))
-        if reduced.degree == f.degree and discriminant_squarefree(reduced):
+        kept = reduced.degree == f.degree
+        if kept and discriminant_squarefree(reduced):
             return True
     except ValueError:  # l1 divides a denominator
         pass
@@ -121,7 +125,9 @@ def modular_squarefree(f: Polynomial) -> Optional[bool]:
         h = Polynomial(k, [ring.lift(c) for c in poly_gcd(reduced, reduced.derivative()).coeffs])
     except (ValueError, ZeroDivisionError):
         return None
-    if h.degree < 1 or _monic_remainder(f, h).coeffs or _monic_remainder(f.derivative(), h).coeffs:
+    if h.degree < 1:
+        return True if kept and reduced.degree == f.degree else None
+    if _monic_remainder(f, h).coeffs or _monic_remainder(f.derivative(), h).coeffs:
         return None
     return False
 
@@ -167,7 +173,6 @@ class Construction:
 
     def __init__(
         self,
-        p: int,
         residue_field: FiniteField,  # the special fibre is v^2 = u^q - u over F_q
         twist: int,  # Y is the quotient by (sigma, sigma^twist, tau_P)
         engine: Callable[[], PiSpec],
@@ -178,7 +183,6 @@ class Construction:
         hodge_text: str,  # the claim on hX and hY; {twisted} is Y's generator
         skips: Mapping[str, tuple[str, str]],  # check id -> (statement, reason with {twist})
     ):
-        self.p = p
         self.residue_field = residue_field
         self.twist = twist
         self.engine = engine
@@ -188,6 +192,10 @@ class Construction:
         self.elliptic_check = elliptic_check
         self.hodge_text = hodge_text
         self.skips = skips
+
+    @property
+    def p(self) -> int:
+        return self.residue_field.p
 
     @property
     def q(self) -> int:
@@ -285,7 +293,6 @@ def construction(p: int) -> Construction:
             return PiSpec(k, k.zeta**4 - 1, f9, -f9.gen())
 
         return Construction(
-            p,
             residue_field=f9,
             twist=2,
             engine=engine,
@@ -320,7 +327,6 @@ def construction(p: int) -> Construction:
         return PiSpec(k, k.zeta - 1, fp, fp.one)
 
     return Construction(
-        p,
         residue_field=fp,
         twist=4,
         engine=engine,
@@ -450,10 +456,12 @@ def chart_transition_check(p: int, spec: PiSpec, model: HyperellipticModel) -> b
     return second_chart_polynomial(model) == second_chart_closed_form(p, spec)
 
 
-def smoothness_failure(model: HyperellipticModel, spec: PiSpec) -> Optional[str]:
+def smoothness_failure(model: HyperellipticModel, reduced: HyperellipticModel) -> Optional[str]:
     """The first condition for v^2 = f(u) to be smooth over the engine's ring
-    of integers, on both charts and both fibres, that fails, or None: odd
-    degree, integral coefficients, f squarefree, and f mod pi squarefree."""
+    of integers, on both charts and both fibres, that fails, or None, given
+    its reduction mod pi: odd degree, integral coefficients, f squarefree,
+    f mod pi of the same degree (else the second chart is singular at s = 0
+    on the special fibre), and f mod pi squarefree."""
     f = model.f
     if f.degree < 1 or f.degree % 2 == 0:
         return f"f has degree {f.degree}, not odd and positive"
@@ -462,16 +470,24 @@ def smoothness_failure(model: HyperellipticModel, spec: PiSpec) -> Optional[str]
             return f"the u^{k} coefficient is not integral"
     if not model.squarefree:
         return "f has a repeated factor on the generic fibre"
-    if not reduce_model(model, spec).squarefree:
+    if reduced.f.degree != f.degree:
+        return (f"f mod pi has degree {reduced.f.degree}, not {f.degree}: the second "
+                "chart is singular at s = 0 on the special fibre")
+    if not reduced.squarefree:
         return "f mod pi has a repeated factor on the special fibre"
     return None
 
 
 def is_relatively_smooth(model: HyperellipticModel, spec: PiSpec) -> bool:
-    """Whether v^2 = f(u) is smooth: :func:`smoothness_failure` finds no
-    failed condition.  The report reads the condition; the benchmark's
-    square items and the tests call this."""
-    return smoothness_failure(model, spec) is None
+    """Whether v^2 = f(u) is smooth: f reduces mod pi and
+    :func:`smoothness_failure` finds no failed condition.  The report reads
+    the condition on its construction's reduction; the benchmark's square
+    items and the tests call this."""
+    try:
+        reduced = reduce_model(model, spec)
+    except ValueError:  # p divides a denominator
+        return False
+    return smoothness_failure(model, reduced) is None
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +571,10 @@ def x_multiplier(m: AffineCurveMap, spec: PiSpec) -> int:
 
 def affine_fixed_points(m: AffineCurveMap, model: HyperellipticModel) -> list[tuple]:
     """All affine points of v^2 = f(u) fixed by the map, u-major: each u reads
-    the roots of f(u) from :func:`square_roots`.  Maps of this shape always
-    fix the single point at infinity, so it is not listed."""
+    the roots of f(u) from the field's ``square_roots``.  Maps of this shape
+    always fix the single point at infinity, so it is not listed."""
     fq = m.ring
     if not isinstance(fq, FiniteField):
         raise ValueError("fixed-point search needs a finite coefficient field")
-    roots = square_roots(fq)
+    roots = fq.square_roots
     return [(u, v) for u in fq for v in roots.get(model.f(u), ()) if m.apply(u, v) == (u, v)]

@@ -3,14 +3,14 @@
 Curves are kept in the form y^2 = x^3 + a2*x^2 + a4*x + a6 (characteristic
 never 2 here); the short Weierstrass case is a2 = 0, and the a2 term is what
 makes characteristic 3 work.  Points are listed and counted in O(q), each x
-reading the roots of rhs(x) from :func:`algebra.square_roots`.  Over a prime
+reading the roots of rhs(x) from the field's ``square_roots``.  Over a prime
 field the count runs on plain integers: one Horner step
-((x + a2)*x + a4)*x + a6 mod p per x indexes a per-field tuple of root
-counts, itself read once from :func:`algebra.square_roots`.  F_9, the one
-non-prime field, evaluates the cubic over :class:`FqElement`.  The one
-coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the field's
-canonical order, so results are deterministic; it counts each candidate from
-its coefficients and tests singularity only on a candidate whose count passes.
+((x + a2)*x + a4)*x + a6 mod p per x indexes the field's ``root_counts``, a
+tuple read once from its ``square_roots``.  F_9, the one non-prime field,
+evaluates the cubic over :class:`FqElement`.  The one coefficient search,
+:func:`find_curve`, scans (a2, a4, a6) in the field's canonical order, so
+results are deterministic; it counts each candidate from its coefficients and
+tests singularity only on a candidate whose count passes.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from .algebra import (
     FqElement,
     Polynomial,
     discriminant_squarefree,
-    field_table,
     is_prime,
     power,
-    square_roots,
 )
 
 
@@ -74,7 +72,7 @@ class EllipticCurve:
     def points(self) -> Iterator[CurvePoint]:
         """All rational points, infinity first, then in field order on x, y."""
         yield CurvePoint.infinity()
-        roots = square_roots(self.field)
+        roots = self.field.square_roots
         for x in self.field:
             for y in roots.get(self.rhs(x), ()):
                 yield CurvePoint(x, y)
@@ -83,26 +81,17 @@ class EllipticCurve:
         return f"E[y^2 = x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6}) / GF({self.q})]"
 
 
-@field_table
-def _root_counts(field: FiniteField) -> tuple[int, ...]:
-    """Entry m is the number of y with y^2 = the m-th element of ``field`` in
-    canonical order (the integer m over a prime field): one tuple per field
-    object, read from :func:`square_roots`."""
-    roots = square_roots(field)
-    return tuple(len(roots.get(s, ())) for s in field)
-
-
 def _count(field: FiniteField, a2: FqElement, a4: FqElement, a6: FqElement) -> int:
     """Rational points of y^2 = x^3 + a2 x^2 + a4 x + a6, point at infinity
     included, singular or not; raises past the Hasse bound, which a singular
     cubic (q, q + 1 or q + 2 points) never crosses."""
     if field.k == 1:
         p = field.p
-        counts = _root_counts(field)
+        counts = field.root_counts
         b2, b4, b6 = a2.coords[0], a4.coords[0], a6.coords[0]
         n = 1 + sum(counts[(((x + b2) * x + b4) * x + b6) % p] for x in range(p))
     else:  # F_{p^2} (F_9 at p = 3) multiplies as FqElement
-        roots = square_roots(field)
+        roots = field.square_roots
         n = 1 + sum(len(roots.get(((x + a2) * x + a4) * x + a6, ())) for x in field)
     q = field.q
     if (q + 1 - n) ** 2 > 4 * q:

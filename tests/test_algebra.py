@@ -20,7 +20,6 @@ from hodgegap.algebra import (
     primes_upto,
     rank_mod_p,
     rational_reconstruction,
-    square_roots,
 )
 from hodgegap.cyclotomic import CyclotomicField, cyclotomic_field
 from hodgegap.modularrep import g_minus_one
@@ -521,7 +520,7 @@ def test_sqrt_squares_back(field):
 @pytest.mark.parametrize("field", [F5, F7, F9])
 def test_square_roots_table_against_a_scan(field):
     # oracle: every y whose square is s, in the field's canonical order
-    table = square_roots(field)
+    table = field.square_roots
     for s in field:
         roots = tuple(y for y in field if y * y == s)
         assert table.get(s, ()) == roots

@@ -96,6 +96,24 @@ def test_report_builds_the_family_once(monkeypatch, p):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_report_reduces_the_family_once(monkeypatch, p):
+    # the smoothness check reads the construction's reduction, the one that
+    # the reduction, sigma, tau and fixed-point checks read
+    calls = []
+    real = curves.reduce_model
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "reduce_model", counting)
+    c = curves.construction(p)
+    assert not build_report(c).failed()
+    assert len(calls) == 1
+    assert calls[0][0] is c.family
+
+
 def test_every_odd_prime_to_101_passes_with_a_modular_squarefree_verdict(monkeypatch):
     # the claim is made for each odd prime, and several paths depend on the
     # prime (modular_squarefree's search for its first prime, the elliptic

@@ -70,6 +70,14 @@ def test_a_construction_is_fresh_and_freed(p):
     assert [r() for r in refs] == [None, None, None]
 
 
+def test_construction_reads_p_off_its_residue_field():
+    # p is no constructor argument, so it cannot disagree with F_q
+    c = construction(3)
+    assert (c.p, c.q) == (c.residue_field.p, 9) == (3, 9)
+    with pytest.raises(TypeError, match="no parameter"):
+        replaced(c, p=5)
+
+
 def test_family_rejects_an_engine_with_the_wrong_residue_field():
     # the p = 3 construction lives over F_9; Z_3[zeta_3] has residue field
     # F_3, so its family is the cubic g, not g^3 + g, and the report says so
@@ -357,6 +365,22 @@ def test_split_prime_certificate_declines_when_the_prime_divides(monkeypatch, le
     assert [f is model.f for f in exact] == [True]
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_an_unlucky_first_prime_is_settled_at_the_second(monkeypatch, p):
+    # the family with its leading coefficient times pi is squarefree and keeps
+    # its degree mod the first prime (11 at p = 5, 29 at p = 7), where it has a
+    # repeated root; at the second prime its gcd with f' is constant, so the
+    # verdict is True with no exact gcd (which at p = 29 runs for minutes)
+    model = HyperellipticModel(_leading_times_pi(_family(p).f, default_spec(p).pi))
+    verdicts, exact = _count_verdicts(monkeypatch)
+    assert model.squarefree
+    assert [f is model.f for f in verdicts] == [True]
+    # the one gcd taken by discriminant_squarefree is the first prime's
+    [reduced] = exact
+    assert (reduced.ring, reduced.degree) == (FiniteField({5: 11, 7: 29}[p]), p)
+    assert not discriminant_squarefree(reduced)
+
+
 @pytest.mark.parametrize("p", [3] + primes_upto(23)[2:])
 def test_exact_gcd_of_the_square_control_is_the_squared_factor(p):
     # f * (u - 2)^2 with f squarefree and f(2) != 0: the gcd with the
@@ -378,6 +402,11 @@ def test_least_prime_is_the_first_of_a_search_one_by_one(step, bound):
 
 def _linear(k, root):
     return Polynomial(k, [-k.coerce(root), k.one])
+
+
+def _leading_times_pi(f, pi):
+    *rest, lead = f.coeffs
+    return Polynomial(f.ring, [*rest, pi * lead])
 
 
 def _certificate_prime(n):
@@ -504,13 +533,22 @@ def test_smoothness_failure_names_the_condition():
         "f has degree -1, not odd and positive": Polynomial(k, []),
         "the u^1 coefficient is not integral": Polynomial(k, [1, k.one / 3, 0, 1]),
         "f has a repeated factor on the generic fibre": square,
+        # f mod pi drops from u^5 - u to -u
+        "f mod pi has degree 1, not 5: the second chart is singular at s = 0 on "
+        "the special fibre": _leading_times_pi(_family(5).f, pi),
         "f mod pi has a repeated factor on the special fibre": lifted,
         None: _family(5).f,
     }
     for witness, f in cases.items():
         model = HyperellipticModel(f)
-        assert smoothness_failure(model, spec) == witness
+        assert smoothness_failure(model, reduce_model(model, spec)) == witness
         assert is_relatively_smooth(model, spec) is (witness is None)
+    # 5 divides a denominator: f does not reduce, and the model is rejected
+    # without a raise
+    model = HyperellipticModel(Polynomial(k, [1, k.one / 5, 0, 1]))
+    with pytest.raises(ValueError, match="divides the denominator"):
+        reduce_model(model, spec)
+    assert is_relatively_smooth(model, spec) is False
 
 
 @pytest.mark.parametrize("p", [19, 23, 29, 37, 61])

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from hodgegap import algebra, elliptic
+from hodgegap import elliptic
 from hodgegap.algebra import FiniteField, fq_sqrt, primes_upto
 from hodgegap.curves import construction
 from hodgegap.elliptic import (
@@ -75,33 +75,35 @@ def test_singular_input_rejected():
         EllipticCurve(F5, 0, 0, 0)  # y^2 = x^3 has a cusp
 
 
-def test_count_points_raises_past_the_hasse_bound(monkeypatch):
-    curve = EllipticCurve(F5, 0, -1, 0)
-    monkeypatch.setattr(elliptic, "_root_counts", lambda field: (2,) * field.q)
+def test_count_points_raises_past_the_hasse_bound():
+    # a field of its own, so the false root counts reach no other test
+    f5 = FiniteField(5)
+    curve = EllipticCurve(f5, 0, -1, 0)
+    f5.root_counts = (2,) * f5.q
     with pytest.raises(ArithmeticError, match="Hasse"):  # 2 points over every x
         count_points(curve)
     with pytest.raises(ArithmeticError, match="Hasse"):
-        find_curve(F5, lambda n: True)
+        find_curve(f5, lambda n: True)
 
 
 def test_count_points_builds_one_squares_table_per_field():
     # count_points reads one root-count tuple per field object, built from the
     # one square_roots table that points() and fq_sqrt read; each is built on
-    # first use and then handed back as is.  An equal but distinct field
-    # builds its own, of its own elements
+    # first use, kept on the field and then handed back as is.  An equal but
+    # distinct field builds its own, of its own elements
     f7 = FiniteField(7)
+    assert not {"square_roots", "root_counts"} & set(vars(f7))
     for b in range(1, 7):
         count_points(EllipticCurve(f7, 0, 0, b))
     assert len(list(EllipticCurve(f7, 0, 0, 1).points())) == 12
     assert fq_sqrt(f7.from_int(2)) == 3
-    roots, counts = algebra.square_roots(f7), elliptic._root_counts(f7)
-    assert list(f7.tables.values()) == [roots, counts]
-    assert algebra.square_roots(f7) is roots and elliptic._root_counts(f7) is counts
+    roots, counts = vars(f7)["square_roots"], vars(f7)["root_counts"]
+    assert f7.square_roots is roots and f7.root_counts is counts
     other = FiniteField(7)
     assert count_points(EllipticCurve(other, 0, 0, 1)) == count_points(EllipticCurve(f7, 0, 0, 1))
-    assert elliptic._root_counts(other) == counts
-    assert elliptic._root_counts(other) is not counts
-    other_roots = algebra.square_roots(other)
+    assert other.root_counts == counts
+    assert other.root_counts is not counts
+    other_roots = other.square_roots
     assert other_roots == roots
     assert all(y.field is other for ys in other_roots.values() for y in ys)
 

@@ -45,6 +45,13 @@ def _square_factor(f, k):
     return f * linear * linear
 
 
+def _leading_times_pi(c):
+    """A copy of c whose family has its leading coefficient times pi: f mod pi
+    drops to degree 1, and the second chart is singular at s = 0 there."""
+    *rest, lead = c.family.f.coeffs
+    return _with(c, family=HyperellipticModel(Polynomial(c.spec.field, [*rest, c.spec.pi * lead])))
+
+
 def _twice_pi(c):
     """An engine whose uniformizer is 2*pi: binom(p, 1)/(2*pi) is not integral,
     so the family does not build."""
@@ -70,15 +77,21 @@ FAMILY_P3 = F_CHECKS | {
     "action.sigma_fixed_points",
 }
 FAMILY = FAMILY_P3 - {"conj.tau_sigma2"} | {"curve.chart2", "conj.tau_sigma4"}
+# f keeps its degree and stays squarefree, so the genus holds; f mod pi is
+# -u, which tau still preserves and on which sigma0 fixes no point
+LEADING = F_CHECKS - {"curve.genus"} | {"action.sigma_preserves", "action.sigma_reduction"}
 
-# name -> (change, {p: failing ids}), the key None for every other p
+# name -> (change, {p: failing ids}), the key None for every other p; a
+# value that depends on p is a function of p
 PERTURBATIONS = {
     "twist-3": (
         lambda c: replaced(c, twist=3),
         {
             3: {"conj.tau_sigma3", "hodge.h30.pair"},  # t = 0 in F_9: no tau
-            13: {"hodge.witness"},  # 3 = 4^2 mod 13: tau conjugates sigma to sigma^3
-            None: {"conj.tau_sigma3", "hodge.witness"},  # 3 is no square mod 5, 7
+            # where 3 is a square mod p (3 = 4^2 mod 13), tau exists and
+            # conjugates sigma to sigma^3; mod 5 and 7 it is not
+            None: lambda p: {"hodge.witness"} if pow(3, (p - 1) // 2, p) == 1
+            else {"conj.tau_sigma3", "hodge.witness"},
         },
     ),
     "twist-1-Y-is-X": (
@@ -115,6 +128,10 @@ PERTURBATIONS = {
             | {"curve.integrality", "curve.chart2", "conj.tau_sigma4"},
         },
     ),
+    "leading-coefficient-times-pi": (  # f mod pi loses its degree
+        _leading_times_pi,
+        {3: LEADING, None: LEADING | {"curve.chart2"}},
+    ),
     "pi-doubled": (  # sigma is zeta*u + 1 in x = 2*pi*u + 1: a translation
         _twice_pi,
         {3: FAMILY_P3 | {"forms.weights"}, None: FAMILY | {"forms.weights"}},
@@ -143,7 +160,8 @@ PERTURBATIONS = {
 
 def _failing(name, p):
     table = PERTURBATIONS[name][1]
-    return table.get(p, table[None])
+    ids = table.get(p, table[None])
+    return ids(p) if callable(ids) else ids
 
 
 @pytest.mark.parametrize("name, p", itertools.product(PERTURBATIONS, PRIMES))
@@ -180,16 +198,20 @@ def test_every_check_has_a_perturbation_that_fails_it(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_a_smoothness_failure_names_its_condition(p):
-    # the square factor fails on the generic fibre, the half on integrality
+    # the square factor fails on the generic fibre, the half on integrality,
+    # pi times the leading coefficient on the degree of f mod pi
     witnesses = {
         name: {r.id: r for r in build_report(PERTURBATIONS[name][0](construction(p))).checks}[
             "curve.smoothness"
         ].witness
-        for name in ("f-times-(u-2)^2", "f-plus-half")
+        for name in ("f-times-(u-2)^2", "f-plus-half", "leading-coefficient-times-pi")
     }
+    degree = construction(p).family.f.degree
     assert witnesses == {
         "f-times-(u-2)^2": "f has a repeated factor on the generic fibre",
         "f-plus-half": "the u^0 coefficient is not integral",
+        "leading-coefficient-times-pi": f"f mod pi has degree 1, not {degree}: the second "
+        "chart is singular at s = 0 on the special fibre",
     }
 
 
