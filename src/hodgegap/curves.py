@@ -14,8 +14,9 @@ that tells p = 3 apart.  Its :class:`Construction` holds the residue field
 F_q (F_p, or F_9 at p = 3, from which it also builds the engine, so that
 every object of a report over F_q shares one field object), the twist
 exponent and one point-count test per prime, and it builds and keeps the
-objects a report checks: the engine, the family and its reduction, the
-reduction target u^q - u, sigma on both fibres, tau, the elliptic factor
+objects a report checks: the engine, the family and its reduction, the xy
+model and the verdict that it pulls back to the family, the reduction
+target u^q - u, sigma on both fibres, tau, the elliptic factor
 (the first curve over F_q that passes the test), the form weights, the
 invariant pairs and the h1 report.  Each call makes a fresh construction,
 freed with its caller's last reference.  The functions below take the data
@@ -87,9 +88,9 @@ def modular_squarefree(f: Polynomial) -> Optional[bool]:
     keeps its degree and is squarefree.  Reduction then commutes with the
     resultant of f and f' (l > deg f), which a repeated factor over
     Q(zeta_n) makes 0 (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-    ch. 6).  Or f keeps its degree mod l1 but shows a repeated root there,
-    and at l2 below, in every embedding, f keeps its degree and its gcd with
-    f' is constant: the same argument at l2, so l1 was unlucky.
+    ch. 6).  Or, at l2 below, in every embedding, f keeps its degree and its
+    gcd with f' is constant: the same argument at l2, whatever l1 showed (a
+    repeated root, a lost degree or a denominator).
 
     False: a modular gcd proved by trial division (Langemyr & McCallum,
     *J. Symb. Comput.* 8, 1989; Encarnacion, *J. Symb. Comput.* 20, 1995).
@@ -102,8 +103,7 @@ def modular_squarefree(f: Polynomial) -> Optional[bool]:
     None otherwise: f is constant or over another ring, l divides a
     denominator, a leading coefficient reduces to 0 (at l2, in some
     embeddings only), or at l2 the gcd is out of reconstruction's reach,
-    leaves a remainder, or is constant after f lost its degree mod l1 or
-    did not reduce there.
+    leaves a remainder, or is constant after f lost its degree there.
     """
     k = f.ring
     if not isinstance(k, CyclotomicField) or f.degree < 1:
@@ -111,11 +111,9 @@ def modular_squarefree(f: Polynomial) -> Optional[bool]:
     ell = _least_prime(k.n, 2 * f.degree)
     fl = FiniteField(ell)
     residue = residue_map(k, fl, fl.from_int(element_of_order(k.n, ell)))
-    kept = False  # f keeps its degree mod l1
     try:
         reduced = Polynomial(fl, map(residue, f.coeffs))
-        kept = reduced.degree == f.degree
-        if kept and discriminant_squarefree(reduced):
+        if reduced.degree == f.degree and discriminant_squarefree(reduced):
             return True
     except ValueError:  # l1 divides a denominator
         pass
@@ -126,7 +124,7 @@ def modular_squarefree(f: Polynomial) -> Optional[bool]:
     except (ValueError, ZeroDivisionError):
         return None
     if h.degree < 1:
-        return True if kept and reduced.degree == f.degree else None
+        return True if reduced.degree == f.degree else None
     if _monic_remainder(f, h).coeffs or _monic_remainder(f.derivative(), h).coeffs:
         return None
     return False
@@ -216,6 +214,17 @@ class Construction:
     @functools.cached_property
     def reduced(self) -> HyperellipticModel:
         return reduce_model(self.family, self.spec)
+
+    @functools.cached_property
+    def xy(self) -> HyperellipticModel:
+        return xy_model(self.p, self.spec)
+
+    @functools.cached_property
+    def substitution(self) -> bool:
+        """Whether x = pi*u + 1 pulls the xy model back to the family, the
+        verdict of ``curve.substitution``; ``action.sigma_preserves`` checks
+        sigma on the xy model only when it is True."""
+        return _pull_back(self.xy, self.spec) == self.family.f
 
     @functools.cached_property
     def target(self) -> Polynomial:
@@ -422,13 +431,18 @@ def xy_model(p: int, spec: PiSpec) -> HyperellipticModel:
     return HyperellipticModel(h**p + h if spec.residue_field.q > p else h)
 
 
+def _pull_back(xy: HyperellipticModel, spec: PiSpec) -> Polynomial:
+    """h(pi*u + 1) for the xy model y^2 = h(x), over the engine's field."""
+    k = spec.field
+    return xy.f.compose(Polynomial(k, [k.one, spec.pi]))
+
+
 def substitution_check(p: int, spec: PiSpec, model: HyperellipticModel) -> bool:
     """Does x = pi*u + 1 pull the xy-model back to v^2 = f(u)?  Exact
     polynomial identity over the engine's field: h(pi*u + 1) == g(u) for
-    h = (x^p - 1)/pi^p, hence also h^3 + h == g^3 + g at p = 3."""
-    k = spec.field
-    x_of_u = Polynomial(k, [k.one, spec.pi])
-    return xy_model(p, spec).f.compose(x_of_u) == model.f
+    h = (x^p - 1)/pi^p, hence also h^3 + h == g^3 + g at p = 3.  The report
+    reads the same identity as ``Construction.substitution``."""
+    return _pull_back(xy_model(p, spec), spec) == model.f
 
 
 def second_chart_closed_form(p: int, spec: PiSpec) -> Polynomial:
@@ -537,7 +551,13 @@ def map_order(m: AffineCurveMap, bound: int = 512) -> int:
 
 def map_preserves_curve(model: HyperellipticModel, m: AffineCurveMap) -> bool:
     """gamma^2 * f(u) == f(alpha*u + beta), the condition for (u,v) ->
-    (alpha*u+beta, gamma*v) to be an automorphism of v^2 = f(u)."""
+    (alpha*u+beta, gamma*v) to be an automorphism of v^2 = f(u).
+
+    Composing with A(u) = pi*u + 1 is a ring automorphism of K[u], so when
+    f = h(A) for the xy model h (``Construction.substitution``), m preserves
+    v^2 = f(u) exactly when :func:`x_map` of m preserves y^2 = h(x).  The
+    report checks sigma that way, where x_map(sigma) is x -> zeta*x and h is
+    sparse, and checks f itself when the substitution does not hold."""
     f = model.f
     ring = f.ring
     moved = f.compose(Polynomial(ring, [m.beta, m.alpha]))
@@ -552,14 +572,20 @@ def conjugacy_check(
     return lhs == map_power(sigma, k)
 
 
+def x_map(m: AffineCurveMap, spec: PiSpec) -> AffineCurveMap:
+    """m in the generic fibre's coordinate x = pi*u + 1: u -> alpha*u + beta
+    is x -> alpha*x + (1 - alpha + pi*beta), and v = y keeps gamma."""
+    return AffineCurveMap(m.alpha, 1 - m.alpha + spec.pi * m.beta, m.gamma)
+
+
 def x_multiplier(m: AffineCurveMap, spec: PiSpec) -> int:
     """The a with m = (x -> zeta_p^a x, y -> y) in the generic fibre's
-    coordinate x = pi*u + 1, where zeta_p = pi + 1: in x the map
-    u -> alpha*u + beta is x -> alpha*x + (1 - alpha + pi*beta), so m is of
-    that shape when this translation is 0, gamma = 1 and alpha is a power of
+    coordinate x = pi*u + 1, where zeta_p = pi + 1: m is of that shape when
+    the translation of :func:`x_map` is 0, gamma = 1 and alpha is a power of
     zeta_p.  The 1-form x^(k-1) dx/y then has weight a*k mod p.  Raises
     ValueError for a map of any other shape."""
-    if m.gamma != 1 or 1 - m.alpha + spec.pi * m.beta:
+    mx = x_map(m, spec)
+    if mx.gamma != 1 or mx.beta:
         raise ValueError("the map is not x -> zeta_p^a x, y -> y in x = pi*u + 1")
     zeta, power = spec.pi + 1, spec.field.one
     for a in range(spec.p):
@@ -570,11 +596,24 @@ def x_multiplier(m: AffineCurveMap, spec: PiSpec) -> int:
 
 
 def affine_fixed_points(m: AffineCurveMap, model: HyperellipticModel) -> list[tuple]:
-    """All affine points of v^2 = f(u) fixed by the map, u-major: each u reads
-    the roots of f(u) from the field's ``square_roots``.  Maps of this shape
+    """All affine points of v^2 = f(u) fixed by the map, u-major, solved
+    rather than scanned: alpha*u + beta = u leaves the one u = beta/(1 - alpha)
+    when alpha != 1, no u when alpha = 1 and beta != 0, and every u for the
+    identity on u; each u left reads the roots of f(u) from the field's
+    ``square_roots`` and keeps the v with gamma*v = v (v = 0 unless
+    gamma = 1).  So f is evaluated once, or not at all, unless the map fixes
+    u.  The scan of every (u, v) is the tests' oracle.  Maps of this shape
     always fix the single point at infinity, so it is not listed."""
     fq = m.ring
     if not isinstance(fq, FiniteField):
         raise ValueError("fixed-point search needs a finite coefficient field")
+    if model.f.ring != fq:
+        raise ValueError(f"the map is over {fq}, the curve over {model.f.ring}")
+    if m.alpha != 1:
+        us = [m.beta * (1 - m.alpha).inv()]
+    elif m.beta:
+        return []
+    else:
+        us = fq
     roots = fq.square_roots
-    return [(u, v) for u in fq for v in roots.get(model.f(u), ()) if m.apply(u, v) == (u, v)]
+    return [(u, v) for u in us for v in roots.get(model.f(u), ()) if m.apply(u, v) == (u, v)]

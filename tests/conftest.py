@@ -18,7 +18,9 @@ def replaced(obj, **changes):
 
 def compose_paths(monkeypatch):
     """Wrap the two paths of ``Polynomial.compose`` for one test: the list
-    returned gets ("chain", outer coefficients) or ("shift", ...) per call."""
+    returned gets ("chain", outer coefficients), ("shift", ...) or, for an
+    inner with beta = 0, where the shift runs its scaling alone,
+    ("scale", ...) per call."""
     from hodgegap import algebra
 
     taken = []
@@ -29,7 +31,7 @@ def compose_paths(monkeypatch):
         return chain(ring, coeffs, alpha)
 
     def recording_shift(coeffs, beta, alpha):
-        taken.append(("shift", tuple(coeffs)))
+        taken.append(("shift" if beta else "scale", tuple(coeffs)))
         return shift(coeffs, beta, alpha)
 
     monkeypatch.setattr(algebra, "_binomial_chain", recording_chain)

@@ -245,7 +245,7 @@ def test_compose_takes_the_chain_only_for_a_sparse_outer_and_beta_one(monkeypatc
         (past, ring.one, "shift"),  # 4 of 9
         (unit, ring.one, "shift"),
         (dense_outer, ring.one, "shift"),
-        (third, ring.zero, "shift"),
+        (third, ring.zero, "scale"),
         (third, non_one, "shift"),
         (binomial, dense, "shift"),
     ]:

@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import compose_paths, distinct_field_comparisons, replaced
+from test_perturbations import PERTURBATIONS
 
 from hodgegap import cli, curves, invariants
 from hodgegap.algebra import primes_upto
@@ -373,18 +375,24 @@ def test_console_module_entry():
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["after-banner", "at-exit-flush"])
 def test_closed_pipe_exits_quietly(unbuffered):
-    # `hodgegap verify --p 13 | head -1`: the reader goes away after the
-    # banner (unbuffered) or before anything is written (buffered, the
-    # report is flushed at exit); either way no traceback and a non-zero exit
+    # `hodgegap verify --p 61 --format json | head -1`: the reader goes away
+    # after the banner (unbuffered) or before anything is written (buffered,
+    # the report is flushed at exit); either way no traceback and a non-zero
+    # exit.  The pipe holds one page, less than the report, so the report's
+    # write meets the closed pipe however soon it comes after the banner
     flags = ["-u"] if unbuffered else []
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    assert fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) == 4096
     proc = subprocess.Popen(
-        [sys.executable, *flags, "-m", "hodgegap", "verify", "--p", "13"],
-        stdout=subprocess.PIPE,
+        [sys.executable, *flags, "-m", "hodgegap", "verify", "--p", "61", "--format", "json"],
+        stdout=write_end,
         stderr=subprocess.PIPE,
         text=True,
     )
-    first = proc.stdout.readline() if unbuffered else None
-    proc.stdout.close()
+    os.close(write_end)
+    with os.fdopen(read_end) as out:
+        first = out.readline() if unbuffered else None
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 1
@@ -420,17 +428,22 @@ GOLDEN = json.loads(
 )["sha256"]
 
 
-def test_report_composes_the_xy_model_by_the_chain_and_the_family_by_the_shift(monkeypatch):
-    # the xy model h has 2 nonzero coefficients of 14 and is pulled back along
-    # pi*u + 1; the family is dense and is moved by sigma = zeta*u + 1
+def test_report_composes_the_family_only_when_the_substitution_fails(monkeypatch):
+    # the xy model h has 2 nonzero coefficients of 14: the substitution pulls
+    # it back along pi*u + 1 by the chain, and sigma, x -> zeta*x on it, only
+    # scales it; the dense family is composed only after f = h(pi*u + 1)
+    # failed, once, by sigma's shift
     taken = compose_paths(monkeypatch)
     c = curves.construction(13)
-    report = build_report(c)
-    assert not report.failed()
-    xy = curves.xy_model(13, c.spec).f.coeffs
-    family = c.family.f.coeffs
-    assert ("chain", xy) in taken and ("shift", xy) not in taken
-    assert ("shift", family) in taken and ("chain", family) not in taken
+    assert not build_report(c).failed()
+    xy = c.xy.f.coeffs
+    assert [path for path, coeffs in taken if coeffs == xy] == ["chain", "scale"]
+    assert all(coeffs != c.family.f.coeffs for _, coeffs in taken)
+    taken.clear()
+    half = PERTURBATIONS["f-plus-half"][0](curves.construction(13))
+    failed = {r.id for r in build_report(half).failed()}
+    assert "curve.substitution" in failed and "action.sigma_preserves" not in failed
+    assert [path for path, coeffs in taken if coeffs == half.family.f.coeffs] == ["shift"]
 
 
 # SHA-256 of ``curve --p P --chart C --no-banner``, recorded before the

@@ -39,6 +39,7 @@ from hodgegap.curves import (
     reduce_model,
     smoothness_failure,
     substitution_check,
+    x_map,
     x_multiplier,
     xy_model,
 )
@@ -350,19 +351,23 @@ K5 = cyclotomic_field(5)
     ],
     ids=["denominator-11", "leading-11", "leading-11-zeta^2", "leading-zeta-minus-w"],
 )
-def test_split_prime_certificate_declines_when_the_prime_divides(monkeypatch, lead, constant):
+def test_split_prime_certificate_settles_at_the_second_prime_when_the_first_divides(
+    monkeypatch, lead, constant
+):
     # lead*u^3 + u + constant is squarefree (its discriminant
     # -4*lead - 27*lead^2*constant^2 is not 0) and of degree 3, so
     # modular_squarefree's first prime is 11, the least prime = 1 (mod 5)
     # above 6.  11 divides a denominator, or the leading coefficient reduces
     # to 0 (zeta - w lies in the prime above 11 that zeta -> w picks, though
-    # 11 does not divide it): the first prime shows nothing, the second
-    # finds no factor of a squarefree f, and the exact gcd gives the verdict
+    # 11 does not divide it): the first prime shows nothing, and at the
+    # second f keeps its degree and its gcd with f' is constant, which proves
+    # f squarefree with no exact gcd
     model = HyperellipticModel(Polynomial(K5, [constant, K5.one, K5.zero, lead]))
     verdicts, exact = _count_verdicts(monkeypatch)
     assert model.squarefree
     assert [f is model.f for f in verdicts] == [True]
-    assert [f is model.f for f in exact] == [True]
+    assert exact == []
+    assert modular_squarefree(model.f) is True
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -721,8 +726,9 @@ def _fixed_by_pairs(m, model):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_fixed_points_match_the_pair_scan(p):
-    # F_9, F_5 and F_7: sigma, tau, the identity and (u, -v) on the special
-    # fibre, whose points all have v = 0, and on seeded curves with v != 0
+    # F_9, F_5 and F_7: sigma, tau, the identity, (u, -v) and 2u + 1, which
+    # fixes u = -1 alone, on the special fibre, whose points all have v = 0,
+    # and on seeded curves and u^5 - u + 1 (f(-1) = 1) with v != 0
     spec = default_spec(p)
     fq = spec.residue_field
     rng = random.Random(p)
@@ -730,15 +736,64 @@ def test_fixed_points_match_the_pair_scan(p):
     models = [reduce_model(_family(p), spec)] + [
         HyperellipticModel(Polynomial(fq, [rng.choice(elements) for _ in range(5)] + [1]))
         for _ in range(4)
-    ]
+    ] + [HyperellipticModel(Polynomial(fq, [1, -1, 0, 0, 0, 1]))]
     c = construction(p)
+    single = AffineCurveMap(fq.from_int(2), fq.one, fq.one)
     maps = [
         c.sigma0,
         c.tau,
         identity_map(fq),
         AffineCurveMap(fq.one, fq.zero, -fq.one),
+        single,
+        replaced(single, gamma=-fq.one),
     ]
     for model in models:
         for m in maps:
             assert affine_fixed_points(m, model) == _fixed_by_pairs(m, model)
     assert affine_fixed_points(c.tau, models[0]) == [(fq.zero, fq.zero)]
+    assert affine_fixed_points(single, models[0]) == [(-fq.one, fq.zero)]
+    assert sorted(v == 1 or v == -1 for _, v in affine_fixed_points(single, models[-1])) == [True, True]
+    assert affine_fixed_points(replaced(single, gamma=-fq.one), models[-1]) == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_fixed_points_evaluate_f_once_or_not_at_all(monkeypatch, p):
+    # sigma0 = u + 1 moves every u; tau = t*u fixes u = 0 alone
+    c = construction(p)
+    red = c.reduced
+    evaluated, real = [], Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda f, x: evaluated.append(x) or real(f, x))
+    assert affine_fixed_points(c.sigma0, red) == []
+    assert evaluated == []
+    assert affine_fixed_points(c.tau, red) == [(red.f.ring.zero,) * 2]
+    assert evaluated == [red.f.ring.zero]
+
+
+def test_fixed_points_reject_a_map_over_another_field():
+    # sigma0 over F_9 moves every u, so no evaluation of f would see F_3
+    f3 = FiniteField(3)
+    model = HyperellipticModel(Polynomial(f3, [0, -1, 0, 1]))
+    with pytest.raises(ValueError, match="over"):
+        affine_fixed_points(construction(3).sigma0, model)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_a_map_preserves_the_family_exactly_when_its_x_map_preserves_the_xy_model(p):
+    # f = h(pi*u + 1), so composing with pi*u + 1 carries one identity to the
+    # other: sigma^k, translations, sigma-translation-2 and gamma = -1 or 2
+    c = construction(p)
+    assert c.substitution
+    k, s = c.spec.field, c.sigma
+    maps = [map_power(s, j) for j in range(p)] + [
+        AffineCurveMap(k.one, k.from_int(b), k.one) for b in (1, 2, -1)
+    ] + [
+        AffineCurveMap(s.alpha, k.from_int(2), s.gamma),
+        replaced(s, gamma=-k.one),
+        replaced(s, gamma=k.from_int(2)),
+    ]
+    verdicts = [
+        (map_preserves_curve(c.xy, x_map(m, c.spec)), map_preserves_curve(c.family, m))
+        for m in maps
+    ]
+    assert [x for x, _ in verdicts] == [f for _, f in verdicts]
+    assert [x for x, _ in verdicts] == [True] * p + [False] * 4 + [True, False]
