@@ -343,23 +343,24 @@ class Polynomial:
         return Polynomial(self.ring, [c * a for a in self.coeffs])
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(alpha*u + beta) for a linear ``inner`` = alpha*u + beta, by
-        one of two paths chosen from self's own coefficients.  With beta = 1
-        and at most a third of self's coefficients nonzero, a binomial
-        chain (:func:`_binomial_chain`): each nonzero c_k adds
-        binom(k, j) c_k alpha^j to coefficient j, from one running product
-        c_k alpha^j, so a sparse alpha such as pi makes every step a sparse
-        times dense product, O(nnz * deg * p) where the shift is O(p^3).
-        Otherwise the classical Taylor shift (:func:`_taylor_shift`).  An
-        inner of degree > 1 raises ValueError."""
+        """self(alpha*u + beta) for a linear ``inner`` = alpha*u + beta.  With
+        beta = 0, coefficient k is scaled by alpha^k (:func:`_scale_powers`).
+        Otherwise f(alpha*u + beta) = F((alpha/beta)*u + 1) for F(u) =
+        f(beta*u): self is scaled by the powers of beta unless beta = 1, then
+        one binomial chain (:func:`_binomial_chain`) runs, a sparse times
+        dense product per step when the outer and alpha are sparse, as pi
+        is.  An inner of degree > 1 raises ValueError."""
         inner = self._check(inner)
         if inner.degree > 1:
             raise ValueError(f"compose needs an inner of degree <= 1, got {inner.degree}")
         beta, alpha = inner.coeff(0), inner.coeff(1)
         a = self.coeffs
-        if beta == self.ring.one and 3 * sum(map(bool, a)) <= len(a):
-            return Polynomial(self.ring, _binomial_chain(self.ring, a, alpha))
-        return Polynomial(self.ring, _taylor_shift(a, beta, alpha))
+        if not beta:
+            return Polynomial(self.ring, _scale_powers(a, alpha))
+        if beta != self.ring.one:
+            a = _scale_powers(a, beta)
+            alpha = alpha * beta.inv()
+        return Polynomial(self.ring, _binomial_chain(self.ring, a, alpha))
 
     def __call__(self, x):
         x = self.ring.coerce(x)
@@ -412,7 +413,7 @@ class Polynomial:
 
 
 def _binomial_chain(ring, coeffs, alpha) -> list:
-    """The coefficients of sum_k c_k (alpha*u + 1)^k, the sparse path of
+    """The coefficients of sum_k c_k (alpha*u + 1)^k, the composing step of
     :meth:`Polynomial.compose`: for each nonzero c_k, binom(k, j) c_k alpha^j
     is added to coefficient j, with one running product c_k alpha^j and
     binom(k, j + 1) = binom(k, j) (k - j) / (j + 1)."""
@@ -429,28 +430,9 @@ def _binomial_chain(ring, coeffs, alpha) -> list:
     return out
 
 
-def _taylor_shift(coeffs, beta, alpha) -> list:
-    """The coefficients of f(alpha*u + beta), the dense path of
-    :meth:`Polynomial.compose`, by the classical Taylor shift (von zur
-    Gathen & Gerhard, ISSAC 1997): scale coefficient k by beta^k, shift
-    u -> u + 1 by additions alone, then scale coefficient k by
-    (alpha/beta)^k.  With beta = 1 the first scaling and the division are
-    skipped; with beta = 0 only the scaling by alpha^k runs."""
-    a = list(coeffs)
-    if beta:
-        if beta != beta.field.one:
-            a = _scale_powers(a, beta)
-            alpha = alpha * beta.inv()
-        n = len(a)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                a[j] = a[j] + a[j + 1]
-    return _scale_powers(a, alpha)
-
-
 def _scale_powers(coeffs, r) -> list:
-    """[c_k * r^k], the scaling step of :func:`_taylor_shift`, with one
-    running power of r."""
+    """[c_k * r^k], the scaling step of :meth:`Polynomial.compose`, with
+    one running power of r."""
     out = list(coeffs[:1])
     rk = None
     for c in coeffs[1:]:

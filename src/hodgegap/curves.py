@@ -441,7 +441,9 @@ def substitution_check(p: int, spec: PiSpec, model: HyperellipticModel) -> bool:
     """Does x = pi*u + 1 pull the xy-model back to v^2 = f(u)?  Exact
     polynomial identity over the engine's field: h(pi*u + 1) == g(u) for
     h = (x^p - 1)/pi^p, hence also h^3 + h == g^3 + g at p = 3.  The report
-    reads the same identity as ``Construction.substitution``."""
+    reads the same identity as ``Construction.substitution``; only
+    ``perfbench/worker.py``'s reject ``shift`` items and the tests call
+    this."""
     return _pull_back(xy_model(p, spec), spec) == model.f
 
 

@@ -17,25 +17,24 @@ def replaced(obj, **changes):
 
 
 def compose_paths(monkeypatch):
-    """Wrap the two paths of ``Polynomial.compose`` for one test: the list
-    returned gets ("chain", outer coefficients), ("shift", ...) or, for an
-    inner with beta = 0, where the shift runs its scaling alone,
-    ("scale", ...) per call."""
+    """Wrap the two steps of ``Polynomial.compose`` for one test: the list
+    returned gets ("chain", outer coefficients) per binomial chain and
+    ("scale", coefficients) per scaling by powers, in call order."""
     from hodgegap import algebra
 
     taken = []
-    chain, shift = algebra._binomial_chain, algebra._taylor_shift
+    chain, scale = algebra._binomial_chain, algebra._scale_powers
 
     def recording_chain(ring, coeffs, alpha):
         taken.append(("chain", tuple(coeffs)))
         return chain(ring, coeffs, alpha)
 
-    def recording_shift(coeffs, beta, alpha):
-        taken.append(("shift" if beta else "scale", tuple(coeffs)))
-        return shift(coeffs, beta, alpha)
+    def recording_scale(coeffs, r):
+        taken.append(("scale", tuple(coeffs)))
+        return scale(coeffs, r)
 
     monkeypatch.setattr(algebra, "_binomial_chain", recording_chain)
-    monkeypatch.setattr(algebra, "_taylor_shift", recording_shift)
+    monkeypatch.setattr(algebra, "_scale_powers", recording_scale)
     return taken
 
 

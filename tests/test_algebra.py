@@ -21,6 +21,7 @@ from hodgegap.algebra import (
     rank_mod_p,
     rational_reconstruction,
 )
+from hodgegap.curves import AffineCurveMap, construction, map_power
 from hodgegap.cyclotomic import CyclotomicField, cyclotomic_field
 from hodgegap.modularrep import g_minus_one
 
@@ -168,7 +169,7 @@ def test_poly_compose():
 
 def _horner_compose(f, inner):
     """f(inner(u)) by Horner's rule, for an inner of any degree: the oracle
-    of the Taylor-shift ``compose``."""
+    of ``compose``."""
     acc = Polynomial(f.ring)
     for c in reversed(f.coeffs):
         acc = acc * inner + Polynomial(f.ring, (c,))
@@ -204,13 +205,12 @@ def test_compose_is_horner_for_every_linear_inner(name):
 
 
 def _sparse_outers(ring, special, non_one, dense):
-    """Outers on both sides of compose's rule, the chain for at most a third
-    of the coefficients nonzero: 1 (the shift), the monomials c u^3 and
-    c u^7, the binomial u^6 + c, and nine coefficients with three (the
-    chain) or four (the shift) nonzero."""
+    """Outers with few nonzero coefficients: 1, the monomials c u^3 and
+    c u^7, the binomial u^6 + c, and nine coefficients with three or four
+    nonzero."""
     z = ring.zero
     return [
-        Polynomial(ring, [ring.one]),  # u^0: 1 of 1 nonzero, the shift
+        Polynomial(ring, [ring.one]),
         Polynomial(ring, [z, z, z, dense]),
         Polynomial(ring, [z] * 7 + [special]),
         Polynomial(ring, [non_one] + [z] * 5 + [ring.one]),
@@ -232,26 +232,48 @@ def test_compose_of_a_sparse_outer_is_horner(name):
 
 
 @pytest.mark.parametrize("name", COMPOSE_RINGS)
-def test_compose_takes_the_chain_only_for_a_sparse_outer_and_beta_one(monkeypatch, name):
+def test_compose_chooses_its_path_from_beta_alone(monkeypatch, name):
+    # beta = 0 scales by the powers of alpha; beta = 1 takes the chain, and
+    # any other beta scales by its powers first, whatever the outer
     ring, special, non_one, dense = COMPOSE_RINGS[name]
     taken = compose_paths(monkeypatch)
-    unit, mono, mono7, binomial, third, past = _sparse_outers(ring, special, non_one, dense)
-    dense_outer = Polynomial(ring, [1, dense, 0, special, -1, non_one, dense * dense])
-    for f, beta, path in [
-        (mono, ring.one, "chain"),
-        (mono7, ring.one, "chain"),
-        (binomial, ring.one, "chain"),
-        (third, ring.one, "chain"),  # 3 of 9 nonzero
-        (past, ring.one, "shift"),  # 4 of 9
-        (unit, ring.one, "shift"),
-        (dense_outer, ring.one, "shift"),
-        (third, ring.zero, "scale"),
-        (third, non_one, "shift"),
-        (binomial, dense, "shift"),
-    ]:
+    outers = _sparse_outers(ring, special, non_one, dense)
+    outers.append(Polynomial(ring, [1, dense, 0, special, -1, non_one, dense * dense]))
+    for f, (beta, path) in itertools.product(
+        outers,
+        [
+            (ring.one, ["chain"]),
+            (ring.zero, ["scale"]),
+            (non_one, ["scale", "chain"]),
+            (special, ["scale", "chain"]),
+            (dense, ["scale", "chain"]),
+        ],
+    ):
         taken.clear()
         f.compose(Polynomial(ring, [beta, special]))
-        assert [name for name, _ in taken] == [path], (f, beta)
+        assert [name for name, _ in taken] == path, (f, beta)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_compose_of_the_dense_family_is_horner(monkeypatch, p):
+    # the outer a failing report composes: the family f, of degree p (9 at
+    # p = 3) with over two thirds of its coefficients nonzero, under sigma
+    # (the chain), sigma^2 and sigma-translation-2's map (scaling by beta,
+    # then the chain) and u -> zeta_p*u (scaling alone)
+    c = construction(p)
+    f, s, k = c.family.f, c.sigma, c.spec.field
+    assert 3 * sum(map(bool, f.coeffs)) > 2 * len(f.coeffs)
+    taken = compose_paths(monkeypatch)
+    for m, path in [
+        (s, ["chain"]),
+        (map_power(s, 2), ["scale", "chain"]),
+        (AffineCurveMap(s.alpha, k.from_int(2), s.gamma), ["scale", "chain"]),
+        (AffineCurveMap(s.alpha, k.zero, s.gamma), ["scale"]),
+    ]:
+        taken.clear()
+        inner = Polynomial(k, [m.beta, m.alpha])
+        assert f.compose(inner) == _horner_compose(f, inner), (p, m)
+        assert [name for name, _ in taken] == path, (p, m)
 
 
 def test_frobenius_freshman_dream():

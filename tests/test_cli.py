@@ -121,8 +121,10 @@ def test_every_odd_prime_to_101_passes_with_a_modular_squarefree_verdict(monkeyp
     # prime (modular_squarefree's search for its first prime, the elliptic
     # search, tau's square root, p mod 8 in the interval count), so a ladder
     # of primes could step over the one where a path breaks.  The family is
-    # shown squarefree at that first prime, with no exact gcd over Q(zeta_n)
+    # shown squarefree at that first prime, with no exact gcd over Q(zeta_n),
+    # and never composed: sigma is proved on the sparse xy model
     verdicts, exact = [], []
+    taken = compose_paths(monkeypatch)
     real_verdict, real_exact = curves.modular_squarefree, curves.discriminant_squarefree
 
     def verdict(f):
@@ -141,8 +143,11 @@ def test_every_odd_prime_to_101_passes_with_a_modular_squarefree_verdict(monkeyp
         f = c.family.f
         assert [v for g, v in verdicts if g is f] == [True], p
         assert not any(g is f for g in exact), p
+        assert any(coeffs == c.xy.f.coeffs for _, coeffs in taken), p
+        assert all(coeffs != f.coeffs for _, coeffs in taken), p
         verdicts.clear()
         exact.clear()
+        taken.clear()
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 23])
@@ -429,10 +434,9 @@ GOLDEN = json.loads(
 
 
 def test_report_composes_the_family_only_when_the_substitution_fails(monkeypatch):
-    # the xy model h has 2 nonzero coefficients of 14: the substitution pulls
-    # it back along pi*u + 1 by the chain, and sigma, x -> zeta*x on it, only
-    # scales it; the dense family is composed only after f = h(pi*u + 1)
-    # failed, once, by sigma's shift
+    # the substitution pulls the xy model h back along pi*u + 1 by the
+    # chain, and sigma, x -> zeta*x on it, only scales it; the dense family
+    # is composed only after f = h(pi*u + 1) failed, once, by sigma's chain
     taken = compose_paths(monkeypatch)
     c = curves.construction(13)
     assert not build_report(c).failed()
@@ -443,7 +447,7 @@ def test_report_composes_the_family_only_when_the_substitution_fails(monkeypatch
     half = PERTURBATIONS["f-plus-half"][0](curves.construction(13))
     failed = {r.id for r in build_report(half).failed()}
     assert "curve.substitution" in failed and "action.sigma_preserves" not in failed
-    assert [path for path, coeffs in taken if coeffs == half.family.f.coeffs] == ["shift"]
+    assert [path for path, coeffs in taken if coeffs == half.family.f.coeffs] == ["chain"]
 
 
 # SHA-256 of ``curve --p P --chart C --no-banner``, recorded before the

@@ -182,14 +182,13 @@ def test_substitution_identity_p3():
     assert xy_model(3, spec).f.compose(x_without_offset) != _family(3).f
 
 
-@pytest.mark.parametrize("p, path", [(3, "shift"), (5, "chain"), (7, "chain"), (61, "chain")])
-def test_substitution_takes_the_chain_from_p5(monkeypatch, p, path):
-    # h has 2 nonzero coefficients of p + 1, on the chain's side of compose's
-    # rule from p = 5; at p = 3, h^3 + h has 4 of 10
+@pytest.mark.parametrize("p", [3, 5, 7, 61])
+def test_substitution_takes_the_chain_alone(monkeypatch, p):
+    # the pull-back along pi*u + 1 has beta = 1: one chain, no scaling
     taken = compose_paths(monkeypatch)
     c = construction(p)
     assert substitution_check(p, c.spec, c.family)
-    assert [name for name, _ in taken] == [path]
+    assert [name for name, _ in taken] == ["chain"]
 
 
 def _perturbed(model, index, delta):
