@@ -1,4 +1,4 @@
-"""Shared exact-arithmetic kit: finite fields F_p and F_{p^2}, dense univariate
+"""Shared exact-arithmetic kit: finite fields F_p and F_p[i], dense univariate
 polynomials over an arbitrary coefficient field, and small exact matrix kernels.
 
 Everything is immutable and pure; no floats appear anywhere in this module.
@@ -85,30 +85,26 @@ def field_pow(x, k: int):
 
 
 class FiniteField:
-    """F_p for a prime p, or F_{p^2} presented as F_p[t]/(t^2 + c1*t + c0).
+    """F_p for a prime p, or for k = 2 the field F_p[i] = F_p[t]/(t^2 + 1),
+    which is one exactly when p = 3 (mod 4): the package's one extension
+    field is F_9 = F_3[i].
 
     Elements are :class:`FqElement` values with coordinates in the basis
     ``1, t``.  The field object doubles as the ring tag carried by
     polynomials and curve models.
     """
 
-    def __init__(self, p: int, modulus: Optional[tuple[int, int]] = None):
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
+        if k != 1 and (k != 2 or p % 4 != 3):
+            raise ValueError(f"need k = 1, or k = 2 with p = 3 (mod 4); got p = {p}, k = {k}")
         self.p = p
-        if modulus is None:
-            self.k = 1
-            self.modulus: Optional[tuple[int, int]] = None
-        else:
-            c0, c1 = (c % p for c in modulus)
-            if any((x * x + c1 * x + c0) % p == 0 for x in range(p)):
-                raise ValueError(f"t^2 + {c1}t + {c0} is reducible mod {p}")
-            self.k = 2
-            self.modulus = (c0, c1)
-        self.q = p**self.k
-        self._hash = hash(("FiniteField", p, self.modulus))
-        self.zero = FqElement(self, (0,) * self.k)
-        self.one = FqElement(self, (1,) + (0,) * (self.k - 1))
+        self.k = k
+        self.q = p**k
+        self._hash = hash(("FiniteField", p, k))
+        self.zero = FqElement(self, (0,) * k)
+        self.one = FqElement(self, (1,) + (0,) * (k - 1))
 
     def from_int(self, a: int) -> "FqElement":
         return FqElement(self, (a % self.p,) + (0,) * (self.k - 1))
@@ -123,7 +119,7 @@ class FiniteField:
         raise TypeError(f"cannot coerce {x!r} into GF({self.q})")
 
     def gen(self) -> "FqElement":
-        """The generator t of the quadratic extension."""
+        """The generator t = i of the quadratic extension, t^2 = -1."""
         if self.k != 2:
             raise ValueError("prime field has no extension generator")
         return FqElement(self, (0, 1))
@@ -157,7 +153,7 @@ class FiniteField:
         return other is self or (
             isinstance(other, FiniteField)
             and other.p == self.p
-            and other.modulus == self.modulus
+            and other.k == self.k
         )
 
     def __hash__(self) -> int:
@@ -166,8 +162,7 @@ class FiniteField:
     def __repr__(self) -> str:
         if self.k == 1:
             return f"GF({self.p})"
-        c0, c1 = self.modulus
-        return f"GF({self.q})=GF({self.p})[t]/(t^2+{c1}t+{c0})"
+        return f"GF({self.q})=GF({self.p})[t]/(t^2+1)"
 
 
 class FqElement:
@@ -215,9 +210,7 @@ class FqElement:
             return FqElement(f, (self.coords[0] * o.coords[0] % f.p,))
         a0, a1 = self.coords
         b0, b1 = o.coords
-        c0, c1 = f.modulus
-        hi = a1 * b1
-        return FqElement(f, ((a0 * b0 - c0 * hi) % f.p, (a0 * b1 + a1 * b0 - c1 * hi) % f.p))
+        return FqElement(f, ((a0 * b0 - a1 * b1) % f.p, (a0 * b1 + a1 * b0) % f.p))
 
     __rmul__ = __mul__
 
@@ -229,10 +222,8 @@ class FqElement:
             return FqElement(f, (pow(self.coords[0], -1, f.p),))
         # conjugate over F_p divided by the norm, both exact
         a0, a1 = self.coords
-        c0, c1 = f.modulus
-        norm = (a0 * a0 - c1 * a0 * a1 + c0 * a1 * a1) % f.p
-        ninv = pow(norm, -1, f.p)
-        return FqElement(f, ((a0 - c1 * a1) * ninv % f.p, -a1 * ninv % f.p))
+        ninv = pow(a0 * a0 + a1 * a1, -1, f.p)
+        return FqElement(f, (a0 * ninv % f.p, -a1 * ninv % f.p))
 
     __pow__ = field_pow
 

@@ -10,9 +10,10 @@ pi^p y^2 = x^p - 1.  For p = 3 the same sum g, taken over Z_3[omega, i]
 (inside Q(zeta_12), pi = omega - 1), is g = u^3 + (omega^2-1)u^2 - omega^2 u,
 and the degree-9 family is v^2 = g^3 + g, reducing to v^2 = u^9 - u.
 :func:`construction` is the root of the per-prime data and the one place
-that tells p = 3 apart.  Its :class:`Construction` holds the residue field
-F_q (F_p, or F_9 at p = 3, from which it also builds the engine, so that
-every object of a report over F_q shares one field object), the twist
+that tells p = 3 apart, in data only.  Its :class:`Construction` holds the
+residue field F_q (F_p, or F_9 = F_3[i] at p = 3) and the image of zeta_n
+in it (1, or -i), from which its ``spec`` builds the engine by one formula,
+so that every object of a report over F_q shares one field object; the twist
 exponent and one point-count test per prime, and it builds and keeps the
 objects a report checks: the engine, the family and its reduction, the xy
 model and the verdict that it pulls back to the family, the reduction
@@ -41,6 +42,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from .algebra import (
     FiniteField,
+    FqElement,
     Polynomial,
     _monic_remainder,
     discriminant_squarefree,
@@ -163,17 +165,18 @@ class AffineCurveMap:
 
 
 class Construction:
-    """The data that differ at p = 3 (degree 9 over Q(zeta_12), its own twist
-    exponent, an elliptic factor over F_9), and the objects a report builds
-    from them: each built on first use and kept, so a report builds it once
-    and a failure to build it fails only the checks that read it.  Equality
-    is identity: :func:`construction` makes a fresh one per call."""
+    """The data that differ at p = 3 (F_9 and the image -i of zeta_12 in it,
+    hence degree 9 over Q(zeta_12); its own twist exponent; an elliptic
+    factor over F_9), and the objects a report builds from them: each built
+    on first use and kept, so a report builds it once and a failure to build
+    it fails only the checks that read it.  Equality is identity:
+    :func:`construction` makes a fresh one per call."""
 
     def __init__(
         self,
         residue_field: FiniteField,  # the special fibre is v^2 = u^q - u over F_q
         twist: int,  # Y is the quotient by (sigma, sigma^twist, tau_P)
-        engine: Callable[[], PiSpec],
+        zeta_image: FqElement,  # zeta_n mod pi, in F_q: it fixes the engine
         point_count_ok: Callable[[int], bool],  # on #E(F_q), picks the elliptic factor
         hodge_ok: Callable[[int, int], bool],
         xy_text: str,
@@ -183,7 +186,7 @@ class Construction:
     ):
         self.residue_field = residue_field
         self.twist = twist
-        self.engine = engine
+        self.zeta_image = zeta_image
         self.point_count_ok = point_count_ok
         self.hodge_ok = hodge_ok
         self.xy_text = xy_text
@@ -205,7 +208,11 @@ class Construction:
 
     @functools.cached_property
     def spec(self) -> PiSpec:
-        return self.engine()
+        """The engine, the one place that builds it: zeta_n -> zeta_image of
+        order m in F_q, so n = p*m, and pi = zeta_n^m - 1 = zeta_p - 1."""
+        m = next(m for m in range(1, self.q) if self.zeta_image**m == 1)
+        k = cyclotomic_field(self.p * m)
+        return PiSpec(k, k.zeta**m - 1, self.residue_field, self.zeta_image)
 
     @functools.cached_property
     def family(self) -> HyperellipticModel:
@@ -289,22 +296,19 @@ class Construction:
 
 
 def construction(p: int) -> Construction:
-    """The construction at the odd prime p; nothing costly is built here."""
+    """The construction at the odd prime p; nothing costly is built here.
+    The engine is data: F_p with zeta_p -> 1, or F_9 = F_3[i] with
+    zeta_12 -> -i at p = 3, which ``Construction.spec`` turns into one."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     if p == 3:
-        f9 = FiniteField(3, modulus=(1, 0))  # F_9 = F_3[i]
-
-        def engine() -> PiSpec:
-            """Z_3[omega, i] inside Q(zeta_12): pi = omega - 1 with omega = zeta^4,
-            e = 4/2 = 2, and zeta = omega * i^{-1} reduces to 1 * i^{-1} = -i in F_9."""
-            k = cyclotomic_field(12)
-            return PiSpec(k, k.zeta**4 - 1, f9, -f9.gen())
-
+        f9 = FiniteField(3, 2)  # F_9 = F_3[i]
         return Construction(
             residue_field=f9,
             twist=2,
-            engine=engine,
+            # Z_3[omega, i] inside Q(zeta_12), omega = zeta^4 = 1 mod pi, so
+            # zeta = omega * i^{-1} reduces to -i: n = 12, pi = omega - 1
+            zeta_image=-f9.gen(),
             # q + 1 = 10 = 1 mod 3, so 3 | n forces trace 10 - n = 1 mod 3: ordinary
             point_count_ok=lambda n: n % 3 == 0,
             hodge_ok=lambda h_x, h_y: (h_x, h_y) == (5, 6),
@@ -329,16 +333,10 @@ def construction(p: int) -> Construction:
             },
         )
     fp = FiniteField(p)
-
-    def engine() -> PiSpec:
-        """``PiSpec.for_prime(p)``'s engine over this construction's F_p."""
-        k = cyclotomic_field(p)
-        return PiSpec(k, k.zeta - 1, fp, fp.one)
-
     return Construction(
         residue_field=fp,
         twist=4,
-        engine=engine,
+        zeta_image=fp.one,  # ``PiSpec.for_prime(p)``'s engine: n = p, pi = zeta_p - 1
         point_count_ok=lambda n: n == p,
         hodge_ok=lambda h_x, h_y: h_x == 0 and h_y >= 1,
         xy_text="pi^p y^2 = x^p - 1",

@@ -27,15 +27,16 @@ and the residue map onto the residue field, the package's one reduction of
 Z[zeta_n] into a finite field (:func:`residue_map`).  It can build the engine
 for n = p itself (pi = zeta_p - 1, residue field F_p) and holds no p = 3 data:
 a report's engine, at p = 3 (pi = zeta_12^4 - 1, residue field F_9) as at
-p >= 5, is assembled by the construction that owns its residue field.
+p >= 5, is built by ``curves.Construction.spec`` from the residue field and
+the image of zeta that the construction holds.
 :class:`SplitPrime` applies :func:`residue_map` in all phi(n) embeddings
 into F_l, for a prime l that splits completely, and goes back by
 interpolation and rational reconstruction.
 Every division by pi is one step, :meth:`PiSpec._divide_once`: for
 pi = zeta_p - 1 a prefix-sum pass in O(p) (synthetic division by a linear
-factor, Knuth, TAOCP vol. 2, 4.6.1, folded by Phi_p); for any other
-uniformizer, such as n = 12's, a product with the inverse of pi checked when
-the engine is built.  Valuations
+factor, Knuth, TAOCP vol. 2, 4.6.1, folded by Phi_p), which also gives
+1/pi itself; for any other uniformizer, such as n = 12's, a product with the
+inverse of pi.  Either 1/pi is checked when the engine is built.  Valuations
 are computed by repeated exact division by pi, which is correct here because
 a single prime sits above p, so an element is divisible by pi in the ring of
 integers iff its valuation is positive.
@@ -432,8 +433,8 @@ class PiSpec:
     single prime sits above p.  ``residue`` is :func:`residue_map` on this
     data, checked to send pi to 0.  :meth:`for_prime` builds the engine for
     n = p (residue field F_p, zeta -> 1); a report's engine, over Q(zeta_12)
-    and F_9 at p = 3, is built by ``curves.construction(p)`` from its own
-    residue field.
+    and F_9 at p = 3, is built by ``curves.Construction.spec`` from its own
+    residue field and image of zeta.
     """
 
     def __init__(
@@ -450,12 +451,13 @@ class PiSpec:
         self.e = field.degree // residue_field.k
         self.residue_field = residue_field
         self.zeta_image = zeta_image
-        self.pi_inv = pi.inv()
+        # the prefix sum of _divide_once divides by zeta_p - 1 and by no other
+        # pi; it also gives 1/pi, which any other pi takes from inv
+        self._prefix_step = self.n == self.p and pi == field.zeta - 1
+        self.pi_inv = self._divide_once(field.one) if self._prefix_step else pi.inv()
         if pi * self.pi_inv != field.one:
             raise ArithmeticError("cached inverse of pi does not satisfy pi * pi_inv == 1")
         self._pi_inv_powers = [field.one, self.pi_inv]
-        # the prefix sum of _divide_once divides by zeta_p - 1 and by no other pi
-        self._prefix_step = self.n == self.p and pi == field.zeta - 1
         self.residue = residue_map(field, residue_field, zeta_image)
         if self.residue(pi):
             raise ValueError("residue data inconsistent with the uniformizer")

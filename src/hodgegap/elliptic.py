@@ -90,7 +90,7 @@ def _count(field: FiniteField, a2: FqElement, a4: FqElement, a6: FqElement) -> i
         counts = field.root_counts
         b2, b4, b6 = a2.coords[0], a4.coords[0], a6.coords[0]
         n = 1 + sum(counts[(((x + b2) * x + b4) * x + b6) % p] for x in range(p))
-    else:  # F_{p^2} (F_9 at p = 3) multiplies as FqElement
+    else:  # F_9 = F_3[i] multiplies as FqElement
         roots = field.square_roots
         n = 1 + sum(len(roots.get(((x + a2) * x + a4) * x + a6, ())) for x in field)
     q = field.q

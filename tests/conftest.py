@@ -16,6 +16,29 @@ def replaced(obj, **changes):
                         for name in params})
 
 
+def _with(obj, **objects):
+    """A copy of obj (``replaced(obj)``) whose named cached objects are the
+    given ones, put into its ``__dict__`` before their first read."""
+    copy = replaced(obj)
+    copy.__dict__.update(objects)
+    return copy
+
+
+def recorded(monkeypatch, owner, name):
+    """Wrap ``owner.name``, a module function or a method, for one test: each
+    call goes through to it, and the list returned gets the call's argument
+    tuple (self first for a method), in call order."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 def compose_paths(monkeypatch):
     """Wrap the two steps of ``Polynomial.compose`` for one test: the list
     returned gets ("chain", outer coefficients) per binomial chain and

@@ -8,12 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import compose_paths, distinct_field_comparisons, replaced
+from conftest import compose_paths, distinct_field_comparisons, recorded, replaced
 from test_perturbations import PERTURBATIONS
 
 from hodgegap import cli, curves, invariants
 from hodgegap.algebra import primes_upto
 from hodgegap.cli import build_report, main
+from hodgegap.cyclotomic import CycloElement
 
 
 def _run(capsys, argv):
@@ -86,30 +87,26 @@ def test_check_ids_are_unique_and_ordered():
 
 @pytest.mark.parametrize("p", [3, 5, 13])
 def test_report_builds_the_family_once(monkeypatch, p):
-    calls = []
-    real = curves.hyperelliptic_family
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(curves, "hyperelliptic_family", counting)
+    calls = recorded(monkeypatch, curves, "hyperelliptic_family")
     assert not build_report(curves.construction(p)).failed()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, inverses", [(3, 1), (5, 0), (13, 0)])
+def test_report_inverts_pi_only_at_p3(monkeypatch, p, inverses):
+    # an n = p engine takes 1/pi from its prefix step; the n = 12 engine
+    # inverts its pi once, and nothing else in a report inverts
+    calls = recorded(monkeypatch, CycloElement, "inv")
+    c = curves.construction(p)
+    assert not build_report(c).failed()
+    assert calls == [(c.spec.pi,)] * inverses
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])
 def test_report_reduces_the_family_once(monkeypatch, p):
     # the smoothness check reads the construction's reduction, the one that
     # the reduction, sigma, tau and fixed-point checks read
-    calls = []
-    real = curves.reduce_model
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(curves, "reduce_model", counting)
+    calls = recorded(monkeypatch, curves, "reduce_model")
     c = curves.construction(p)
     assert not build_report(c).failed()
     assert len(calls) == 1
@@ -123,26 +120,22 @@ def test_every_odd_prime_to_101_passes_with_a_modular_squarefree_verdict(monkeyp
     # of primes could step over the one where a path breaks.  The family is
     # shown squarefree at that first prime, with no exact gcd over Q(zeta_n),
     # and never composed: sigma is proved on the sparse xy model
-    verdicts, exact = [], []
+    verdicts = []
     taken = compose_paths(monkeypatch)
-    real_verdict, real_exact = curves.modular_squarefree, curves.discriminant_squarefree
+    real_verdict = curves.modular_squarefree
 
     def verdict(f):
         verdicts.append((f, real_verdict(f)))
         return verdicts[-1][1]
 
-    def exact_gcd(f):
-        exact.append(f)
-        return real_exact(f)
-
     monkeypatch.setattr(curves, "modular_squarefree", verdict)
-    monkeypatch.setattr(curves, "discriminant_squarefree", exact_gcd)
+    exact = recorded(monkeypatch, curves, "discriminant_squarefree")
     for p in primes_upto(101)[1:]:
         c = curves.construction(p)
         assert not build_report(c).failed(), p
         f = c.family.f
         assert [v for g, v in verdicts if g is f] == [True], p
-        assert not any(g is f for g in exact), p
+        assert not any(g is f for (g,) in exact), p
         assert any(coeffs == c.xy.f.coeffs for _, coeffs in taken), p
         assert all(coeffs != f.coeffs for _, coeffs in taken), p
         verdicts.clear()
@@ -299,14 +292,7 @@ def test_curve_chart_two(capsys):
 
 
 def test_curve_reads_the_family_of_the_construction(monkeypatch, capsys):
-    calls = []
-    real = curves.hyperelliptic_family
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(curves, "hyperelliptic_family", counting)
+    calls = recorded(monkeypatch, curves, "hyperelliptic_family")
     for chart in ("1", "2"):
         assert _run(capsys, ["curve", "--p", "5", "--chart", chart, "--no-banner"])[0] == 0
     assert len(calls) == 2  # one family build per command
@@ -471,10 +457,14 @@ CURVE_DIGESTS = {
 # the split-prime squarefree certificate and the prefix-sum division by pi;
 # p = 401: before compose's binomial chain and the mod 2^61 - 1 certificate of
 # the rational kernel), and of the JSON table to 1000, recorded while its
-# slope was the float of a Fraction
+# slope was the float of a Fraction; the text report at p = 13 and the text
+# table to 200, recorded before the engine was built from the image of zeta
 VERIFY_DIGESTS = {
     "verify --p 3 --no-banner": "55921a9926e69247f19622872f5cc526766099ef94c59a163eb19ab8cdb87525",
     "verify --p 5 --no-banner": "5af8a6657e0efdfc6183a26af6166c648a0d529668d90adc7baf44aaa5279e29",
+    "verify --p 13 --no-banner": (
+        "cc0e81765fd25d56dfe62e159ead0d5ed864a8692badf1f49fb566ea2ba5e5ab"
+    ),
     "verify --p 43 --format json --no-banner": (
         "90eedc0b1e03eebca8b471a99a1e7aa3b2427ed9a8e3836a317a14dda74c00a1"
     ),
@@ -492,6 +482,9 @@ VERIFY_DIGESTS = {
     ),
     "table --max 1000 --format json --no-banner": (
         "aac4c96698e3bd458df9dd572350d54e6b5c1902804564abd0e822053992a7a7"
+    ),
+    "table --max 200 --no-banner": (
+        "1594cb0d80f5092d0e8b41333b68116f22c2ff7bb7c2ef3daf55d440ffe535d4"
     ),
 }
 

@@ -4,7 +4,7 @@ import random
 import weakref
 
 import pytest
-from conftest import compose_paths, replaced
+from conftest import _with, compose_paths, recorded, replaced
 
 from hodgegap.algebra import (
     FiniteField,
@@ -83,7 +83,7 @@ def test_family_rejects_an_engine_with_the_wrong_residue_field():
     # the p = 3 construction lives over F_9; Z_3[zeta_3] has residue field
     # F_3, so its family is the cubic g, not g^3 + g, and the report says so
     # in exactly the checks that see the degree or the residue field
-    c = replaced(construction(3), engine=lambda: PiSpec.for_prime(3))
+    c = _with(construction(3), spec=PiSpec.for_prime(3))
     assert c.family.f.degree == 3
     failed = {r.id for r in build_report(c).failed()}
     assert failed == {
@@ -271,37 +271,21 @@ def _squared_root_control(p):
 
 
 def _count_verdicts(monkeypatch):
-    """Lists of the polynomials that modular_squarefree and the exact gcd are
-    called on, filled as the calls happen."""
+    """Lists of the (f,) that modular_squarefree and the exact gcd are called
+    on, filled as the calls happen."""
     from hodgegap import curves
 
-    calls = []
-    for name in ("modular_squarefree", "discriminant_squarefree"):
-        called, real = [], getattr(curves, name)
-
-        def counting(f, _called=called, _real=real):
-            _called.append(f)
-            return _real(f)
-
-        monkeypatch.setattr(curves, name, counting)
-        calls.append(called)
-    return calls
+    return [recorded(monkeypatch, curves, name)
+            for name in ("modular_squarefree", "discriminant_squarefree")]
 
 
 def _tried_divisors(monkeypatch):
-    """The lifted gcds that modular_squarefree divides f and f' by, filled as
-    the divisions happen (it is the only caller of _monic_remainder in
-    curves)."""
+    """The (num, den) divisions by which modular_squarefree tries its lifted
+    gcd den on f and f', filled as they happen (it is the only caller of
+    _monic_remainder in curves)."""
     from hodgegap import curves
 
-    tried, real = [], curves._monic_remainder
-
-    def recording(num, den):
-        tried.append(den)
-        return real(num, den)
-
-    monkeypatch.setattr(curves, "_monic_remainder", recording)
-    return tried
+    return recorded(monkeypatch, curves, "_monic_remainder")
 
 
 def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
@@ -314,13 +298,13 @@ def test_generic_squarefree_test_runs_once_per_model(monkeypatch):
     verdicts, exact = _count_verdicts(monkeypatch)
     assert is_relatively_smooth(model, spec)
     assert genus(model) == 2
-    assert sum(f is model.f for f in verdicts) == 1
-    assert sum(f is model.f for f in exact) == 0
+    assert sum(f is model.f for (f,) in verdicts) == 1
+    assert sum(f is model.f for (f,) in exact) == 0
     assert not is_relatively_smooth(singular, spec)
     with pytest.raises(ValueError, match="singular"):
         genus(singular)
-    assert sum(f is singular.f for f in verdicts) == 1
-    assert sum(f is singular.f for f in exact) == 0
+    assert sum(f is singular.f for (f,) in verdicts) == 1
+    assert sum(f is singular.f for (f,) in exact) == 0
     assert modular_squarefree(model.f) is True
     assert modular_squarefree(singular.f) is False
 
@@ -364,7 +348,7 @@ def test_split_prime_certificate_settles_at_the_second_prime_when_the_first_divi
     model = HyperellipticModel(Polynomial(K5, [constant, K5.one, K5.zero, lead]))
     verdicts, exact = _count_verdicts(monkeypatch)
     assert model.squarefree
-    assert [f is model.f for f in verdicts] == [True]
+    assert [f is model.f for (f,) in verdicts] == [True]
     assert exact == []
     assert modular_squarefree(model.f) is True
 
@@ -378,9 +362,9 @@ def test_an_unlucky_first_prime_is_settled_at_the_second(monkeypatch, p):
     model = HyperellipticModel(_leading_times_pi(_family(p).f, default_spec(p).pi))
     verdicts, exact = _count_verdicts(monkeypatch)
     assert model.squarefree
-    assert [f is model.f for f in verdicts] == [True]
+    assert [f is model.f for (f,) in verdicts] == [True]
     # the one gcd taken by discriminant_squarefree is the first prime's
-    [reduced] = exact
+    [(reduced,)] = exact
     assert (reduced.ring, reduced.degree) == (FiniteField({5: 11, 7: 29}[p]), p)
     assert not discriminant_squarefree(reduced)
 
@@ -447,7 +431,8 @@ def test_common_factor_certificate_agrees_with_the_exact_gcd(monkeypatch, n):
         singular = f * h * h
         tried.clear()
         assert modular_squarefree(singular) is False
-        assert tried == [h, h] and h == poly_gcd(singular, singular.derivative())
+        assert [den for _, den in tried] == [h, h]
+        assert h == poly_gcd(singular, singular.derivative())
         assert _divides_f_and_its_derivative(h, singular)
         assert not HyperellipticModel(singular).squarefree
         assert not discriminant_squarefree(singular)
@@ -460,8 +445,8 @@ def test_common_factor_of_the_square_control_is_u_minus_2(monkeypatch, p):
     f = _squared_root_control(p).f
     tried = _tried_divisors(monkeypatch)
     assert modular_squarefree(f) is False
-    assert tried == [_linear(f.ring, 2)] * 2
-    assert _divides_f_and_its_derivative(tried[0], f)
+    assert [den for _, den in tried] == [_linear(f.ring, 2)] * 2
+    assert _divides_f_and_its_derivative(tried[0][1], f)
 
 
 def _beyond_reach(k):
@@ -498,8 +483,8 @@ def test_common_factor_certificate_declines_to_the_exact_gcd_once(monkeypatch, c
     verdicts, exact = _count_verdicts(monkeypatch)
     assert model.squarefree is False
     # the first prime runs its own exact gcd over F_l, hence the filter
-    assert [g is f for g in verdicts] == [True]
-    assert sum(g is f for g in exact) == 1
+    assert [g is f for (g,) in verdicts] == [True]
+    assert sum(g is f for (g,) in exact) == 1
 
 
 def test_a_wrong_lift_is_caught_by_the_exact_division(monkeypatch):
@@ -760,12 +745,11 @@ def test_fixed_points_evaluate_f_once_or_not_at_all(monkeypatch, p):
     # sigma0 = u + 1 moves every u; tau = t*u fixes u = 0 alone
     c = construction(p)
     red = c.reduced
-    evaluated, real = [], Polynomial.__call__
-    monkeypatch.setattr(Polynomial, "__call__", lambda f, x: evaluated.append(x) or real(f, x))
+    evaluated = recorded(monkeypatch, Polynomial, "__call__")
     assert affine_fixed_points(c.sigma0, red) == []
     assert evaluated == []
     assert affine_fixed_points(c.tau, red) == [(red.f.ring.zero,) * 2]
-    assert evaluated == [red.f.ring.zero]
+    assert [x for _, x in evaluated] == [red.f.ring.zero]
 
 
 def test_fixed_points_reject_a_map_over_another_field():

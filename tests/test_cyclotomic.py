@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from conftest import recorded
 
 from hodgegap.algebra import FiniteField, Polynomial, element_of_order, is_prime
 from hodgegap.curves import construction
@@ -191,19 +192,11 @@ def test_inverse_equals_the_conjugate_by_conjugate_product(n):
 @pytest.mark.parametrize("n", [61, 211])
 def test_inverse_takes_logarithmically_many_products(monkeypatch, n):
     k = cyclotomic_field(n)
-    calls = []
-    mul = CyclotomicField._mul
-
-    def counting(self, a, b):
-        calls.append(1)
-        return mul(self, a, b)
-
-    monkeypatch.setattr(CyclotomicField, "_mul", counting)
+    calls = recorded(monkeypatch, CyclotomicField, "_mul")
     rng = random.Random(n)
     a = k.element([rng.randint(-9, 9) for _ in range(k.degree)])
     inverse = a.inv()
     assert 0 < len(calls) <= 2 * math.ceil(math.log2(n - 2)) + 1
-    monkeypatch.setattr(CyclotomicField, "_mul", mul)
     assert a * inverse == 1
 
 
@@ -441,12 +434,14 @@ def test_over_pi_undoes_multiplication_by_pi_powers(spec):
     ids=["p5", "p13", "p61", "p7-pi-doubled"],
 )
 def test_division_step_equals_the_product_with_the_inverse_of_pi(spec):
-    # the prefix-sum step against the dense product it replaced
+    # the prefix-sum step against the dense product it replaced, with 1/pi
+    # from inv: an n = p engine's pi_inv is itself a step
     rng = random.Random(spec.n)
     k = spec.field
+    pi_inv = spec.pi.inv()
     for _ in range(20):
         z = k.element([rng.randint(-50, 50) for _ in range(k.degree)], rng.randint(1, 3 * spec.p))
-        assert spec._divide_once(z) == z * spec.pi_inv
+        assert spec._divide_once(z) == z * pi_inv
     assert spec._divide_once(k.zero) == k.zero
 
 
@@ -468,9 +463,23 @@ def test_valuation_agrees_with_repeated_exact_division(spec):
 
 
 def test_pispec_rejects_a_wrong_inverse_of_pi(monkeypatch):
-    k = cyclotomic_field(5)
-    f5 = FiniteField(5)
+    # the engines that invert pi (n = 12, and a pi other than zeta_p - 1)
+    # check inv; an n = p engine takes 1/pi from its prefix step and checks that
+    k, f5 = cyclotomic_field(5), FiniteField(5)
+    inverting = [
+        lambda: PiSpec(SPEC12.field, SPEC12.pi, SPEC12.residue_field, SPEC12.zeta_image),
+        lambda: _pi_doubled(5),
+    ]
+    for build in inverting:
+        build()
     PiSpec(k, k.zeta - 1, f5, f5.one)
-    monkeypatch.setattr(CycloElement, "inv", lambda self: self.field.one)
+    with monkeypatch.context() as m:
+        m.setattr(CycloElement, "inv", lambda self: self.field.one)
+        for build in inverting:
+            with pytest.raises(ArithmeticError):
+                build()
+        PiSpec(k, k.zeta - 1, f5, f5.one)  # takes no inv
+    step = PiSpec._divide_once
+    monkeypatch.setattr(PiSpec, "_divide_once", lambda self, z: step(self, z) + 1)
     with pytest.raises(ArithmeticError):
         PiSpec(k, k.zeta - 1, f5, f5.one)

@@ -19,7 +19,7 @@ from hodgegap.elliptic import (
 )
 
 F5 = FiniteField(5)
-F9 = FiniteField(3, modulus=(1, 0))
+F9 = FiniteField(3, 2)
 
 
 def _count_by_pairs(p, a2, a4, a6):

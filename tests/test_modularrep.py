@@ -1,4 +1,5 @@
 import pytest
+from conftest import recorded
 
 from hodgegap import algebra
 from hodgegap.algebra import kernel_dim_mod_p, kernel_dim_rational, primes_upto
@@ -127,8 +128,7 @@ def test_h1_report_all_small_primes():
 def test_h1_report_never_runs_bareiss(monkeypatch):
     # g - 1 has no kernel mod 2^61 - 1, which certifies its zero kernel over
     # Q, so the report never reaches the fraction-free elimination
-    calls = []
-    monkeypatch.setattr(algebra, "_bareiss_kernel_dim", calls.append)
+    calls = recorded(monkeypatch, algebra, "_bareiss_kernel_dim")
     for p in primes_upto(61)[1:]:
         assert h1_de_rham_report(p) == H1Report(4, 2, 2)
     assert calls == []

@@ -2,15 +2,16 @@
 fails exactly the listed checks and leaves the others passing.
 
 A change is a copy of the construction with one constructor argument
-replaced (``conftest.replaced``), or a cached object put into a fresh copy's
-``__dict__`` before its first read; both reach the report through
-``build_report(c)`` alone.
+replaced (``conftest.replaced``), or a cached object, the engine ``spec``
+among them, put into a fresh copy's ``__dict__`` before its first read
+(``conftest._with``); both reach the report through ``build_report(c)``
+alone.
 """
 
 import itertools
 
 import pytest
-from conftest import replaced
+from conftest import _with, replaced
 
 from hodgegap.algebra import Polynomial
 from hodgegap.cli import CHECKS, build_report
@@ -26,13 +27,6 @@ from hodgegap.elliptic import CurvePoint, find_curve
 from hodgegap.modularrep import H1Report
 
 PRIMES = (3, 5, 7, 13)
-
-
-def _with(c, **objects):
-    """A copy of c whose named cached objects are the given ones."""
-    copy = replaced(c)
-    copy.__dict__.update(objects)
-    return copy
 
 
 def _with_f(c, change):
@@ -56,7 +50,7 @@ def _twice_pi(c):
     """An engine whose uniformizer is 2*pi: binom(p, 1)/(2*pi) is not integral,
     so the family does not build."""
     s = c.spec
-    return replaced(c, engine=lambda: PiSpec(s.field, 2 * s.pi, s.residue_field, s.zeta_image))
+    return _with(c, spec=PiSpec(s.field, 2 * s.pi, s.residue_field, s.zeta_image))
 
 
 def _miscounted_curve(c):
