@@ -6,7 +6,6 @@ runs the rows in order."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -269,9 +268,9 @@ def _banner(out) -> None:
 
 
 def cmd_verify(args, out) -> int:
-    c = construction(args.p)
+    c = construction(args["p"])
     report = build_report(c)
-    if args.format == "json":
+    if args["format"] == "json":
         print(json.dumps(report.to_dict(), indent=2), file=out)
     else:
         print(render_text(report, c.spec.n), file=out)
@@ -279,9 +278,9 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_table(args, out) -> int:
-    rows = discrepancy_series(args.max)
+    rows = discrepancy_series(args["max"])
     slope = least_squares_slope([(r.p, r.h_y) for r in rows])
-    if args.format == "json":
+    if args["format"] == "json":
         payload = {
             "rows": [
                 {"p": r.p, "hX": r.h_x, "hY": r.h_y, "gap": r.gap} for r in rows
@@ -298,16 +297,16 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_curve(args, out) -> int:
-    p = args.p
+    p = args["p"]
     c = construction(p)
-    if args.chart == 1:
+    if args["chart"] == 1:
         poly, var = c.family.f, "u"
         head = "v^2 ="
     else:
         poly, var = second_chart_polynomial(c.family), "s"
         head = "t^2 ="
     print(
-        f"chart {args.chart} of the p = {p} family over Z[zeta_{c.spec.n}] "
+        f"chart {args['chart']} of the p = {p} family over Z[zeta_{c.spec.n}] "
         f"(z = zeta_{c.spec.n}, pi = {c.spec.pi})",
         file=out,
     )
@@ -318,49 +317,167 @@ def cmd_curve(args, out) -> int:
     return 0
 
 
+REQUIRED = object()  # the default of a flag that must be given
+SWITCH = (None, None, False)  # a flag that takes no value and stores True
+HELP = {"-h": SWITCH, "--help": SWITCH}
+
+# The command-line grammar: each command's help line and its flags, each flag
+# as (type, choices, default), the choices checked on the converted value.
+# parse_args reads a command line by it as argparse read the same parsers.
+COMMANDS = {
+    "verify": ("run every check for one odd prime", {
+        "--p": (int, None, REQUIRED),
+        "--format": (str, ("text", "json"), "text"),
+        "--no-banner": SWITCH,
+    }),
+    "table": ("tabulate hX, hY and their gap by prime", {
+        "--max": (int, None, REQUIRED),
+        "--format": (str, ("tsv", "json"), "tsv"),
+        "--no-banner": SWITCH,
+    }),
+    "curve": ("print exact curve coefficients", {
+        "--p": (int, None, REQUIRED),
+        "--chart": (int, (1, 2), 1),
+        "--no-banner": SWITCH,
+    }),
+}
+# The flags in scope before the command (None) and after each command.
+FLAGS = {None: HELP, **{name: {**HELP, **flags} for name, (_, flags) in COMMANDS.items()}}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _usage(command: str, text: str, flags: dict) -> str:
+    parts = []
+    for flag, (kind, choices, default) in flags.items():
+        value = "{" + ",".join(map(str, choices)) + "}" if choices else _dest(flag).upper()
+        shown = flag if kind is None else f"{flag} {value}"
+        parts.append(shown if default is REQUIRED else f"[{shown}]")
+    return f"usage: hodgegap {command} [-h] {' '.join(parts)}\n\n{text}"
+
+
+# What -h/--help prints, and what follows the message of an invalid command
+# line: the usage of each command, and of the program under None.
+USAGE = {name: _usage(name, *spec) for name, spec in COMMANDS.items()}
+USAGE[None] = "\n".join([
+    f"usage: hodgegap [-h] {{{','.join(COMMANDS)}}} ...", "",
+    "exact verification of the two-liftings Hodge-number gap", "",
+    *(f"  {name:<7} {text}" for name, (text, _) in COMMANDS.items()),
+])
+
+
+class UsageExit(Exception):
+    """A command line that runs no command.  Its args are the command in
+    scope (None before one) and what is wrong with the line, or None when -h
+    or --help asked for the usage."""
+
+
+def _classify(token: str, command: Optional[str]) -> tuple:
+    """How argparse reads ``token`` among the flags of ``command``: (flag, the
+    value after "=" or None) when it names a flag, in full or by a prefix of
+    that flag alone; ("", None) when it is another option; (None, None) when
+    it is a value: no leading dash, or "-", a negative number (-5, -.5, -1.5)
+    or a string with a space.  Raises :class:`UsageExit` on a prefix of two
+    flags."""
+    flags = FLAGS[command]
+    name, eq, value = token.partition("=")
+    hits = [token] if token in flags else [name] if eq and name in flags else [
+        f for f in flags if name.startswith("--") and f.startswith(name)]
+    if len(hits) > 1:
+        raise UsageExit(command, f"ambiguous option {name} ({', '.join(hits)})")
+    if hits:
+        return hits[0], value if eq else None
+    negative = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
+    option = token[:1] == "-" and token != "-" and not negative and " " not in token
+    return ("", None) if option else (None, None)
+
+
+def parse_args(argv) -> dict:
+    """The fields of ``argv`` by :data:`COMMANDS`, as argparse read it:
+    ``{"command": name, dest: value, ...}``, one dest for each flag of the
+    command (its name without the dashes, "-" as "_").  A flag's value follows
+    it, as the next token or after "="; of repeated flags the last wins.  An
+    unknown option, a value that no flag takes and a missing required flag are
+    reported once the parse is over, so a later -h or --help (or a prefix of
+    it) still prints the usage; so is "--", after which argparse reads every
+    token as a value.  Raises :class:`UsageExit`."""
+    argv = list(argv)
+    stray = "--" if "--" in argv else None
+    tokens = argv[: argv.index("--")] if stray else argv
+    command, flag, fields, problem = None, None, {"command": None}, None
+    pending = iter(enumerate(tokens))
+    for i, token in pending:
+        flag, value = _classify(token, command)
+        if flag is None and command is None and token in COMMANDS:
+            command, (_, own) = token, COMMANDS[token]
+            for later in tokens[i + 1:]:  # an ambiguous prefix fails before any flag acts
+                _classify(later, command)
+            fields = {"command": command, **{_dest(f): spec[2] for f, spec in own.items()}}
+        elif flag is None and command is None:
+            problem = f"invalid command {token!r} (choose from {', '.join(COMMANDS)})"
+        elif not flag:  # another option, or a value that no flag takes
+            stray = token if stray is None else stray
+        else:
+            kind, choices, _ = FLAGS[command][flag]
+            if kind is None:  # a switch
+                problem = value is not None and f"{flag} takes no value"
+                value = True
+            elif value is None:
+                value = next(pending, (i, None))[1]
+                if value is None or _classify(value, command)[0] is not None:
+                    problem = f"{flag} expects a value"
+            if kind is not None and not problem:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    problem = f"invalid {flag} value {value!r}"
+                if choices and value not in choices:
+                    problem = f"invalid {flag} value {value!r}"
+            fields[_dest(flag)] = value
+        if problem or flag in HELP:
+            break
+    else:
+        missing = [dest for dest, default in fields.items() if default is REQUIRED]
+        problem = ("a command is required" if command is None
+                   else f"unrecognized argument {stray!r}" if stray is not None
+                   else missing and f"--{missing[0]} is required")
+    if problem or flag in HELP:
+        raise UsageExit(command, problem or None)
+    return fields
+
+
+def _input_error(args: dict) -> Optional[str]:
+    """Why a parsed command line names no input its command can run, or None."""
+    if args["command"] == "table":
+        return "invalid input: --max must be at least 7 (the slope needs two primes)" if (
+            args["max"] < 7) else None
+    if args["p"] == 2:
+        return ("p = 2 is not supported: the construction needs odd characteristic "
+                "(a characteristic-2 analogue over Suzuki-type curves is an open problem)")
+    return None if is_prime(args["p"]) else f"invalid input: {args['p']} is not an odd prime"
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hodgegap",
-        description="exact verification of the two-liftings Hodge-number gap",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("verify", help="run every check for one odd prime")
-    pv.add_argument("--p", type=int, required=True, help="odd prime")
-    pv.add_argument("--format", choices=["text", "json"], default="text")
-    pv.add_argument("--no-banner", action="store_true")
-
-    pt = sub.add_parser("table", help="tabulate hX, hY and their gap by prime")
-    pt.add_argument("--max", type=int, required=True, help="largest prime included")
-    pt.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    pt.add_argument("--no-banner", action="store_true")
-
-    pc = sub.add_parser("curve", help="print exact curve coefficients")
-    pc.add_argument("--p", type=int, required=True, help="odd prime")
-    pc.add_argument("--chart", type=int, choices=[1, 2], default=1)
-    pc.add_argument("--no-banner", action="store_true")
-
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit status: 0, 1 when a check fails, 2 on invalid input, with
+    the message on stderr; -h or --help prints the usage on stdout, status 0."""
     out = sys.stdout
-    error = None
-    if args.command == "table":
-        if args.max < 7:
-            error = "invalid input: --max must be at least 7 (the slope needs two primes)"
-    elif args.p == 2:
-        error = (
-            "p = 2 is not supported: the construction needs odd characteristic "
-            "(a characteristic-2 analogue over Suzuki-type curves is an open problem)"
-        )
-    elif not is_prime(args.p):
-        error = f"invalid input: {args.p} is not an odd prime"
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    if not args.no_banner:
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        status, text = 2, _input_error(args)
+    except UsageExit as exc:  # -h/--help, or a command line argparse would reject
+        usage, problem = USAGE[exc.args[0]], exc.args[1]
+        status, text = (2, f"hodgegap: error: {problem}\n{usage}") if problem else (0, usage)
+    if text is not None:
+        print(text, file=sys.stderr if status else out)
+        return status
+    if not args["no_banner"]:
         _banner(out)
-    if args.command == "verify":
+    if args["command"] == "verify":
         return cmd_verify(args, out)
-    if args.command == "table":
+    if args["command"] == "table":
         return cmd_table(args, out)
     return cmd_curve(args, out)
 

@@ -6,11 +6,14 @@ makes characteristic 3 work.  Points are listed and counted in O(q), each x
 reading the roots of rhs(x) from the field's ``square_roots``.  Over a prime
 field the count runs on plain integers: one Horner step
 ((x + a2)*x + a4)*x + a6 mod p per x indexes the field's ``root_counts``, a
-tuple read once from its ``square_roots``.  F_9, the one non-prime field,
-evaluates the cubic over :class:`FqElement`.  The one coefficient search,
-:func:`find_curve`, scans (a2, a4, a6) in the field's canonical order, so
-results are deterministic; it counts each candidate from its coefficients and
-tests singularity only on a candidate whose count passes.
+tuple read once from its ``square_roots``.  Over F_9 = F_3[i], the one
+non-prime field, the same Horner steps run on Gaussian-integer pairs: x =
+r + s*i with i^2 = -1, and the value u + v*i indexes ``root_counts`` at
+(u mod 3) + 3(v mod 3), its place in the field's canonical order.  The one
+coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the field's
+canonical order, so results are deterministic; it counts each candidate from
+its coefficients and tests singularity only on a candidate whose count
+passes.
 """
 
 from __future__ import annotations
@@ -85,14 +88,19 @@ def _count(field: FiniteField, a2: FqElement, a4: FqElement, a6: FqElement) -> i
     """Rational points of y^2 = x^3 + a2 x^2 + a4 x + a6, point at infinity
     included, singular or not; raises past the Hasse bound, which a singular
     cubic (q, q + 1 or q + 2 points) never crosses."""
+    p, counts = field.p, field.root_counts
     if field.k == 1:
-        p = field.p
-        counts = field.root_counts
         b2, b4, b6 = a2.coords[0], a4.coords[0], a6.coords[0]
         n = 1 + sum(counts[(((x + b2) * x + b4) * x + b6) % p] for x in range(p))
-    else:  # F_9 = F_3[i] multiplies as FqElement
-        roots = field.square_roots
-        n = 1 + sum(len(roots.get(((x + a2) * x + a4) * x + a6, ())) for x in field)
+    else:  # F_9 = F_3[i]: x = r + s*i as a Gaussian-integer pair, i^2 = -1
+        (b2, c2), (b4, c4), (b6, c6) = a2.coords, a4.coords, a6.coords
+        n = 1
+        for r in range(p):
+            for s in range(p):
+                u, v = r + b2, s + c2
+                u, v = u * r - v * s + b4, u * s + v * r + c4
+                u, v = u * r - v * s + b6, u * s + v * r + c6
+                n += counts[u % p + p * (v % p)]
     q = field.q
     if (q + 1 - n) ** 2 > 4 * q:
         raise ArithmeticError(f"Hasse bound violated: {n} points over F_{q} (bug)")

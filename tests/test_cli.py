@@ -1,8 +1,12 @@
+import argparse
+import contextlib
 import fcntl
 import hashlib
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -335,8 +339,8 @@ def test_banner_is_one_utc_stamp_line_before_the_plain_output(capsys, argv):
 # The stdlib modules the package imports; the rest of what a cold
 # ``import hodgegap.cli`` loads must be the package itself.
 STDLIB_DEPS = (
-    "__future__", "argparse", "functools", "itertools", "json", "math", "operator", "os",
-    "sys", "time", "typing",
+    "__future__", "functools", "itertools", "json", "math", "operator", "os", "sys", "time",
+    "typing",
 )
 
 
@@ -352,6 +356,18 @@ def test_cold_import_loads_only_the_package_beyond_its_stdlib_deps():
     baseline = _loaded_modules(f"import {', '.join(STDLIB_DEPS)}")
     extra = _loaded_modules("import hodgegap.cli") - baseline
     assert extra and all(m == "hodgegap" or m.startswith("hodgegap.") for m in extra), sorted(extra)
+
+
+def test_a_call_loads_no_argparse_gettext_or_locale():
+    # argparse imports gettext, and building its parsers has gettext import
+    # locale: about 2.5 ms of every call, more than the checks take at p = 5
+    code = (
+        "import sys\nfrom hodgegap.cli import main\n"
+        "assert main(['verify', '--p', '5', '--no-banner']) == 0\n"
+        "print(' '.join(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == ""
 
 
 def test_console_module_entry():
@@ -515,7 +531,98 @@ def test_curve_bytes_are_pinned(capsys, p, chart):
     assert _digest(capsys, argv) == CURVE_DIGESTS[p, chart]
 
 
-def test_bad_subcommand_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_bad_subcommand_exits_two(capsys):
+    code, out, err = _run(capsys, ["frobnicate"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("hodgegap: error: invalid command 'frobnicate'")
+    assert cli.USAGE[None] in err
+
+
+def _argparse_oracle():
+    """The parser that main built with argparse before it read COMMANDS."""
+    parser = argparse.ArgumentParser(prog="hodgegap")
+    sub = parser.add_subparsers(dest="command", required=True)
+    pv = sub.add_parser("verify")
+    pv.add_argument("--p", type=int, required=True)
+    pv.add_argument("--format", choices=["text", "json"], default="text")
+    pv.add_argument("--no-banner", action="store_true")
+    pt = sub.add_parser("table")
+    pt.add_argument("--max", type=int, required=True)
+    pt.add_argument("--format", choices=["tsv", "json"], default="tsv")
+    pt.add_argument("--no-banner", action="store_true")
+    pc = sub.add_parser("curve")
+    pc.add_argument("--p", type=int, required=True)
+    pc.add_argument("--chart", type=int, choices=[1, 2], default=1)
+    pc.add_argument("--no-banner", action="store_true")
+    return parser
+
+
+# accepted: each form of a flag and its value, prefixes, repeats, any order
+# and values that look like options; help: -h or --help, or a prefix of it,
+# before any error that stops argparse on the spot; rejected: an unknown
+# command or flag, a missing or extra value, a non-int, a bad choice, a
+# missing required flag
+GRAMMAR = {
+    "accepted": [
+        "verify --p 5", "verify --p=5 --format json --no-banner",
+        "verify --no-banner --format=json --p 7", "verify --fo json --n --p 5",
+        "verify --p 5 --p 7", "verify --format json --format text --p 3",
+        "verify --p -5", "verify --p 1_3", "verify --p ' 5'", "table --max 13",
+        "table --m=200 --f json", "table --max 7 --no-banner --no-banner",
+        "curve --p 5 --chart 2", "curve --p 5 --c=01", "curve --ch 2 --p 3 --no",
+    ],
+    "help": [
+        "-h", "--help", "--he", "verify -h", "table --help", "curve --p 5 --h",
+        "verify --bogus --help", "--bogus --help",
+    ],
+    "rejected": [
+        "", "frobnicate", "--p 5 verify", "verify", "verify --p", "verify --p --format json",
+        "verify --p x", "verify --p 5.0", "verify --p 5 --format xml", "verify --p 5 --bogus",
+        "verify --p 5 extra", "verify --p 5 --no-banner=yes", "verify --p 5 --max 9",
+        "table --max", "table --max 13 --format text", "curve --p 5 --chart 3",
+        "curve --p 5 --chart two", "verify --p x --help", "verify --help=yes",
+        "--bogus",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, line", [(kind, line) for kind, lines in GRAMMAR.items() for line in lines]
+)
+def test_parse_args_reads_argv_as_argparse_did(capsys, kind, line):
+    argv = shlex.split(line)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = ("accepted", vars(_argparse_oracle().parse_args(argv)))
+    except SystemExit as exc:
+        expected = ("help" if exc.code == 0 else "rejected", exc.code)
+    assert expected[0] == kind
+    if kind == "accepted":
+        assert cli.parse_args(argv) == expected[1]
+    elif kind == "help":
+        assert expected[1] == 0
+        with pytest.raises(cli.UsageExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.args == (argv[0] if argv[0] in cli.COMMANDS else None, None)
+    else:
+        assert expected[1] == 2
+        with pytest.raises(cli.UsageExit):
+            cli.parse_args(argv)
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("hodgegap: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [(["-h"], None), (["--help"], None), (["verify", "--help"], "verify"),
+     (["table", "-h"], "table"), (["curve", "--p", "9", "--he"], "curve")],
+)
+def test_help_prints_the_usage_on_stdout_and_exits_zero(capsys, argv, command):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == cli.USAGE[command] + "\n"
+    assert out.startswith(f"usage: hodgegap {command or '[-h]'} ")
+    for flag in cli.COMMANDS.get(command, ("", {}))[1]:
+        assert flag in out

@@ -70,6 +70,16 @@ def test_count_points_matches_the_point_list_on_every_curve(q):
     assert nonsingular == q**3 - q * q
 
 
+def test_f9_count_on_gaussian_integers_matches_fq_arithmetic():
+    # oracle: the cubic evaluated over FqElement, as the count did before it
+    # ran Horner's rule on integer pairs; all 729 coefficient triples,
+    # singular cubics included
+    roots = F9.square_roots
+    for a2, a4, a6 in product(F9, repeat=3):
+        naive = 1 + sum(len(roots.get(((x + a2) * x + a4) * x + a6, ())) for x in F9)
+        assert elliptic._count(F9, a2, a4, a6) == naive, (a2, a4, a6)
+
+
 def test_singular_input_rejected():
     with pytest.raises(ValueError):
         EllipticCurve(F5, 0, 0, 0)  # y^2 = x^3 has a cusp
