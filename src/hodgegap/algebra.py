@@ -1,5 +1,8 @@
 """Shared exact-arithmetic kit: finite fields F_p and F_p[i], dense univariate
-polynomials over an arbitrary coefficient field, and small exact matrix kernels.
+polynomials over an arbitrary coefficient field, and exact kernels of sparse
+integer matrices (rows as ``{column: entry}`` dicts of their nonzeros), by
+elimination over F_l with a fewest-entries pivot row, and a dense Bareiss
+fallback over Q.
 
 Everything is immutable and pure; no floats appear anywhere in this module.
 A "coefficient field" is any object exposing ``zero``, ``one`` and
@@ -330,8 +333,9 @@ class Polynomial:
         return power(self, k, operator.mul, Polynomial(self.ring, (self.ring.one,)))
 
     def scale(self, c) -> "Polynomial":
-        c = self.ring.coerce(c)
-        return Polynomial(self.ring, [c * a for a in self.coeffs])
+        """c * self; a zero coefficient stays the ring's zero, unmultiplied."""
+        c, zero = self.ring.coerce(c), self.ring.zero
+        return Polynomial(self.ring, [c * a if a else zero for a in self.coeffs])
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(alpha*u + beta) for a linear ``inner`` = alpha*u + beta.  With
@@ -423,12 +427,13 @@ def _binomial_chain(ring, coeffs, alpha) -> list:
 
 def _scale_powers(coeffs, r) -> list:
     """[c_k * r^k], the scaling step of :meth:`Polynomial.compose`, with
-    one running power of r."""
+    one running power of r, which advances past a zero c_k; a zero c_k
+    stays as it is, unmultiplied."""
     out = list(coeffs[:1])
     rk = None
     for c in coeffs[1:]:
         rk = r if rk is None else rk * r
-        out.append(c * rk)
+        out.append(c * rk if c else c)
     return out
 
 
@@ -493,64 +498,92 @@ def discriminant_squarefree(f: Polynomial) -> bool:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of an integer matrix, by forward elimination on its
-    entries reduced mod p: each row below the pivot becomes piv*row - f*top,
-    a unit multiple plus a row combination, so the row space is kept."""
-    a = [[x % p for x in row] for row in rows]
+    """Rank over F_p, p prime, of a sparse integer matrix: each row a
+    ``{column: entry}`` dict of its nonzeros.  Gaussian elimination on the
+    entries reduced mod p: for each column in turn, of the rows not yet
+    used that have an entry there, the one with the fewest entries becomes
+    the pivot row (Markowitz's rule on rows alone, *Management Sci.* 3,
+    1957), is scaled by its pivot's inverse, and is subtracted from each
+    other such row at its own entries only.  A column index lists the rows
+    with an entry in each column, so a pivot costs the pivot row's length
+    times the column's count, and a bidiagonal-plus-one-row matrix such as
+    g - 1 costs O(entries) in all."""
+    a = []
+    by_col: dict[int, set[int]] = {}
+    for row in rows:
+        r = {j: x % p for j, x in row.items() if x % p}
+        for j in r:
+            by_col.setdefault(j, set()).add(len(a))
+        a.append(r)
     rank = 0
-    for col in range(len(a[0]) if a else 0):
-        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if pivot is None:
+    for col in sorted(by_col):
+        below = by_col[col]
+        if not below:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top = a[rank]
-        piv = top[col]
-        for i in range(rank + 1, len(a)):
-            f = a[i][col]
-            if f:
-                a[i] = [(piv * x - f * y) % p for x, y in zip(a[i], top)]
+        pivot = min(below, key=lambda i: len(a[i]))
+        top = a[pivot]
+        for j in top:
+            by_col[j].discard(pivot)
+        inv = pow(top[col], -1, p)
+        top = {j: x * inv % p for j, x in top.items()}
+        for i in list(below):
+            r = a[i]
+            f = r[col]
+            for j, t in top.items():
+                x = (r.get(j, 0) - f * t) % p
+                if x:
+                    if j not in r:
+                        by_col[j].add(i)
+                    r[j] = x
+                elif j in r:
+                    del r[j]
+                    by_col[j].discard(i)
         rank += 1
-        if rank == len(a):
-            break
     return rank
 
 
-def kernel_dim_mod_p(rows, p: int) -> int:
-    """dim over F_p of the kernel of an integer matrix."""
-    return (len(rows[0]) if rows else 0) - rank_mod_p(rows, p)
+def kernel_dim_mod_p(rows, p: int, cols: int) -> int:
+    """dim over F_p of the kernel of a sparse integer matrix with ``cols``
+    columns (rows as in :func:`rank_mod_p`); an entry outside columns
+    0..cols-1 raises ValueError."""
+    for row in rows:
+        for j in row:
+            if not 0 <= j < cols:
+                raise ValueError(f"entry in column {j} of a matrix with {cols} columns")
+    return cols - rank_mod_p(rows, p)
 
 
 # 2^61 - 1, a Mersenne prime: the modulus of kernel_dim_rational's certificate
 _M61 = 2**61 - 1
 
 
-def kernel_dim_rational(entries) -> int:
-    """dim over Q of the kernel of an integer matrix.
+def kernel_dim_rational(rows, cols: int) -> int:
+    """dim over Q of the kernel of a sparse integer matrix with ``cols``
+    columns (rows as in :func:`rank_mod_p`).
 
     First a one-sided certificate: reducing an integer matrix mod a prime l
     can only lower its rank, so a zero kernel mod l = 2^61 - 1 proves a zero
     kernel over Q, and 0 is returned at once.  l is a fixed large prime, not
     the characteristic the caller cares about: mod p the matrix of g - 1 has
     the norm element in its kernel and would never certify.  Otherwise the
-    exact answer comes from :func:`_bareiss_kernel_dim`.
+    exact answer comes from :func:`_bareiss_kernel_dim` on the dense rows.
     """
-    if kernel_dim_mod_p(entries, _M61) == 0:
+    if kernel_dim_mod_p(rows, _M61, cols) == 0:
         return 0
-    return _bareiss_kernel_dim(entries)
+    return _bareiss_kernel_dim([[row.get(j, 0) for j in range(cols)] for row in rows], cols)
 
 
-def _bareiss_kernel_dim(entries) -> int:
-    """dim over Q of the kernel of an integer matrix, by fraction-free
-    (Bareiss) elimination, the fallback of :func:`kernel_dim_rational`.
+def _bareiss_kernel_dim(entries, cols: int) -> int:
+    """dim over Q of the kernel of a dense integer matrix with ``cols``
+    columns, by fraction-free (Bareiss) elimination: the fallback of
+    :func:`kernel_dim_rational` and the tests' oracle for it.
 
     After each pivot, every entry below it is a minor of the input, so the
     division by the previous pivot is exact (Sylvester's identity) and the
     entries stay integers of bounded size.
     """
     a = [list(row) for row in entries]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
+    rows = len(a)
     rank = 0
     prev = 1
     for col in range(cols):

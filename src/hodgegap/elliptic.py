@@ -2,23 +2,24 @@
 
 Curves are kept in the form y^2 = x^3 + a2*x^2 + a4*x + a6 (characteristic
 never 2 here); the short Weierstrass case is a2 = 0, and the a2 term is what
-makes characteristic 3 work.  Points are listed and counted in O(q), each x
-reading the roots of rhs(x) from the field's ``square_roots``.  Over a prime
-field the count runs on plain integers: one Horner step
-((x + a2)*x + a4)*x + a6 mod p per x indexes the field's ``root_counts``, a
-tuple read once from its ``square_roots``.  Over F_9 = F_3[i], the one
-non-prime field, the same Horner steps run on Gaussian-integer pairs: x =
-r + s*i with i^2 = -1, and the value u + v*i indexes ``root_counts`` at
-(u mod 3) + 3(v mod 3), its place in the field's canonical order.  The one
-coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the field's
-canonical order, so results are deterministic; it counts each candidate from
-its coefficients and tests singularity only on a candidate whose count
-passes.
+makes characteristic 3 work.  Points are listed in O(q), each x reading the
+roots of rhs(x) from the field's ``square_roots``.  A count splits the cubic
+at its constant term: one histogram of x^3 + a2*x^2 + a4*x over the field's
+canonical order, by one Horner step per x on integers (plain ints over a
+prime field; over F_9 = F_3[i], the one non-prime field, Gaussian-integer
+pairs x = r + s*i with i^2 = -1, the value u + v*i at index
+(u mod 3) + 3(v mod 3)), then one C-level dot product of that histogram
+with the field's ``root_counts`` translated by a6, a rotation over F_p.  The
+one coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the
+field's canonical order, so results are deterministic; it builds one
+histogram per (a2, a4), counts each a6 from it, and tests singularity only
+on a candidate whose count passes.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .algebra import (
@@ -84,23 +85,46 @@ class EllipticCurve:
         return f"E[y^2 = x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6}) / GF({self.q})]"
 
 
-def _count(field: FiniteField, a2: FqElement, a4: FqElement, a6: FqElement) -> int:
-    """Rational points of y^2 = x^3 + a2 x^2 + a4 x + a6, point at infinity
-    included, singular or not; raises past the Hasse bound, which a singular
-    cubic (q, q + 1 or q + 2 points) never crosses."""
-    p, counts = field.p, field.root_counts
+def _cubic_histogram(field: FiniteField, a2: FqElement, a4: FqElement) -> list[int]:
+    """Entry m is the number of x in the field with x^3 + a2 x^2 + a4 x equal
+    to the m-th element in canonical order, found by one Horner step per x
+    on integers: plain ints over F_p, and over F_9 = F_3[i] Gaussian-integer
+    pairs x = r + s*i, i^2 = -1, whose value u + v*i has index
+    (u mod 3) + 3(v mod 3)."""
+    p, hist = field.p, [0] * field.q
     if field.k == 1:
-        b2, b4, b6 = a2.coords[0], a4.coords[0], a6.coords[0]
-        n = 1 + sum(counts[(((x + b2) * x + b4) * x + b6) % p] for x in range(p))
-    else:  # F_9 = F_3[i]: x = r + s*i as a Gaussian-integer pair, i^2 = -1
-        (b2, c2), (b4, c4), (b6, c6) = a2.coords, a4.coords, a6.coords
-        n = 1
+        b2, b4 = a2.coords[0], a4.coords[0]
+        for x in range(p):
+            hist[((x + b2) * x + b4) * x % p] += 1
+    else:
+        (b2, c2), (b4, c4) = a2.coords, a4.coords
         for r in range(p):
             for s in range(p):
                 u, v = r + b2, s + c2
                 u, v = u * r - v * s + b4, u * s + v * r + c4
-                u, v = u * r - v * s + b6, u * s + v * r + c6
-                n += counts[u % p + p * (v % p)]
+                u, v = u * r - v * s, u * s + v * r
+                hist[u % p + p * (v % p)] += 1
+    return hist
+
+
+def _translated_root_counts(field: FiniteField, a6: FqElement) -> tuple[int, ...]:
+    """Entry m is the number of y with y^2 = the m-th element plus a6: the
+    field's ``root_counts`` rotated by a6 over F_p, and re-indexed by the
+    translation over F_9."""
+    p, counts = field.p, field.root_counts
+    if field.k == 1:
+        b6 = a6.coords[0]
+        return counts[b6:] + counts[:b6]
+    b6, c6 = a6.coords
+    return tuple(counts[(m + b6) % p + p * ((m // p + c6) % p)] for m in range(field.q))
+
+
+def _count(field: FiniteField, hist: list[int], a6: FqElement) -> int:
+    """Rational points of y^2 = x^3 + a2 x^2 + a4 x + a6, point at infinity
+    included, singular or not, from the :func:`_cubic_histogram` of its a2
+    and a4; raises past the Hasse bound, which a singular cubic (q, q + 1 or
+    q + 2 points) never crosses."""
+    n = 1 + sum(map(operator.mul, hist, _translated_root_counts(field, a6)))
     q = field.q
     if (q + 1 - n) ** 2 > 4 * q:
         raise ArithmeticError(f"Hasse bound violated: {n} points over F_{q} (bug)")
@@ -109,7 +133,8 @@ def _count(field: FiniteField, a2: FqElement, a4: FqElement, a6: FqElement) -> i
 
 def count_points(curve: EllipticCurve) -> int:
     """Exact number of rational points, point at infinity included."""
-    return _count(curve.field, curve.a2, curve.a4, curve.a6)
+    field = curve.field
+    return _count(field, _cubic_histogram(field, curve.a2, curve.a4), curve.a6)
 
 
 def add_points(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
@@ -154,8 +179,9 @@ def find_curve(field: FiniteField, ok: Callable[[int], bool]) -> EllipticCurve:
     :class:`EllipticCurve`, which rejects it if singular."""
     for a2 in field:
         for a4 in field:
+            hist = _cubic_histogram(field, a2, a4)
             for a6 in field:
-                if not ok(_count(field, a2, a4, a6)):
+                if not ok(_count(field, hist, a6)):
                     continue
                 try:
                     return EllipticCurve(field, a2, a4, a6)

@@ -398,19 +398,50 @@ def test_element_of_order_has_exact_order(ell):
     assert all(len({pow(x, k, ell) for k in range(ell - 1)}) < ell - 1 for x in range(1, g))
 
 
+def _sparse(m):
+    """The rows of a dense integer matrix as {column: entry} dicts of their
+    nonzeros, the input of the kernels."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def _kernel_size_mod_5(m, cols):
+    # oracle: every x in F_5^cols with m x = 0, over the dense rows
+    return sum(
+        1
+        for x in itertools.product(range(5), repeat=cols)
+        if all(sum(a * b for a, b in zip(row, x)) % 5 == 0 for row in m)
+    )
+
+
 def test_kernel_dims():
     ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert kernel_dim_mod_p(ident, 5) == 0
+    assert kernel_dim_mod_p(_sparse(ident), 5, 3) == 0
     zero = ((0,) * 3,) * 3
-    assert kernel_dim_mod_p(zero, 5) == 3
+    assert kernel_dim_mod_p(_sparse(zero), 5, 3) == 3
     # entries need not be reduced: -4 = 6 = 1 and 10 = -5 = 0 mod 5
-    assert kernel_dim_mod_p(((-4, 10, 0), (0, 6, -5), (0, 0, -9)), 5) == 0
-    assert kernel_dim_mod_p(((10, -5, 15), (-5, 0, 25)), 5) == 3
-    assert kernel_dim_mod_p(((1, 2, 3), (-4, 12, -2)), 5) == 2  # row 2 = row 1 mod 5
-    assert kernel_dim_mod_p(((1, 2, 3), (-4, 12, -1)), 5) == 1
+    assert kernel_dim_mod_p(_sparse(((-4, 10, 0), (0, 6, -5), (0, 0, -9))), 5, 3) == 0
+    assert kernel_dim_mod_p(_sparse(((10, -5, 15), (-5, 0, 25))), 5, 3) == 3
+    assert kernel_dim_mod_p(_sparse(((1, 2, 3), (-4, 12, -2))), 5, 3) == 2  # row 2 = row 1 mod 5
+    assert kernel_dim_mod_p(_sparse(((1, 2, 3), (-4, 12, -1))), 5, 3) == 1
 
     # (generator - 1) on the augmentation ideal for p = 5: one invariant line
-    assert kernel_dim_mod_p(g_minus_one(5), 5) == 1
+    assert kernel_dim_mod_p(g_minus_one(5), 5, 4) == 1
+
+
+def test_a_matrix_with_no_rows_has_every_column_in_its_kernel():
+    assert kernel_dim_mod_p([], 5, 3) == 3
+    assert kernel_dim_rational([], 3) == 3
+    assert kernel_dim_mod_p([{}, {}], 5, 3) == kernel_dim_rational([{}, {}], 3) == 3
+    assert kernel_dim_mod_p([], 5, 0) == kernel_dim_rational([], 0) == 0
+
+
+@pytest.mark.parametrize("column", [3, -1])
+def test_an_entry_outside_the_columns_is_rejected(column):
+    rows = [{0: 1}, {column: 2}]
+    with pytest.raises(ValueError, match="column"):
+        kernel_dim_mod_p(rows, 5, 3)
+    with pytest.raises(ValueError, match="column"):
+        kernel_dim_rational(rows, 3)
 
 
 def test_rank_nullity_on_random_matrices():
@@ -418,22 +449,54 @@ def test_rank_nullity_on_random_matrices():
     for _ in range(100):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows))
-        assert kernel_dim_mod_p(m, 5) + rank_mod_p(m, 5) == cols
-    # the sum above holds by definition; the kernel's size is the real check:
-    # oracle, every x in F_5^cols with m x = 0 (at most 5^4 = 625 of them);
-    # the entries range over -12..12, so most are negative or unreduced
+        m = _sparse(tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows)))
+        assert kernel_dim_mod_p(m, 5, cols) + rank_mod_p(m, 5) == cols
+    # the sum above holds by definition; the kernel's size is the real check,
+    # against the brute-force oracle (at most 5^4 = 625 vectors); the
+    # entries range over -12..12, so most are negative or unreduced
     rng = random.Random(506)
     for _ in range(100):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         entries = tuple(tuple(rng.randint(-12, 12) for _ in range(cols)) for _ in range(rows))
-        kernel = sum(
-            1
-            for x in itertools.product(range(5), repeat=cols)
-            if all(sum(a * b for a, b in zip(row, x)) % 5 == 0 for row in entries)
-        )
-        assert 5 ** kernel_dim_mod_p(entries, 5) == kernel
+        assert 5 ** kernel_dim_mod_p(_sparse(entries), 5, cols) == _kernel_size_mod_5(entries, cols)
+
+
+def _structured_matrices():
+    """200 seeded dense integer matrices of at most 4 columns whose rows are
+    drawn from the shapes that steer the sparse pivot choice: empty rows,
+    duplicates and multiples of an earlier row, one dense row (every entry
+    nonzero), and rows of one or two entries."""
+    rng = random.Random(507)
+    for _ in range(200):
+        cols = rng.randint(1, 4)
+        m = []
+        for _ in range(rng.randint(1, 6)):
+            shape = rng.choice(["empty", "copy", "dense", "short"]) if m else "dense"
+            if shape == "empty":
+                row = [0] * cols
+            elif shape == "copy":
+                row = [rng.choice([1, -1, 5, 2]) * x for x in rng.choice(m)]
+            elif shape == "dense":
+                row = [rng.choice([-7, -3, -1, 1, 2, 4, 6]) for _ in range(cols)]
+            else:
+                row = [0] * cols
+                for j in rng.sample(range(cols), min(cols, rng.randint(1, 2))):
+                    row[j] = rng.randint(-12, 12)
+            m.append(row)
+        rng.shuffle(m)
+        yield m, cols
+
+
+def test_sparse_rank_agrees_with_bareiss_and_the_f5_oracle():
+    dense_rows = 0
+    for m, cols in _structured_matrices():
+        rows = _sparse(m)
+        dense_rows += any(len(row) == cols > 1 for row in rows)
+        assert 5 ** kernel_dim_mod_p(rows, 5, cols) == _kernel_size_mod_5(m, cols), m
+        assert kernel_dim_mod_p(rows, M61, cols) == algebra._bareiss_kernel_dim(m, cols), m
+        assert kernel_dim_rational(rows, cols) == algebra._bareiss_kernel_dim(m, cols), m
+    assert dense_rows > 100
 
 
 def _rank_k_products():
@@ -455,11 +518,11 @@ def _rank_k_products():
 
 
 def test_rational_kernel():
-    assert kernel_dim_rational([[1, 0], [0, 1]]) == 0
-    assert kernel_dim_rational([[0, 0], [0, 0]]) == 2
-    assert kernel_dim_rational([[1, 2], [2, 4]]) == 1
+    assert kernel_dim_rational(_sparse([[1, 0], [0, 1]]), 2) == 0
+    assert kernel_dim_rational(_sparse([[0, 0], [0, 0]]), 2) == 2
+    assert kernel_dim_rational(_sparse([[1, 2], [2, 4]]), 2) == 1
     for m, kernel in _rank_k_products():
-        assert kernel_dim_rational(m) == kernel
+        assert kernel_dim_rational(_sparse(m), len(m[0])) == kernel
 
 
 M61 = 2**61 - 1
@@ -468,10 +531,14 @@ M61 = 2**61 - 1
 def test_certificate_mod_m61_agrees_with_bareiss():
     # the entries and minors here are far below l, so the rank mod l is the
     # rank over Q, and the certificate fires exactly when the kernel is zero
-    cases = list(_rank_k_products()) + [(g_minus_one(p), 0) for p in primes_upto(61) if p > 2]
-    assert any(kernel == 0 for _, kernel in cases) and any(kernel for _, kernel in cases)
-    for m, kernel in cases:
-        assert kernel_dim_mod_p(m, M61) == algebra._bareiss_kernel_dim(m) == kernel
+    cases = [(_sparse(m), m, kernel) for m, kernel in _rank_k_products()]
+    for p in primes_upto(61)[1:]:
+        rows = g_minus_one(p)
+        cases.append((rows, [[row.get(j, 0) for j in range(p - 1)] for row in rows], 0))
+    assert any(kernel == 0 for *_, kernel in cases) and any(kernel for *_, kernel in cases)
+    for rows, m, kernel in cases:
+        cols = len(m[0])
+        assert kernel_dim_mod_p(rows, M61, cols) == algebra._bareiss_kernel_dim(m, cols) == kernel
 
 
 @pytest.mark.parametrize(
@@ -480,18 +547,20 @@ def test_certificate_mod_m61_agrees_with_bareiss():
     ids=["l", "rank-one", "zero", "singular-mod-l"],
 )
 def test_rational_kernel_falls_back_to_bareiss_once(monkeypatch, m, kernel):
-    # [[l]] and [[3, l + 6], [1, 2]] have kernel 1 mod l and 0 over Q
+    # [[l]] and [[3, l + 6], [1, 2]] have kernel 1 mod l and 0 over Q; the
+    # fallback gets the dense rows back
     calls = recorded(monkeypatch, algebra, "_bareiss_kernel_dim")
-    assert kernel_dim_mod_p(m, M61) > 0
-    assert kernel_dim_rational(m) == kernel
-    assert calls == [(m,)]
+    cols = len(m[0])
+    assert kernel_dim_mod_p(_sparse(m), M61, cols) > 0
+    assert kernel_dim_rational(_sparse(m), cols) == kernel
+    assert calls == [(m, cols)]
 
 
 def test_rational_kernel_certified_takes_no_bareiss(monkeypatch):
     calls = recorded(monkeypatch, algebra, "_bareiss_kernel_dim")
-    assert kernel_dim_rational([[1, 0], [0, 1]]) == 0
-    assert kernel_dim_rational([[2, 1], [M61, 3]]) == 0  # det 6 - l, a unit mod l
-    assert kernel_dim_rational([]) == 0
+    assert kernel_dim_rational(_sparse([[1, 0], [0, 1]]), 2) == 0
+    assert kernel_dim_rational(_sparse([[2, 1], [M61, 3]]), 2) == 0  # det 6 - l, a unit mod l
+    assert kernel_dim_rational([], 0) == 0
     assert calls == []
 
 

@@ -18,7 +18,7 @@ from test_perturbations import PERTURBATIONS
 from hodgegap import cli, curves, invariants
 from hodgegap.algebra import primes_upto
 from hodgegap.cli import build_report, main
-from hodgegap.cyclotomic import CycloElement
+from hodgegap.cyclotomic import CycloElement, CyclotomicField
 
 
 def _run(capsys, argv):
@@ -104,6 +104,17 @@ def test_report_inverts_pi_only_at_p3(monkeypatch, p, inverses):
     c = curves.construction(p)
     assert not build_report(c).failed()
     assert calls == [(c.spec.pi,)] * inverses
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_report_multiplies_no_zero_cyclotomic_operand(monkeypatch, p):
+    # Polynomial.scale and compose's scaling by powers pass a zero
+    # coefficient through unmultiplied; they are what map_preserves_curve
+    # runs on the sparse xy model
+    calls = recorded(monkeypatch, CyclotomicField, "_mul")
+    assert not build_report(curves.construction(p)).failed()
+    assert calls
+    assert [(a, b) for _, a, b in calls if not any(a) or not any(b)] == []
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])

@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 
-from hodgegap import elliptic
 from hodgegap.algebra import FiniteField, fq_sqrt, primes_upto
 from hodgegap.curves import construction
 from hodgegap.elliptic import (
@@ -47,37 +46,55 @@ def test_count_examples():
     assert count_points(EllipticCurve(F5, 0, 0, 1)) == _count_by_pairs(5, 0, 0, 1) == 6
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
+def _search_counts(field):
+    # the count find_curve hands its test for each (a2, a4, a6), in the
+    # search's order: a test that passes nothing sees every candidate
+    seen = []
+
+    def ok(n):
+        seen.append(n)
+        return False
+
+    with pytest.raises(RuntimeError, match="exhausted"):
+        find_curve(field, ok)
+    return seen
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
 def test_count_points_matches_the_point_list_on_every_curve(q):
-    # exhaustive: every (a2, a4, a6) over F_q, against the point list and,
-    # over F_p, the pair scan; neither oracle runs the integer kernel.  A
-    # singular cubic has q, q + 1 or q + 2 points, inside the Hasse bound, which
-    # is what lets find_curve count a candidate before testing its singularity.
+    # exhaustive: every (a2, a4, a6) over F_q, as the search counts it,
+    # against the point list and, over F_p, the pair scan; neither oracle
+    # reads a histogram.  A singular cubic has q, q + 1 or q + 2 points,
+    # inside the Hasse bound, which is what lets find_curve count a
+    # candidate before testing its singularity.
     field = F9 if q == 9 else FiniteField(q)
+    searched = _search_counts(field)
+    assert len(searched) == q**3
     nonsingular = 0
-    for a2, a4, a6 in product(field, repeat=3):
+    for (a2, a4, a6), n in zip(product(field, repeat=3), searched):
+        if q != 9:
+            assert n == _count_by_pairs(q, *(a.coords[0] for a in (a2, a4, a6)))
         try:
             curve = EllipticCurve(field, a2, a4, a6)
         except ValueError:  # singular
-            assert elliptic._count(field, a2, a4, a6) in (q, q + 1, q + 2)
+            assert n in (q, q + 1, q + 2)
             continue
         nonsingular += 1
-        n = count_points(curve)
-        assert n == len(list(curve.points()))
-        if q != 9:
-            assert n == _count_by_pairs(q, *(a.coords[0] for a in (a2, a4, a6)))
+        assert count_points(curve) == n == len(list(curve.points()))
     # singular cubics (x - r)^2 (x - s): q choices of r times q of s
     assert nonsingular == q**3 - q * q
 
 
 def test_f9_count_on_gaussian_integers_matches_fq_arithmetic():
-    # oracle: the cubic evaluated over FqElement, as the count did before it
-    # ran Horner's rule on integer pairs; all 729 coefficient triples,
-    # singular cubics included
+    # oracle: the cubic evaluated over FqElement, with no histogram and no
+    # integer pairs; all 729 coefficient triples, singular cubics included,
+    # in the search's order
     roots = F9.square_roots
-    for a2, a4, a6 in product(F9, repeat=3):
-        naive = 1 + sum(len(roots.get(((x + a2) * x + a4) * x + a6, ())) for x in F9)
-        assert elliptic._count(F9, a2, a4, a6) == naive, (a2, a4, a6)
+    naive = [
+        1 + sum(len(roots.get(((x + a2) * x + a4) * x + a6, ())) for x in F9)
+        for a2, a4, a6 in product(F9, repeat=3)
+    ]
+    assert _search_counts(F9) == naive
 
 
 def test_singular_input_rejected():

@@ -28,9 +28,13 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _dense(rows, cols):
+    return tuple(tuple(row.get(j, 0) for j in range(cols)) for row in rows)
+
+
 def generator(p):
-    """g = (g - 1) + I."""
-    m = g_minus_one(p)
+    """g = (g - 1) + I, densified."""
+    m = _dense(g_minus_one(p), p - 1)
     return tuple(tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
 
 
@@ -39,8 +43,20 @@ def test_matrix_matches_group_ring_oracle(p):
     assert generator(p) == _matrix_by_group_ring(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_sparse_rows_hold_the_entry_formula_and_only_nonzeros(p):
+    n = p - 1
+    rows = g_minus_one(p)
+    assert _dense(rows, n) == tuple(
+        tuple((i == j + 1) - (i == 0) - (i == j) for j in range(n)) for i in range(n)
+    )
+    assert all(0 not in row.values() for row in rows)
+    assert sum(map(len, rows)) == 3 * p - 5
+
+
 def test_p3_matrix_is_the_expected_two_by_two():
-    assert g_minus_one(3) == [[-2, -1], [1, -1]]
+    assert g_minus_one(3) == [{0: -2, 1: -1}, {0: 1, 1: -1}]
+    assert _dense(g_minus_one(3), 2) == ((-2, -1), (1, -1))
 
 
 def test_build_rejects_tiny_p():
@@ -103,13 +119,13 @@ def test_invariant_dimensions():
         if p < 3:
             continue
         m = g_minus_one(p)
-        assert kernel_dim_rational(m) == 0
-        assert kernel_dim_mod_p(m, p) == 1
+        assert kernel_dim_rational(m, p - 1) == 0
+        assert kernel_dim_mod_p(m, p, p - 1) == 1
 
 
 def test_identity_control_has_full_invariants():
     # subtracting the identity from itself leaves the zero map
-    assert kernel_dim_rational([[0, 0], [0, 0]]) == 2
+    assert kernel_dim_rational([{}, {}], 2) == 2
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
