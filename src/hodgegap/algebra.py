@@ -1,8 +1,7 @@
 """Shared exact-arithmetic kit: finite fields F_p and F_p[i], dense univariate
 polynomials over an arbitrary coefficient field, and exact kernels of sparse
 integer matrices (rows as ``{column: entry}`` dicts of their nonzeros), by
-elimination over F_l with a fewest-entries pivot row, and a dense Bareiss
-fallback over Q.
+row-echelon insertion over F_l, and a dense Bareiss fallback over Q.
 
 Everything is immutable and pure; no floats appear anywhere in this module.
 A "coefficient field" is any object exposing ``zero``, ``one`` and
@@ -497,60 +496,43 @@ def discriminant_squarefree(f: Polynomial) -> bool:
 # exact linear algebra
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p, p prime, of a sparse integer matrix: each row a
-    ``{column: entry}`` dict of its nonzeros.  Gaussian elimination on the
-    entries reduced mod p: for each column in turn, of the rows not yet
-    used that have an entry there, the one with the fewest entries becomes
-    the pivot row (Markowitz's rule on rows alone, *Management Sci.* 3,
-    1957), is scaled by its pivot's inverse, and is subtracted from each
-    other such row at its own entries only.  A column index lists the rows
-    with an entry in each column, so a pivot costs the pivot row's length
-    times the column's count, and a bidiagonal-plus-one-row matrix such as
-    g - 1 costs O(entries) in all."""
-    a = []
-    by_col: dict[int, set[int]] = {}
-    for row in rows:
-        r = {j: x % p for j, x in row.items() if x % p}
-        for j in r:
-            by_col.setdefault(j, set()).add(len(a))
-        a.append(r)
-    rank = 0
-    for col in sorted(by_col):
-        below = by_col[col]
-        if not below:
-            continue
-        pivot = min(below, key=lambda i: len(a[i]))
-        top = a[pivot]
-        for j in top:
-            by_col[j].discard(pivot)
-        inv = pow(top[col], -1, p)
-        top = {j: x * inv % p for j, x in top.items()}
-        for i in list(below):
-            r = a[i]
-            f = r[col]
+def kernel_dim_mod_p(rows, p: int, cols: int) -> int:
+    """dim over F_p, p prime, of the kernel of a sparse integer matrix with
+    ``cols`` columns: each row a ``{column: entry}`` dict of its nonzeros;
+    an entry outside columns 0..cols-1 raises ValueError.
+
+    Row-echelon insertion: the rows, shortest first, are reduced mod p and
+    swept left to right from their leading column.  At a column that holds a
+    stored pivot row, that row is subtracted, with fill-in (always to the
+    right of the sweep); at the first column that holds none, the row is
+    stored there, scaled to a leading 1 that is not kept.  The rank is the
+    number of stored rows.  Shortest first, the p - 2 bidiagonal rows of
+    g - 1 are each stored at their leading column, and its one dense row
+    meets stored rows of one entry each: O(p) in all."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        r = {}
+        for j, x in row.items():
+            if not 0 <= j < cols:
+                raise ValueError(f"entry in column {j} of a matrix with {cols} columns")
+            if x % p:
+                r[j] = x % p
+        for col in range(min(r, default=cols), cols):
+            if col not in r:
+                continue
+            f = r.pop(col)
+            top = pivots.get(col)
+            if top is None:
+                inv = pow(f, -1, p)
+                pivots[col] = {j: x * inv % p for j, x in r.items()}
+                break
             for j, t in top.items():
                 x = (r.get(j, 0) - f * t) % p
                 if x:
-                    if j not in r:
-                        by_col[j].add(i)
                     r[j] = x
                 elif j in r:
                     del r[j]
-                    by_col[j].discard(i)
-        rank += 1
-    return rank
-
-
-def kernel_dim_mod_p(rows, p: int, cols: int) -> int:
-    """dim over F_p of the kernel of a sparse integer matrix with ``cols``
-    columns (rows as in :func:`rank_mod_p`); an entry outside columns
-    0..cols-1 raises ValueError."""
-    for row in rows:
-        for j in row:
-            if not 0 <= j < cols:
-                raise ValueError(f"entry in column {j} of a matrix with {cols} columns")
-    return cols - rank_mod_p(rows, p)
+    return cols - len(pivots)
 
 
 # 2^61 - 1, a Mersenne prime: the modulus of kernel_dim_rational's certificate
@@ -559,7 +541,7 @@ _M61 = 2**61 - 1
 
 def kernel_dim_rational(rows, cols: int) -> int:
     """dim over Q of the kernel of a sparse integer matrix with ``cols``
-    columns (rows as in :func:`rank_mod_p`).
+    columns (rows as in :func:`kernel_dim_mod_p`).
 
     First a one-sided certificate: reducing an integer matrix mod a prime l
     can only lower its rank, so a zero kernel mod l = 2^61 - 1 proves a zero

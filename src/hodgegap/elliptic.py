@@ -174,9 +174,10 @@ def find_curve(field: FiniteField, ok: Callable[[int], bool]) -> EllipticCurve:
     """The first nonsingular y^2 = x^3 + a2 x^2 + a4 x + a6 over ``field``, in
     lexicographic (a2, a4, a6) order, with ``ok(#points)``: the one
     coefficient search, which every elliptic factor comes from.  Each
-    candidate is counted from its coefficients first (on integers over a
-    prime field); only one whose count passes ``ok`` is built as an
-    :class:`EllipticCurve`, which rejects it if singular."""
+    candidate is counted from its coefficients first (on integers over
+    F_p, on Gaussian-integer pairs over F_9); only one whose count passes
+    ``ok`` is built as an :class:`EllipticCurve`, which rejects it if
+    singular."""
     for a2 in field:
         for a4 in field:
             hist = _cubic_histogram(field, a2, a4)

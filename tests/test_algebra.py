@@ -18,7 +18,6 @@ from hodgegap.algebra import (
     kernel_dim_rational,
     poly_gcd,
     primes_upto,
-    rank_mod_p,
     rational_reconstruction,
 )
 from hodgegap.curves import AffineCurveMap, construction, map_power
@@ -413,6 +412,12 @@ def _kernel_size_mod_5(m, cols):
     )
 
 
+M61 = 2**61 - 1
+
+# rows x0 + x1, x0 + x2 and x2 - x1 over 3 columns
+FILL_IN = [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: -1, 2: 1}]
+
+
 def test_kernel_dims():
     ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert kernel_dim_mod_p(_sparse(ident), 5, 3) == 0
@@ -423,6 +428,9 @@ def test_kernel_dims():
     assert kernel_dim_mod_p(_sparse(((10, -5, 15), (-5, 0, 25))), 5, 3) == 3
     assert kernel_dim_mod_p(_sparse(((1, 2, 3), (-4, 12, -2))), 5, 3) == 2  # row 2 = row 1 mod 5
     assert kernel_dim_mod_p(_sparse(((1, 2, 3), (-4, 12, -1))), 5, 3) == 1
+    # fill-in: the second row less the first gains an entry in column 1,
+    # where the third row's pivot cancels it; the kernel is spanned by (1, -1, -1)
+    assert kernel_dim_mod_p(FILL_IN, 5, 3) == kernel_dim_mod_p(FILL_IN, M61, 3) == 1
 
     # (generator - 1) on the augmentation ideal for p = 5: one invariant line
     assert kernel_dim_mod_p(g_minus_one(5), 5, 4) == 1
@@ -449,11 +457,14 @@ def test_rank_nullity_on_random_matrices():
     for _ in range(100):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = _sparse(tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows)))
-        assert kernel_dim_mod_p(m, 5, cols) + rank_mod_p(m, 5) == cols
-    # the sum above holds by definition; the kernel's size is the real check,
-    # against the brute-force oracle (at most 5^4 = 625 vectors); the
-    # entries range over -12..12, so most are negative or unreduced
+        dense = tuple(tuple(rng.randrange(5) for _ in range(cols)) for _ in range(rows))
+        m, transpose = _sparse(dense), _sparse(zip(*dense))
+        # row rank equals column rank, mod 5 and mod 2^61 - 1
+        for l in (5, M61):
+            assert cols - kernel_dim_mod_p(m, l, cols) == rows - kernel_dim_mod_p(transpose, l, rows)
+    # the kernel's size, against the brute-force oracle (at most 5^4 = 625
+    # vectors); the entries range over -12..12, so most are negative or
+    # unreduced
     rng = random.Random(506)
     for _ in range(100):
         rows = rng.randint(1, 4)
@@ -491,11 +502,12 @@ def _structured_matrices():
 def test_sparse_rank_agrees_with_bareiss_and_the_f5_oracle():
     dense_rows = 0
     for m, cols in _structured_matrices():
-        rows = _sparse(m)
-        dense_rows += any(len(row) == cols > 1 for row in rows)
-        assert 5 ** kernel_dim_mod_p(rows, 5, cols) == _kernel_size_mod_5(m, cols), m
-        assert kernel_dim_mod_p(rows, M61, cols) == algebra._bareiss_kernel_dim(m, cols), m
-        assert kernel_dim_rational(rows, cols) == algebra._bareiss_kernel_dim(m, cols), m
+        dense_rows += any(all(row) and cols > 1 for row in m)
+        # the order of the rows sets the cost only, never the answer
+        for rows in (_sparse(m), _sparse(m[::-1])):
+            assert 5 ** kernel_dim_mod_p(rows, 5, cols) == _kernel_size_mod_5(m, cols), m
+            assert kernel_dim_mod_p(rows, M61, cols) == algebra._bareiss_kernel_dim(m, cols), m
+            assert kernel_dim_rational(rows, cols) == algebra._bareiss_kernel_dim(m, cols), m
     assert dense_rows > 100
 
 
@@ -521,11 +533,9 @@ def test_rational_kernel():
     assert kernel_dim_rational(_sparse([[1, 0], [0, 1]]), 2) == 0
     assert kernel_dim_rational(_sparse([[0, 0], [0, 0]]), 2) == 2
     assert kernel_dim_rational(_sparse([[1, 2], [2, 4]]), 2) == 1
+    assert kernel_dim_rational(FILL_IN, 3) == 1
     for m, kernel in _rank_k_products():
         assert kernel_dim_rational(_sparse(m), len(m[0])) == kernel
-
-
-M61 = 2**61 - 1
 
 
 def test_certificate_mod_m61_agrees_with_bareiss():
