@@ -30,7 +30,7 @@ from .curves import (
     x_map,
     x_multiplier,
 )
-from .elliptic import count_points, scalar_mul, translation_is_fixed_point_free
+from .elliptic import add_points, count_points, scalar_mul, translation_is_fixed_point_free
 from .invariants import form_weights, least_squares_slope, witness_form_weight
 
 PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
@@ -126,6 +126,15 @@ def _torsion_point(c):
     return not pt.is_infinity and scalar_mul(curve, c.p, pt).is_infinity, repr(pt)
 
 
+def _translation_free(c):
+    curve, pt = c.elliptic
+    if translation_is_fixed_point_free(curve, pt):
+        return True, None
+    # the first Q in listing order that the translation fixes: O when P = O
+    fixed = next(q for q in curve.points() if add_points(curve, q, pt) == q)
+    return False, f"{fixed!r} + {pt!r} = {fixed!r}"
+
+
 def _weights(c):
     found = form_weights(c.p, x_multiplier(c.sigma, c.spec), c.genus)
     return found == c.weights, list(found.weights)
@@ -200,7 +209,7 @@ CHECKS = (
     ("elliptic.translation_free",
      lambda c: "translation by that point fixes no rational point, so the diagonal "
                "action on C x C x E is fixed point free",
-     lambda c: (translation_is_fixed_point_free(*c.elliptic), None)),
+     _translation_free),
     ("forms.weights",
      lambda c: "sigma acts on the holomorphic 1-forms x^(k-1)dx/y with character "
                f"exponents {list(c.weights.weights)}",

@@ -2,23 +2,29 @@
 
 Curves are kept in the form y^2 = x^3 + a2*x^2 + a4*x + a6 (characteristic
 never 2 here); the short Weierstrass case is a2 = 0, and the a2 term is what
-makes characteristic 3 work.  Points are listed in O(q), each x reading the
-roots of rhs(x) from the field's ``square_roots``.  A count splits the cubic
-at its constant term: one histogram of x^3 + a2*x^2 + a4*x over the field's
-canonical order, by one Horner step per x on integers (plain ints over a
-prime field; over F_9 = F_3[i], the one non-prime field, Gaussian-integer
-pairs x = r + s*i with i^2 = -1, the value u + v*i at index
-(u mod 3) + 3(v mod 3)), then one C-level dot product of that histogram
-with the field's ``root_counts`` translated by a6, a rotation over F_p.  The
-one coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the
-field's canonical order, so results are deterministic; it builds one
-histogram per (a2, a4), counts each a6 from it, and tests singularity only
-on a candidate whose count passes.
+makes characteristic 3 work.
+
+Past the :class:`CurvePoint`s that the public functions take and return,
+everything runs on integers.  An element u + v*i is the pair (u, v): over
+F_9 = F_3[i], the one non-prime field, with i^2 = -1, and over F_p as the
+slice v = 0.  One chord-tangent law on such pairs serves both fields; the
+point listing (lazy, in O(q), each x reading the roots of rhs(x) from the
+field's ``square_roots``), scalar multiples, the torsion search and the
+translation check run on it.
+
+A count splits the cubic at its constant term: one histogram of
+x^3 + a2*x^2 + a4*x over the field's canonical order, by one Horner step
+per x (plain ints over F_p, pairs over F_9, the value u + v*i at index
+u + 3v), then one C-level dot product of that histogram with the field's
+``root_counts`` translated by a6, a rotation over F_p.  The one coefficient
+search, :func:`find_curve`, scans (a2, a4, a6) in the field's canonical
+order, so results are deterministic; it builds one histogram per (a2, a4),
+counts each a6 from it, and tests singularity only on a candidate whose
+count passes.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -65,21 +71,11 @@ class EllipticCurve:
     def q(self) -> int:
         return self.field.q
 
-    def rhs(self, x: FqElement) -> FqElement:
-        return self.rhs_poly(x)
-
-    def contains(self, pt: CurvePoint) -> bool:
-        if pt.is_infinity:
-            return True
-        return pt.y * pt.y == self.rhs(pt.x)
-
     def points(self) -> Iterator[CurvePoint]:
-        """All rational points, infinity first, then in field order on x, y."""
-        yield CurvePoint.infinity()
-        roots = self.field.square_roots
-        for x in self.field:
-            for y in roots.get(self.rhs(x), ()):
-                yield CurvePoint(x, y)
+        """All rational points, infinity first, then in field order on x, y:
+        the pair listing as CurvePoints, a wrapper that the API and the tests
+        call."""
+        return (_to_point(self.field, pt) for pt in _listing(self.field, _coefficients(self)))
 
     def __repr__(self) -> str:
         return f"E[y^2 = x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6}) / GF({self.q})]"
@@ -88,22 +84,19 @@ class EllipticCurve:
 def _cubic_histogram(field: FiniteField, a2: FqElement, a4: FqElement) -> list[int]:
     """Entry m is the number of x in the field with x^3 + a2 x^2 + a4 x equal
     to the m-th element in canonical order, found by one Horner step per x
-    on integers: plain ints over F_p, and over F_9 = F_3[i] Gaussian-integer
-    pairs x = r + s*i, i^2 = -1, whose value u + v*i has index
-    (u mod 3) + 3(v mod 3)."""
+    on integers: plain ints over F_p, and over F_9 = F_3[i] the pair cubic
+    :func:`_rhs` on Gaussian-integer pairs x = r + s*i, i^2 = -1, whose value
+    u + v*i has index u + 3v."""
     p, hist = field.p, [0] * field.q
     if field.k == 1:
         b2, b4 = a2.coords[0], a4.coords[0]
         for x in range(p):
             hist[((x + b2) * x + b4) * x % p] += 1
     else:
-        (b2, c2), (b4, c4) = a2.coords, a4.coords
-        for r in range(p):
-            for s in range(p):
-                u, v = r + b2, s + c2
-                u, v = u * r - v * s + b4, u * s + v * r + c4
-                u, v = u * r - v * s, u * s + v * r
-                hist[u % p + p * (v % p)] += 1
+        coeffs = (p, a2.coords, a4.coords, (0, 0))
+        for m in range(field.q):
+            u, v = _rhs(coeffs, (m % p, m // p))
+            hist[u + p * v] += 1
     return hist
 
 
@@ -137,37 +130,125 @@ def count_points(curve: EllipticCurve) -> int:
     return _count(field, _cubic_histogram(field, curve.a2, curve.a4), curve.a6)
 
 
-def add_points(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition on y^2 = x^3 + a2 x^2 + a4 x + a6."""
-    if not (curve.contains(p1) and curve.contains(p2)):
-        raise ValueError("point not on the curve")
-    return _chord_tangent(curve, p1, p2)
+# The group law on integer pairs.  An element u + v*i is the pair (u, v) of
+# integers in [0, p): over F_9 = F_3[i] that is the element itself, and over
+# F_p it is the slice v = 0, which is closed under +, -, * and the inverse
+# conj(d)/norm(d), since the norm of (a, 0) is a^2 (also for p = 1 (mod 4),
+# where Z[i]/(p) is no field).  So one law serves both fields.  A point is
+# None, the point at infinity, or (x, y), two pairs; a curve is its ``coeffs``
+# (p, a2, a4, a6), the coefficients as pairs.  FqElements appear only at the
+# boundary: the CurvePoints given and returned.
 
 
-def _chord_tangent(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
-    """The group law of :func:`add_points` on two points already known to
-    lie on ``curve``, unchecked."""
-    if p1.is_infinity:
-        return p2
-    if p2.is_infinity:
-        return p1
-    if p1.x == p2.x:
-        if p1.y != p2.y or not p1.y:
-            return CurvePoint.infinity()
+def _pair(e: FqElement) -> tuple[int, int]:
+    """The coordinates (u, v) of e = u + v*i; v = 0 over F_p."""
+    return (e.coords + (0,))[:2]
+
+
+def _coefficients(curve: EllipticCurve) -> tuple:
+    """(p, a2, a4, a6): the characteristic and the coefficients as pairs."""
+    return (curve.field.p, *map(_pair, (curve.a2, curve.a4, curve.a6)))
+
+
+def _to_pairs(curve: EllipticCurve, pt: CurvePoint):
+    """pt on pairs, unchecked against the curve; ValueError when a coordinate
+    belongs to another field."""
+    if pt.is_infinity:
+        return None
+    return _pair(curve.field.coerce(pt.x)), _pair(curve.field.coerce(pt.y))
+
+
+def _to_point(field: FiniteField, pt) -> CurvePoint:
+    """The :class:`CurvePoint` of pt, a point on pairs; over F_p each
+    element keeps the one coordinate u."""
+    if pt is None:
+        return CurvePoint.infinity()
+    return CurvePoint(*(FqElement(field, w[: field.k]) for w in pt))
+
+
+def _rhs(coeffs: tuple, x: tuple[int, int]) -> tuple[int, int]:
+    """x^3 + a2 x^2 + a4 x + a6 at the pair x, by Horner."""
+    p, (b2, c2), (b4, c4), (b6, c6) = coeffs
+    r, s = x
+    u, v = r + b2, s + c2
+    u, v = u * r - v * s + b4, u * s + v * r + c4
+    return (u * r - v * s + b6) % p, (u * s + v * r + c6) % p
+
+
+def _checked(coeffs: tuple, pt):
+    """pt, once y^2 = x^3 + a2 x^2 + a4 x + a6 holds at it (or it is None)."""
+    if pt is not None:
+        (u, v), p = pt[1], coeffs[0]
+        if ((u * u - v * v) % p, 2 * u * v % p) != _rhs(coeffs, pt[0]):
+            raise ValueError("point not on the curve")
+    return pt
+
+
+def _add(coeffs: tuple, pt1, pt2):
+    """pt1 + pt2 by the chord-tangent law, on two points already known to lie
+    on the curve, unchecked."""
+    if pt1 is None:
+        return pt2
+    if pt2 is None:
+        return pt1
+    p, (b2, c2), (b4, c4), _ = coeffs
+    (r1, s1), (u1, v1) = pt1
+    (r2, s2), (u2, v2) = pt2
+    if r1 == r2 and s1 == s2:
+        if u1 != u2 or v1 != v2 or not (u1 or v1):
+            return None
         # tangent: (3x^2 + 2 a2 x + a4) / 2y, the 3 vanishing mod 3
-        num = 3 * (p1.x * p1.x) + 2 * (curve.a2 * p1.x) + curve.a4
-        lam = num * (2 * p1.y).inv()
-    else:
-        lam = (p2.y - p1.y) * (p2.x - p1.x).inv()
-    x3 = lam * lam - curve.a2 - p1.x - p2.x
-    y3 = lam * (p1.x - x3) - p1.y
-    return CurvePoint(x3, y3)
+        nu = 3 * (r1 * r1 - s1 * s1) + 2 * (b2 * r1 - c2 * s1) + b4
+        nv = 6 * r1 * s1 + 2 * (b2 * s1 + c2 * r1) + c4
+        du, dv = 2 * u1, 2 * v1
+    else:  # chord: (y2 - y1) / (x2 - x1)
+        nu, nv, du, dv = u2 - u1, v2 - v1, r2 - r1, s2 - s1
+    # the slope n / d = n * conj(d) / norm(d)
+    w = pow(du * du + dv * dv, -1, p)
+    lu, lv = (nu * du + nv * dv) * w % p, (nv * du - nu * dv) * w % p
+    r3, s3 = (lu * lu - lv * lv - b2 - r1 - r2) % p, (2 * lu * lv - c2 - s1 - s2) % p
+    return (r3, s3), (
+        (lu * (r1 - r3) - lv * (s1 - s3) - u1) % p,
+        (lu * (s1 - s3) + lv * (r1 - r3) - v1) % p,
+    )
+
+
+def _listing(field: FiniteField, coeffs: tuple) -> Iterator:
+    """Every rational point on pairs, lazily, in :meth:`EllipticCurve.points`
+    order: None, then x in the field's canonical order and, for each x, the
+    roots of rhs(x) read from ``field.square_roots``, looked up only where
+    ``field.root_counts`` says there are some."""
+    yield None
+    p, k, roots, counts = field.p, field.k, field.square_roots, field.root_counts
+    for m in range(field.q):
+        x = (m % p, m // p)
+        u, v = rhs = _rhs(coeffs, x)
+        if counts[u + p * v]:
+            for y in roots[FqElement(field, rhs[:k])]:
+                yield x, _pair(y)
+
+
+def _multiple(coeffs: tuple, k: int, pt):
+    """k*pt, k >= 0, by :func:`~hodgegap.algebra.power` under :func:`_add`,
+    each summand checked on the curve."""
+    return power(pt, k, lambda a, b: _add(coeffs, _checked(coeffs, a), _checked(coeffs, b)), None)
+
+
+def add_points(curve: EllipticCurve, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
+    """Chord-tangent addition on y^2 = x^3 + a2 x^2 + a4 x + a6: both points
+    checked on the curve, then the pair law.  A wrapper that the API and
+    the tests call; the report's checks run on pairs."""
+    coeffs = _coefficients(curve)
+    pt1, pt2 = (_checked(coeffs, _to_pairs(curve, pt)) for pt in (p1, p2))
+    return _to_point(curve.field, _add(coeffs, pt1, pt2))
 
 
 def scalar_mul(curve: EllipticCurve, k: int, pt: CurvePoint) -> CurvePoint:
-    """k*pt, k >= 0, by :func:`~hodgegap.algebra.power` under
-    :func:`add_points`."""
-    return power(pt, k, functools.partial(add_points, curve), CurvePoint.infinity())
+    """k*pt, k >= 0, by :func:`~hodgegap.algebra.power` under the pair law,
+    each summand checked on the curve as :func:`add_points` checks its
+    operands."""
+    coeffs = _coefficients(curve)
+    return _to_point(curve.field, _multiple(coeffs, k, _to_pairs(curve, pt)))
 
 
 def find_curve(field: FiniteField, ok: Callable[[int], bool]) -> EllipticCurve:
@@ -205,12 +286,14 @@ def find_ordinary_with_trace_one(p: int) -> EllipticCurve:
 
 def torsion_point_of_exact_order(curve: EllipticCurve, ell: int) -> CurvePoint:
     """First rational point (in enumeration order) of exact order ell, for
-    ell prime: a point P != O with ell*P = O has order ell."""
+    ell prime: a point P != O with ell*P = O has order ell.  The listing is
+    lazy, so the search stops at its first hit."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    for pt in curve.points():
-        if not pt.is_infinity and scalar_mul(curve, ell, pt).is_infinity:
-            return pt
+    coeffs = _coefficients(curve)
+    for pt in _listing(curve.field, coeffs):
+        if pt is not None and _multiple(coeffs, ell, pt) is None:
+            return _to_point(curve.field, pt)
     raise ValueError(f"no rational point of exact order {ell}")
 
 
@@ -219,9 +302,9 @@ def translation_is_fixed_point_free(curve: EllipticCurve, pt: CurvePoint) -> boo
     P = infinity, whose translation is the identity: replacing the report's
     point by O is the control that fails the check.  Given a correct group
     law it holds for every P != O.  P is checked on the curve once; each Q
-    comes from ``curve.points()`` and is added unchecked."""
-    if not curve.contains(pt):
-        raise ValueError("point not on the curve")
-    if pt.is_infinity:
+    comes from the point listing and is added unchecked, all on pairs."""
+    coeffs = _coefficients(curve)
+    by = _checked(coeffs, _to_pairs(curve, pt))
+    if by is None:
         return False
-    return all(_chord_tangent(curve, q, pt) != q for q in curve.points())
+    return all(_add(coeffs, q, by) != q for q in _listing(curve.field, coeffs))

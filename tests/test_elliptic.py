@@ -138,7 +138,7 @@ def test_count_points_builds_one_squares_table_per_field():
 def _points_by_pairs(curve):
     # oracle: walk all (x, y) in F_q x F_q, infinity first, then x-major
     return [CurvePoint.infinity()] + [
-        CurvePoint(x, y) for x in curve.field for y in curve.field if y * y == curve.rhs(x)
+        CurvePoint(x, y) for x in curve.field for y in curve.field if y * y == curve.rhs_poly(x)
     ]
 
 
@@ -269,9 +269,98 @@ def test_translation_rejects_a_point_off_the_curve():
     curve = find_ordinary_with_trace_one(7)
     pt = torsion_point_of_exact_order(curve, 7)
     off = CurvePoint(pt.x, pt.y + 1)
-    assert not curve.contains(off)
+    assert off.y * off.y != curve.rhs_poly(off.x)
     with pytest.raises(ValueError, match="not on the curve"):
         translation_is_fixed_point_free(curve, off)
+
+
+def _chord_tangent(curve, p1, p2):
+    # oracle: the chord-tangent law on FqElement coordinates, with no
+    # integer pairs and no check that the points lie on the curve
+    if p1.is_infinity:
+        return p2
+    if p2.is_infinity:
+        return p1
+    if p1.x == p2.x:
+        if p1.y != p2.y or not p1.y:
+            return CurvePoint.infinity()
+        # tangent: (3x^2 + 2 a2 x + a4) / 2y, the 3 vanishing mod 3
+        num = 3 * (p1.x * p1.x) + 2 * (curve.a2 * p1.x) + curve.a4
+        lam = num * (2 * p1.y).inv()
+    else:
+        lam = (p2.y - p1.y) * (p2.x - p1.x).inv()
+    x3 = lam * lam - curve.a2 - p1.x - p2.x
+    y3 = lam * (p1.x - x3) - p1.y
+    return CurvePoint(x3, y3)
+
+
+def _law_curves(q):
+    # four seeded nonsingular curves over F_q, or the report's own p = 3 curve
+    if q == "report-p3":
+        return [construction(3).elliptic[0]]
+    field = F9 if q == 9 else FiniteField(q)
+    rng = random.Random(q)
+    elements = list(field)
+    curves = []
+    while len(curves) < 4:
+        try:
+            curves.append(EllipticCurve(field, *(rng.choice(elements) for _ in range(3))))
+        except ValueError:  # singular
+            continue
+    return curves
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, "report-p3"])  # p = 1 and 3 (mod 4)
+def test_pair_law_matches_the_fq_chord_tangent(q):
+    # every ordered pair of points, so doubling, Q + (-Q), Q + O and the
+    # doubling of a point with y = 0 all occur, on curves with a2 != 0; then
+    # k*Q for 0 <= k <= #E against the oracle's iterated sums
+    curves = _law_curves(q)
+    assert any(curve.a2 for curve in curves)
+    two_torsion = 0
+    for curve in curves:
+        pts = _points_by_pairs(curve)
+        two_torsion += sum(1 for pt in pts[1:] if not pt.y)
+        for a, b in product(pts, repeat=2):
+            assert add_points(curve, a, b) == _chord_tangent(curve, a, b)
+        for pt in pts:
+            expected = CurvePoint.infinity()
+            for k in range(len(pts) + 1):
+                assert scalar_mul(curve, k, pt) == expected
+                expected = _chord_tangent(curve, expected, pt)
+            assert expected == pt  # #E * Q = O, and one more Q
+    assert two_torsion
+
+
+def _over(field, pt):
+    # pt with the same integer coordinates, as elements of another field
+    return CurvePoint(*(field.from_int(c.coords[0]) for c in pt))
+
+
+def _fields_apart():
+    # a point of an F_5 curve made over F_7, a point of an F_3 curve made
+    # over F_9, and the F_5 point with its y over F_7: as integer pairs each
+    # still lies on its curve, so only the field check can reject them
+    f5_curve = find_ordinary_with_trace_one(5)
+    f3_curve = EllipticCurve(FiniteField(3), 1, 0, 1)
+    f5_pt, f3_pt = (list(curve.points())[1] for curve in (f5_curve, f3_curve))
+    f7_pt = _over(FiniteField(7), f5_pt)
+    mixed = CurvePoint(f5_pt.x, f7_pt.y)
+    return [(f5_curve, f7_pt), (f3_curve, _over(F9, f3_pt)), (f5_curve, mixed)]
+
+
+@pytest.mark.parametrize("curve, pt", _fields_apart(), ids=["F7-on-F5", "F9-on-F3", "mixed"])
+def test_a_point_over_another_field_is_rejected_at_the_boundary(curve, pt):
+    inf = CurvePoint.infinity()
+    for call in (
+        lambda: add_points(curve, pt, inf),
+        lambda: add_points(curve, inf, pt),
+        lambda: scalar_mul(curve, 0, pt),
+        lambda: scalar_mul(curve, 2, pt),
+        lambda: translation_is_fixed_point_free(curve, pt),
+    ):
+        with pytest.raises(ValueError, match="different field"):
+            call()
 
 
 def test_searches_exist_for_medium_primes():

@@ -11,8 +11,9 @@ alone.
 import itertools
 
 import pytest
-from conftest import _with, replaced
+from conftest import _with, recorded, replaced
 
+from hodgegap import cli
 from hodgegap.algebra import Polynomial
 from hodgegap.cli import CHECKS, build_report
 from hodgegap.curves import (
@@ -23,7 +24,7 @@ from hodgegap.curves import (
     map_power,
 )
 from hodgegap.cyclotomic import PiSpec
-from hodgegap.elliptic import CurvePoint, find_curve
+from hodgegap.elliptic import CurvePoint, EllipticCurve, find_curve
 from hodgegap.modularrep import H1Report
 
 PRIMES = (3, 5, 7, 13)
@@ -207,6 +208,22 @@ def test_a_smoothness_failure_names_its_condition(p):
         "leading-coefficient-times-pi": f"f mod pi has degree 1, not {degree}: the second "
         "chart is singular at s = 0 on the special fibre",
     }
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_fixed_translation_names_its_first_fixed_point(p, monkeypatch):
+    # P = O: the translation is the identity, so the first point of the
+    # listing, O itself, is fixed.  A passing report lists no point for the
+    # witness: its only scan is the check's own, on integer pairs
+    checks = {r.id: r for r in build_report(PERTURBATIONS["P-is-O"][0](construction(p))).checks}
+    assert checks["elliptic.translation_free"].status == "fail"
+    assert checks["elliptic.translation_free"].witness == "O + O = O"
+    listed = recorded(monkeypatch, EllipticCurve, "points")
+    added = recorded(monkeypatch, cli, "add_points")
+    checks = {r.id: r for r in build_report(construction(p)).checks}
+    assert checks["elliptic.translation_free"].status == "pass"
+    assert checks["elliptic.translation_free"].witness is None
+    assert listed == added == []
 
 
 def test_an_unbuildable_tau_fails_its_checks_and_not_the_report():
