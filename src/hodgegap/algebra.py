@@ -11,11 +11,14 @@ Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
 prime of ``curves.modular_squarefree``: a product of fields whose ``inv``
 raises ZeroDivisionError on a non-unit.
 
-Reduction mod p happens where an :class:`FqElement`'s coordinates are
-computed: in ``from_int``, in each field operation and in
-``cyclotomic.residue_map``; the constructor stores them as given.  A field check
-between elements tests the identity of their field objects first; elements
-over equal but distinct field objects still combine, compare and hash alike.
+An :class:`FqElement` is the pair (u, v) = u + v*t of its coordinates over
+every field, F_p being the slice v = 0, which + - * and the inverse conj/norm
+keep (the norm of (u, 0) is u^2): one formula per operation.  Reduction mod p
+happens where the coordinates are computed: in ``from_int``, in each field
+operation and in ``cyclotomic.residue_map``; the constructor stores them as
+given.  A field check between elements tests the identity of their field
+objects first; elements over equal but distinct field objects still combine,
+compare and hash alike.
 A per-field table (:attr:`FiniteField.square_roots`,
 :attr:`FiniteField.root_counts`) is a cached property of its field object,
 so the elements it holds are that object's.
@@ -91,9 +94,10 @@ class FiniteField:
     which is one exactly when p = 3 (mod 4): the package's one extension
     field is F_9 = F_3[i].
 
-    Elements are :class:`FqElement` values with coordinates in the basis
-    ``1, t``.  The field object doubles as the ring tag carried by
-    polynomials and curve models.
+    Elements are :class:`FqElement` values, each the pair (u, v) = u + v*t
+    of its coordinates in the basis ``1, t``, with v = 0 over F_p.  The
+    field object doubles as the ring tag carried by polynomials and curve
+    models.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -105,11 +109,11 @@ class FiniteField:
         self.k = k
         self.q = p**k
         self._hash = hash(("FiniteField", p, k))
-        self.zero = FqElement(self, (0,) * k)
-        self.one = FqElement(self, (1,) + (0,) * (k - 1))
+        self.zero = FqElement(self, (0, 0))
+        self.one = FqElement(self, (1, 0))
 
     def from_int(self, a: int) -> "FqElement":
-        return FqElement(self, (a % self.p,) + (0,) * (self.k - 1))
+        return FqElement(self, (a % self.p, 0))
 
     def coerce(self, x) -> "FqElement":
         if isinstance(x, FqElement):
@@ -130,7 +134,7 @@ class FiniteField:
         # canonical enumeration: 0, 1, ..., p-1, t, 1+t, ...
         p = self.p
         for m in range(self.q):
-            yield FqElement(self, (m,) if self.k == 1 else (m % p, m // p))
+            yield FqElement(self, (m % p, m // p))
 
     @functools.cached_property
     def square_roots(self) -> dict["FqElement", tuple["FqElement", ...]]:
@@ -168,8 +172,8 @@ class FiniteField:
 
 
 class FqElement:
-    """An element of a :class:`FiniteField`: its coordinates in the basis
-    ``1, t``, a tuple of integers each in [0, p), which its caller has
+    """An element u + v*t of a :class:`FiniteField`: ``coords`` is the pair
+    (u, v) of integers in [0, p), with v = 0 over F_p, which its caller has
     reduced: the constructor stores them as given."""
 
     __slots__ = ("field", "coords")
@@ -184,48 +188,35 @@ class FqElement:
         return self.field.coerce(other)
 
     def __add__(self, other):
-        o = self._co(other)
-        f = self.field
-        if f.k == 1:
-            return FqElement(f, ((self.coords[0] + o.coords[0]) % f.p,))
-        return FqElement(f, tuple([(a + b) % f.p for a, b in zip(self.coords, o.coords)]))
+        (a0, a1), (b0, b1), p = self.coords, self._co(other).coords, self.field.p
+        return FqElement(self.field, ((a0 + b0) % p, (a1 + b1) % p))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._co(other)
-        f = self.field
-        if f.k == 1:
-            return FqElement(f, ((self.coords[0] - o.coords[0]) % f.p,))
-        return FqElement(f, tuple([(a - b) % f.p for a, b in zip(self.coords, o.coords)]))
+        (a0, a1), (b0, b1), p = self.coords, self._co(other).coords, self.field.p
+        return FqElement(self.field, ((a0 - b0) % p, (a1 - b1) % p))
 
     def __rsub__(self, other):
         return self._co(other) - self
 
     def __neg__(self):
-        return FqElement(self.field, tuple([-a % self.field.p for a in self.coords]))
+        (a0, a1), p = self.coords, self.field.p
+        return FqElement(self.field, (-a0 % p, -a1 % p))
 
     def __mul__(self, other):
-        o = self._co(other)
-        f = self.field
-        if f.k == 1:
-            return FqElement(f, (self.coords[0] * o.coords[0] % f.p,))
-        a0, a1 = self.coords
-        b0, b1 = o.coords
-        return FqElement(f, ((a0 * b0 - a1 * b1) % f.p, (a0 * b1 + a1 * b0) % f.p))
+        (a0, a1), (b0, b1), p = self.coords, self._co(other).coords, self.field.p
+        return FqElement(self.field, ((a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * b0) % p))
 
     __rmul__ = __mul__
 
     def inv(self) -> "FqElement":
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        f = self.field
-        if f.k == 1:
-            return FqElement(f, (pow(self.coords[0], -1, f.p),))
         # conjugate over F_p divided by the norm, both exact
-        a0, a1 = self.coords
-        ninv = pow(a0 * a0 + a1 * a1, -1, f.p)
-        return FqElement(f, (a0 * ninv % f.p, -a1 * ninv % f.p))
+        (a0, a1), p = self.coords, self.field.p
+        ninv = pow(a0 * a0 + a1 * a1, -1, p)
+        return FqElement(self.field, (a0 * ninv % p, -a1 * ninv % p))
 
     __pow__ = field_pow
 
@@ -247,8 +238,6 @@ class FqElement:
         return str(self)
 
     def __str__(self) -> str:
-        if self.field.k == 1:
-            return str(self.coords[0])
         a0, a1 = self.coords
         if a1 == 0:
             return str(a0)

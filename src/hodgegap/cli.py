@@ -98,9 +98,13 @@ def _sigma_preserves(c):
 
 def _sigma_reduction(c):
     s, s0 = c.sigma, c.sigma0
-    reduced = tuple(map(c.spec.residue, (s.alpha, s.beta, s.gamma)))
-    ok = reduced == (s0.alpha, s0.beta, s0.gamma) and map_preserves_curve(c.reduced, s0)
-    return ok, None
+    for name in ("alpha", "beta", "gamma"):
+        found, wanted = c.spec.residue(getattr(s, name)), getattr(s0, name)
+        if found != wanted:
+            return False, f"{name} reduces to {found}, not {wanted}"
+    if not map_preserves_curve(c.reduced, s0):
+        return False, "u -> u + 1 does not preserve the reduced curve"
+    return True, None
 
 
 def _tau(c) -> str:

@@ -324,14 +324,15 @@ def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: 
     Z[zeta_n] into a finite field.  ValueError unless the images of 1, z, ...,
     z^(phi(n)), built once, make Phi_n vanish.  num/den maps to one integer dot
     product of num per coordinate of F_q, times 1/den, reduced mod p, the
-    coordinates the F_q element is built from; ValueError when p divides
-    den.  For :class:`PiSpec`'s residue, with one prime above p, that means
-    v_pi < 0 for a canonical element."""
+    coordinates the F_q element is built from, with v = 0 over F_p (no
+    second dot product); ValueError when p divides den.  For
+    :class:`PiSpec`'s residue, with one prime above p, that means v_pi < 0
+    for a canonical element."""
     powers = [residue_field.one]  # each product coerces zeta_image into F_q
     for _ in range(field.degree):
         powers.append(powers[-1] * zeta_image)
     columns = [tuple(x.coords[j] for x in powers) for j in range(residue_field.k)]
-    p = residue_field.p
+    p, pad = residue_field.p, (0,) * (2 - residue_field.k)
     if any(sum(map(operator.mul, field.modulus, col)) % p for col in columns):
         raise ValueError(f"{zeta_image} is not a root of Phi_{field.n} in {residue_field!r}")
 
@@ -341,7 +342,7 @@ def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: 
             raise ValueError(f"{p} divides the denominator")
         d = pow(z.den, -1, p)  # each dot product stops at num's phi(n) coordinates
         dots = [sum(map(operator.mul, z.num, c)) * d % p for c in columns]
-        return FqElement(residue_field, tuple(dots))
+        return FqElement(residue_field, (*dots, *pad))
 
     return residue
 

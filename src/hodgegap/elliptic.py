@@ -5,12 +5,12 @@ never 2 here); the short Weierstrass case is a2 = 0, and the a2 term is what
 makes characteristic 3 work.
 
 Past the :class:`CurvePoint`s that the public functions take and return,
-everything runs on integers.  An element u + v*i is the pair (u, v): over
-F_9 = F_3[i], the one non-prime field, with i^2 = -1, and over F_p as the
-slice v = 0.  One chord-tangent law on such pairs serves both fields; the
-point listing (lazy, in O(q), each x reading the roots of rhs(x) from the
-field's ``square_roots``), scalar multiples, the torsion search and the
-translation check run on it.
+everything runs on integers: the pairs (u, v) that are the elements' own
+coordinates, u + v*i with i^2 = -1 over F_9 = F_3[i], the one non-prime
+field, and v = 0 over F_p.  One chord-tangent law on such pairs serves both
+fields; the point listing (lazy, in O(q), each x reading the roots of rhs(x)
+from the field's ``square_roots``), scalar multiples, the torsion search and
+the translation check run on it.
 
 A count splits the cubic at its constant term: one histogram of
 x^3 + a2*x^2 + a4*x over the field's canonical order, by one Horner step
@@ -130,24 +130,17 @@ def count_points(curve: EllipticCurve) -> int:
     return _count(field, _cubic_histogram(field, curve.a2, curve.a4), curve.a6)
 
 
-# The group law on integer pairs.  An element u + v*i is the pair (u, v) of
-# integers in [0, p): over F_9 = F_3[i] that is the element itself, and over
-# F_p it is the slice v = 0, which is closed under +, -, * and the inverse
-# conj(d)/norm(d), since the norm of (a, 0) is a^2 (also for p = 1 (mod 4),
-# where Z[i]/(p) is no field).  So one law serves both fields.  A point is
-# None, the point at infinity, or (x, y), two pairs; a curve is its ``coeffs``
-# (p, a2, a4, a6), the coefficients as pairs.  FqElements appear only at the
-# boundary: the CurvePoints given and returned.
-
-
-def _pair(e: FqElement) -> tuple[int, int]:
-    """The coordinates (u, v) of e = u + v*i; v = 0 over F_p."""
-    return (e.coords + (0,))[:2]
+# The group law on integer pairs: an element's ``coords``, the pair (u, v) of
+# integers in [0, p) with u + v*i the element, v = 0 over F_p (see
+# ``algebra``), so one law serves both fields.  A point is None, the point at
+# infinity, or (x, y), two pairs; a curve is its ``coeffs`` (p, a2, a4, a6),
+# the coefficients as pairs.  FqElements appear only at the boundary: the
+# CurvePoints given and returned.
 
 
 def _coefficients(curve: EllipticCurve) -> tuple:
-    """(p, a2, a4, a6): the characteristic and the coefficients as pairs."""
-    return (curve.field.p, *map(_pair, (curve.a2, curve.a4, curve.a6)))
+    """(p, a2, a4, a6): the characteristic and the coefficients' pairs."""
+    return curve.field.p, curve.a2.coords, curve.a4.coords, curve.a6.coords
 
 
 def _to_pairs(curve: EllipticCurve, pt: CurvePoint):
@@ -155,15 +148,14 @@ def _to_pairs(curve: EllipticCurve, pt: CurvePoint):
     belongs to another field."""
     if pt.is_infinity:
         return None
-    return _pair(curve.field.coerce(pt.x)), _pair(curve.field.coerce(pt.y))
+    return curve.field.coerce(pt.x).coords, curve.field.coerce(pt.y).coords
 
 
 def _to_point(field: FiniteField, pt) -> CurvePoint:
-    """The :class:`CurvePoint` of pt, a point on pairs; over F_p each
-    element keeps the one coordinate u."""
+    """The :class:`CurvePoint` of pt, a point on pairs."""
     if pt is None:
         return CurvePoint.infinity()
-    return CurvePoint(*(FqElement(field, w[: field.k]) for w in pt))
+    return CurvePoint(*(FqElement(field, w) for w in pt))
 
 
 def _rhs(coeffs: tuple, x: tuple[int, int]) -> tuple[int, int]:
@@ -219,13 +211,13 @@ def _listing(field: FiniteField, coeffs: tuple) -> Iterator:
     roots of rhs(x) read from ``field.square_roots``, looked up only where
     ``field.root_counts`` says there are some."""
     yield None
-    p, k, roots, counts = field.p, field.k, field.square_roots, field.root_counts
+    p, roots, counts = field.p, field.square_roots, field.root_counts
     for m in range(field.q):
         x = (m % p, m // p)
         u, v = rhs = _rhs(coeffs, x)
         if counts[u + p * v]:
-            for y in roots[FqElement(field, rhs[:k])]:
-                yield x, _pair(y)
+            for y in roots[FqElement(field, rhs)]:
+                yield x, y.coords
 
 
 def _multiple(coeffs: tuple, k: int, pt):

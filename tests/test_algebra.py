@@ -68,35 +68,38 @@ def test_f9_arithmetic():
     assert len(list(F9)) == 9
 
 
-def _raw_mul(field, a, b):
-    """The product of two coordinate tuples, unreduced mod p."""
-    if field.k == 1:
-        return (a[0] * b[0],)
-    # t^2 = -1
+def _raw_mul(a, b):
+    """The product of two coordinate pairs, unreduced mod p (t^2 = -1)."""
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-@pytest.mark.parametrize("field", [F5, FiniteField(61), F9])
+# F_5 and F_61 are = 1 (mod 4), where Z[i]/(p) is not a field, F_7 = 3 (mod 4)
+@pytest.mark.parametrize("field", [F5, FiniteField(61), F9, F7])
 def test_every_result_is_canonical_and_matches_the_raw_integers_mod_p(field):
     # the constructor stores coordinates as given, so each operation must
-    # reduce its own; oracle: the raw integers, reduced here
-    p, k = field.p, field.k
+    # reduce its own; oracle: the raw integer pairs, reduced here.  Every
+    # element is a pair (u, v), and over F_p every result keeps v = 0
+    p = field.p
     rng = random.Random(field.q)
 
     def reduced(raw):
         return FqElement(field, tuple(c % p for c in raw))
 
     def raw_element():
-        raw = tuple(rng.randint(-3 * p, 3 * p) for _ in range(k))
+        raw = (rng.randint(-3 * p, 3 * p), rng.randint(-3 * p, 3 * p) if field.k == 2 else 0)
         return reduced(raw), raw
 
     def raw_int():
         n = rng.choice([rng.randint(-3 * p, -1), rng.randint(p, 3 * p), rng.randrange(p)])
-        return n, (n,) + (0,) * (k - 1)
+        return n, (n, 0)
+
+    def canonical(z):
+        assert type(z) is FqElement and z.field is field
+        u, v = z.coords
+        assert 0 <= u < p and 0 <= v < p and (v == 0 or field.k == 2)
 
     def check(result, raw):
-        assert type(result) is FqElement and result.field is field
-        assert all(0 <= c < p for c in result.coords)
+        canonical(result)
         expected = reduced(raw)
         assert result == expected and result.coords == expected.coords
         assert hash(result) == hash(expected)
@@ -109,14 +112,14 @@ def test_every_result_is_canonical_and_matches_the_raw_integers_mod_p(field):
         check(y + x, tuple(map(sum, zip(b, a))))
         check(x - y, tuple(map(sum, zip(a, neg_b))))
         check(y - x, tuple(bi - ai for ai, bi in zip(a, b)))
-        check(x * y, _raw_mul(field, a, b))
-        check(y * x, _raw_mul(field, b, a))
+        check(x * y, _raw_mul(a, b))
+        check(y * x, _raw_mul(b, a))
         check(-x, tuple(-c for c in a))
-        check(field.from_int(b[0]), (b[0],) + (0,) * (k - 1))
+        check(field.from_int(b[0]), (b[0], 0))
         e = rng.randrange(6)
-        acc = (1,) + (0,) * (k - 1)
+        acc = (1, 0)
         for _ in range(e):
-            acc = _raw_mul(field, acc, a)
+            acc = _raw_mul(acc, a)
         check(x**e, acc)
         if x:
             # the inverse's oracle: the one y in the field with x*y = 1,
@@ -124,7 +127,14 @@ def test_every_result_is_canonical_and_matches_the_raw_integers_mod_p(field):
             inv = next(z for z in field if x * z == field.one)
             check(x.inv(), tuple(c + p * rng.randint(-3, 3) for c in inv.coords))
     for m, z in enumerate(field):
-        check(z, (m % p, m // p)[:k])
+        check(z, (m % p, m // p))
+    check(field.zero, (0, 0))
+    check(field.one, (1, 0))
+    for s, ys in field.square_roots.items():
+        canonical(s)
+        for y in ys:
+            canonical(y)
+            assert y * y == s
 
 
 def test_equal_fields_are_one_field_for_arithmetic_and_hashing(monkeypatch):
@@ -138,8 +148,9 @@ def test_equal_fields_are_one_field_for_arithmetic_and_hashing(monkeypatch):
     assert x == g.from_int(3) and hash(x) == hash(g.from_int(3))
     assert f.coerce(y) is y
     assert compared  # every one of them took the comparison by value
-    # a hash, and with it dict and square_roots order, is the hash of the
-    # field's parameters and of the coordinates, as it always was
+    # a field hashes as its parameters, and an element as its field and its
+    # coordinate pair, which over F_p is (u, 0)
+    assert x.coords == (3, 0)
     assert hash(f) == hash(("FiniteField", 7, 1))
     assert hash(F9) == hash(("FiniteField", 3, 2))
     for z in [*F9, x, y]:

@@ -210,6 +210,36 @@ def test_a_smoothness_failure_names_its_condition(p):
     }
 
 
+# the rows that fail the sigma reduction, and the witness each names: the
+# first of alpha, beta, gamma whose residue is not sigma0's, else the
+# preservation; pi-doubled fails to build the family, and names that error
+SIGMA_REDUCTION_WITNESSES = {
+    "sigma-squared": "beta reduces to 2, not 1",
+    "sigma-to-the-p-the-identity": "beta reduces to 0, not 1",
+    "sigma-translation-2": "beta reduces to 2, not 1",
+    "f-times-(u-2)^2": "u -> u + 1 does not preserve the reduced curve",
+    "leading-coefficient-times-pi": "u -> u + 1 does not preserve the reduced curve",
+    "pi-doubled": None,
+    "sigma0-identity": "beta reduces to 1, not 0",
+}
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [(name, p) for name, p in itertools.product(PERTURBATIONS, PRIMES)
+     if "action.sigma_reduction" in _failing(name, p)],
+)
+def test_a_failed_sigma_reduction_names_what_failed(name, p):
+    checks = {r.id: r for r in build_report(PERTURBATIONS[name][0](construction(p))).checks}
+    check = checks["action.sigma_reduction"]
+    assert check.status == "fail" and check.witness is not None
+    expected = SIGMA_REDUCTION_WITNESSES[name]
+    if expected is None:
+        assert set(check.witness) == {"error", "detail"}
+    else:
+        assert check.witness == expected
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_a_fixed_translation_names_its_first_fixed_point(p, monkeypatch):
     # P = O: the translation is the identity, so the first point of the
