@@ -134,9 +134,19 @@ def _translation_free(c):
     curve, pt = c.elliptic
     if translation_is_fixed_point_free(curve, pt):
         return True, None
-    # the first Q in listing order that the translation fixes: O when P = O
-    fixed = next(q for q in curve.points() if add_points(curve, q, pt) == q)
-    return False, f"{fixed!r} + {pt!r} = {fixed!r}"
+    # the first Q in listing order whose sum is Q itself (O when P = O), is
+    # no listed point, or is the sum of an earlier point
+    points, earlier = list(curve.points()), {}
+    listed = set(points)
+    for q in points:
+        total = add_points(curve, q, pt)
+        if total == q:
+            return False, f"{q!r} + {pt!r} = {q!r}"
+        if total not in listed:
+            return False, f"{q!r} + {pt!r} = {total!r}, off the curve"
+        if total in earlier:
+            return False, f"{q!r} + {pt!r} = {total!r} = {earlier[total]!r} + {pt!r}"
+        earlier[total] = q
 
 
 def _weights(c):

@@ -205,7 +205,14 @@ class CycloElement:
 
     def __mul__(self, other):
         if isinstance(other, int):  # a rational integer scales the coordinates
-            return CycloElement(self.field, tuple(other * c for c in self.num), self.den)
+            # cross-cancelled (Knuth, TAOCP 4.5.1): for b = other and
+            # g = gcd(b, den), num*(b/g) / (den/g) is canonical already, so
+            # no gcd pass; b = 0 gives g = den, so the zero 0/1
+            g = math.gcd(other, self.den)
+            out = object.__new__(CycloElement)
+            out.field, out.den = self.field, self.den // g
+            out.num = tuple(other // g * c for c in self.num)
+            return out
         o = self._co(other)
         return CycloElement(
             self.field, tuple(self.field._mul(self.num, o.num)), self.den * o.den

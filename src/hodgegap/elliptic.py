@@ -13,26 +13,24 @@ from the field's ``square_roots``), scalar multiples, the torsion search and
 the translation check run on it.
 
 A count splits the cubic at its constant term: one histogram of
-x^3 + a2*x^2 + a4*x over the field's canonical order, by one Horner step
-per x (plain ints over F_p, pairs over F_9, the value u + v*i at index
-u + 3v), then one C-level dot product of that histogram with the field's
-``root_counts`` translated by a6, a rotation over F_p.  The one coefficient
-search, :func:`find_curve`, scans (a2, a4, a6) in the field's canonical
-order, so results are deterministic; it builds one histogram per (a2, a4),
-counts each a6 from it, and tests singularity only on a candidate whose
-count passes.
+x^3 + a2*x^2 + a4*x, by one Horner step per x (plain ints over F_p, pairs
+over F_9), then, for all q values of a6 at once, its correlation with the
+field's ``root_counts`` over the additive group of the field, as one
+integer product with small fixed-width slots (:func:`_row_counter`).  The
+one coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the
+field's canonical order, so results are deterministic; it builds one row of
+counts per (a2, a4) and tests singularity only on a candidate whose count
+passes.  :func:`count_points` reads its a6 from the same row.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .algebra import (
     FiniteField,
     FqElement,
     Polynomial,
-    discriminant_squarefree,
     is_prime,
     power,
 )
@@ -62,10 +60,12 @@ class EllipticCurve:
         self.a2 = field.coerce(a2)
         self.a4 = field.coerce(a4)
         self.a6 = field.coerce(a6)
-        rhs = Polynomial(field, [self.a6, self.a4, self.a2, field.one])
-        if not discriminant_squarefree(rhs):
+        a2, a4, a6 = self.a2, self.a4, self.a6
+        # the cubic's discriminant, zero exactly when it has a repeated root
+        disc = a2 * a2 * (a4 * a4 - 4 * a2 * a6) - 4 * a4 * a4 * a4 + (18 * a2 * a4 - 27 * a6) * a6
+        if not disc:
             raise ValueError("singular curve: x^3 + a2 x^2 + a4 x + a6 has a repeated root")
-        self.rhs_poly = rhs
+        self.rhs_poly = Polynomial(field, [a6, a4, a2, field.one])
 
     @property
     def q(self) -> int:
@@ -81,53 +81,82 @@ class EllipticCurve:
         return f"E[y^2 = x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6}) / GF({self.q})]"
 
 
+# the byte order that memoryview.cast reads slots in: the machine's own
+_ORDER = "little" if memoryview(b"\1\0").cast("H")[0] == 1 else "big"
+
+
+def _pack(values: list, w: int) -> int:
+    """values, each below 256, as one int with value i in the i-th slot of
+    w bytes, in :data:`_ORDER`: the product of two such ints, written back at
+    its full length, holds their convolution slot by slot while no slot
+    overflows."""
+    buf = bytearray(w * len(values))
+    buf[(w - 1) * (_ORDER == "big") :: w] = values
+    return int.from_bytes(buf, _ORDER)
+
+
 def _cubic_histogram(field: FiniteField, a2: FqElement, a4: FqElement) -> list[int]:
-    """Entry m is the number of x in the field with x^3 + a2 x^2 + a4 x equal
-    to the m-th element in canonical order, found by one Horner step per x
-    on integers: plain ints over F_p, and over F_9 = F_3[i] the pair cubic
-    :func:`_rhs` on Gaussian-integer pairs x = r + s*i, i^2 = -1, whose value
-    u + v*i has index u + 3v."""
-    p, hist = field.p, [0] * field.q
+    """Entry u + 3p*v is the number of x in the field with x^3 + a2 x^2 + a4 x
+    equal to u + v*i, found by one Horner step per x on integers: plain ints
+    over F_p, and over F_9 = F_3[i] the pair cubic :func:`_rhs` on
+    Gaussian-integer pairs x = r + s*i, i^2 = -1.  The second coordinate's
+    stride 3p is the layout of :func:`_row_counter`'s product."""
+    p, q = field.p, field.q
+    hist = [0] * (3 * (q - p) + p)
     if field.k == 1:
         b2, b4 = a2.coords[0], a4.coords[0]
         for x in range(p):
             hist[((x + b2) * x + b4) * x % p] += 1
     else:
         coeffs = (p, a2.coords, a4.coords, (0, 0))
-        for m in range(field.q):
+        for m in range(q):
             u, v = _rhs(coeffs, (m % p, m // p))
-            hist[u + p * v] += 1
+            hist[u + 3 * p * v] += 1
     return hist
 
 
-def _translated_root_counts(field: FiniteField, a6: FqElement) -> tuple[int, ...]:
-    """Entry m is the number of y with y^2 = the m-th element plus a6: the
-    field's ``root_counts`` rotated by a6 over F_p, and re-indexed by the
-    translation over F_9."""
-    p, counts = field.p, field.root_counts
-    if field.k == 1:
-        b6 = a6.coords[0]
-        return counts[b6:] + counts[:b6]
-    b6, c6 = a6.coords
-    return tuple(counts[(m + b6) % p + p * ((m // p + c6) % p)] for m in range(field.q))
+def _row_counter(field: FiniteField) -> Callable[[FqElement, FqElement], list[int]]:
+    """The function from (a2, a4) to the affine point counts of
+    y^2 = x^3 + a2 x^2 + a4 x + a6 for every a6, in the field's canonical
+    order, singular or not, each checked against the Hasse bound (which a
+    singular cubic, with q, q + 1 or q + 2 points, never crosses).
 
+    With H the :func:`_cubic_histogram` and R the field's ``root_counts``,
+    the count at a6 = c is the correlation sum_m H[m] R[m + c] over the
+    additive group (Z/p)^k, and one integer product (Kronecker substitution;
+    Harvey, *J. Symb. Comput.* 44, 2009): H and R lie with the second
+    coordinate at stride 3p, R doubled in each coordinate and reversed, and
+    the count at c = c0 + c1*i is the product's slot top - (c0 + 3p*c1).  No
+    slot exceeds 2q, so 2-byte slots serve while 2q < 2^16 and 4-byte slots
+    above, and ``memoryview.cast`` reads the q counts back."""
+    p, q, s, counts = field.p, field.q, 3 * field.p, field.root_counts
+    w, fmt = (2, "H") if 2 * q < 1 << 16 else (4, "I")
+    grid = []
+    for j in range(2 * q // p - 1):  # each coordinate of m + c is below 2p - 1
+        row = counts[j % p * p : j % p * p + p]
+        grid += row + row + (0,) * p
+    del grid[-p - 1 :]  # past the last entry that m + c reaches
+    roots, top = _pack(grid[::-1], w), len(grid) - 1
 
-def _count(field: FiniteField, hist: list[int], a6: FqElement) -> int:
-    """Rational points of y^2 = x^3 + a2 x^2 + a4 x + a6, point at infinity
-    included, singular or not, from the :func:`_cubic_histogram` of its a2
-    and a4; raises past the Hasse bound, which a singular cubic (q, q + 1 or
-    q + 2 points) never crosses."""
-    n = 1 + sum(map(operator.mul, hist, _translated_root_counts(field, a6)))
-    q = field.q
-    if (q + 1 - n) ** 2 > 4 * q:
-        raise ArithmeticError(f"Hasse bound violated: {n} points over F_{q} (bug)")
-    return n
+    def row_counts(a2: FqElement, a4: FqElement) -> list[int]:
+        hist = _cubic_histogram(field, a2, a4)
+        product = (_pack(hist, w) * roots).to_bytes(w * (len(hist) + top), _ORDER)
+        slots, found = memoryview(product).cast(fmt)[top::-1], []
+        for v in range(0, s * q // p, s):
+            found += slots[v : v + p]
+        for n in min(found), max(found):
+            if (q - n) ** 2 > 4 * q:
+                raise ArithmeticError(f"Hasse bound violated: {n + 1} points over F_{q} (bug)")
+        return found
+
+    return row_counts
 
 
 def count_points(curve: EllipticCurve) -> int:
-    """Exact number of rational points, point at infinity included."""
-    field = curve.field
-    return _count(field, _cubic_histogram(field, curve.a2, curve.a4), curve.a6)
+    """Exact number of rational points, point at infinity included: the a6
+    entry of the row of counts of the curve's (a2, a4)."""
+    field, (u, v) = curve.field, curve.a6.coords
+    return 1 + _row_counter(field)(curve.a2, curve.a4)[u + field.p * v]
 
 
 # The group law on integer pairs: an element's ``coords``, the pair (u, v) of
@@ -247,18 +276,18 @@ def find_curve(field: FiniteField, ok: Callable[[int], bool]) -> EllipticCurve:
     """The first nonsingular y^2 = x^3 + a2 x^2 + a4 x + a6 over ``field``, in
     lexicographic (a2, a4, a6) order, with ``ok(#points)``: the one
     coefficient search, which every elliptic factor comes from.  Each
-    candidate is counted from its coefficients first (on integers over
-    F_p, on Gaussian-integer pairs over F_9); only one whose count passes
-    ``ok`` is built as an :class:`EllipticCurve`, which rejects it if
-    singular."""
+    (a2, a4) row of counts comes from one integer product
+    (:func:`_row_counter`), and ``ok`` sees them in a6's canonical order; only
+    a candidate whose count passes is built as an :class:`EllipticCurve`,
+    which rejects it if singular."""
+    p, row_counts = field.p, _row_counter(field)
     for a2 in field:
         for a4 in field:
-            hist = _cubic_histogram(field, a2, a4)
-            for a6 in field:
-                if not ok(_count(field, hist, a6)):
+            for m, n in enumerate(row_counts(a2, a4)):
+                if not ok(n + 1):
                     continue
                 try:
-                    return EllipticCurve(field, a2, a4, a6)
+                    return EllipticCurve(field, a2, a4, FqElement(field, (m % p, m // p)))
                 except ValueError:  # singular
                     continue
     raise RuntimeError(f"no curve over {field} passes the test: search exhausted")
@@ -290,13 +319,22 @@ def torsion_point_of_exact_order(curve: EllipticCurve, ell: int) -> CurvePoint:
 
 
 def translation_is_fixed_point_free(curve: EllipticCurve, pt: CurvePoint) -> bool:
-    """Q + P != Q for every rational Q, checked exhaustively.  False for
-    P = infinity, whose translation is the identity: replacing the report's
-    point by O is the control that fails the check.  Given a correct group
-    law it holds for every P != O.  P is checked on the curve once; each Q
-    comes from the point listing and is added unchecked, all on pairs."""
+    """Q -> Q + P is a permutation of the rational points with no fixed
+    point, checked exhaustively: no sum equals its Q, and the sums are
+    exactly the point listing, so each lies on the curve and no two Q share
+    one.  False for P = infinity, whose translation is the identity:
+    replacing the report's point by O is the control that fails the check.
+    Given a correct group law it holds for every P != O; a law that sends a
+    sum off the curve, or two Q to one sum, fails it.  P is checked on the
+    curve once; each Q comes from the point listing, all on pairs."""
     coeffs = _coefficients(curve)
     by = _checked(coeffs, _to_pairs(curve, pt))
     if by is None:
         return False
-    return all(_add(coeffs, q, by) != q for q in _listing(curve.field, coeffs))
+    listing, sums = list(_listing(curve.field, coeffs)), set()
+    for q in listing:
+        total = _add(coeffs, q, by)
+        if total == q:
+            return False
+        sums.add(total)
+    return sums == set(listing)

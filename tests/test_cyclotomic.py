@@ -225,6 +225,26 @@ def test_integer_scaling_equals_the_product_with_the_integer_element(n):
         assert z * m == m * z == z * k.from_int(m)
 
 
+@pytest.mark.parametrize("n", [5, 12, 13])
+def test_cross_cancelled_scaling_is_the_constructors_canonical_form(n):
+    # z * b skips the constructor's gcd pass; the oracle hands the same
+    # num * b over den to the constructor, which cancels it.  Denominators 1
+    # and p^k (p = 3 for n = 12), and b = 0, +-1, +-p, a b sharing a factor
+    # with den and one prime to it
+    k = cyclotomic_field(n)
+    p = 3 if n == 12 else n
+    rng = random.Random(n)
+    for den in (1, p, p**3):
+        for _ in range(4):
+            num = [1 + p * rng.randint(-10, 10)] + [rng.randint(-30, 30) for _ in range(k.degree - 1)]
+            z = k.element(num, den)
+            assert z.den == den
+            for b in (0, 1, -1, p, -p, 6 * p**2, -(p**4), p + 1):
+                canonical = CycloElement(k, tuple(b * c for c in z.num), z.den)
+                for scaled in (z * b, b * z):
+                    assert (scaled.field, scaled.num, scaled.den) == (k, canonical.num, canonical.den)
+
+
 def _valuation_by_division(z, spec):
     # independent oracle: strip the denominator, then divide by pi until it fails
     v = 0

@@ -1,9 +1,13 @@
+import inspect
+import operator
 import random
 from itertools import product
 
 import pytest
 
-from hodgegap.algebra import FiniteField, fq_sqrt, primes_upto
+from hodgegap import elliptic
+from hodgegap.algebra import FiniteField, Polynomial, discriminant_squarefree, fq_sqrt, primes_upto
+from hodgegap.cli import build_report
 from hodgegap.curves import construction
 from hodgegap.elliptic import (
     CurvePoint,
@@ -97,9 +101,77 @@ def test_f9_count_on_gaussian_integers_matches_fq_arithmetic():
     assert _search_counts(F9) == naive
 
 
+def _translated_root_counts(field):
+    # entry a6 is root_counts translated by a6, by FqElement addition: entry m
+    # counts the y with y^2 = (the m-th element) + a6
+    counts, index = field.root_counts, {x: m for m, x in enumerate(field)}
+    return [tuple(counts[index[x + a6]] for x in field) for a6 in field]
+
+
+def _row_by_dot_products(field, translated, a2, a4):
+    # oracle: each a6's affine count as one dot product, per candidate, of the
+    # cubic's histogram over FqElement arithmetic with the translated root
+    # counts; no packed integer and no integer pairs
+    index = {x: m for m, x in enumerate(field)}
+    hist = [0] * field.q
+    for x in field:
+        hist[index[((x + a2) * x + a4) * x]] += 1
+    return [sum(map(operator.mul, hist, shifted)) for shifted in translated]
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (11, 1), (3, 2), (7, 2), (11, 2)])
+def test_each_row_of_counts_is_one_dot_product_per_a6(p, k):
+    # every (a2, a4) row, all q counts, against the oracle; over F_121 a
+    # seeded sample of 300 rows, since all 14641 take about 9 s
+    field = FiniteField(p, k)
+    elements, translated = list(field), _translated_root_counts(field)
+    rows = list(product(elements, repeat=2))
+    if field.q == 121:
+        rows = random.Random(121).sample(rows, 300)
+    row_counts = elliptic._row_counter(field)
+    for a2, a4 in rows:
+        assert row_counts(a2, a4) == _row_by_dot_products(field, translated, a2, a4)
+
+
+def test_a_row_in_four_byte_slots_matches_direct_dot_products():
+    # 2q >= 2^16, so each slot takes 4 bytes; one row, no search, against
+    # the histogram on integers dotted with root_counts rotated by a6
+    p = 32771
+    assert 2 * p >= 1 << 16
+    field = FiniteField(p)
+    a2, a4 = field.from_int(2), field.from_int(5)
+    row = elliptic._row_counter(field)(a2, a4)
+    hist, counts = [0] * p, field.root_counts
+    for x in range(p):
+        hist[((x + 2) * x + 5) * x % p] += 1
+    for a6 in (0, 1, 2, 1009, p - 1):
+        assert row[a6] == sum(map(operator.mul, hist, counts[a6:] + counts[:a6]))
+    # two square roots claimed for every element, on a field of its own:
+    # each count reaches 2q, past 2 bytes, and the check reads it whole
+    tampered = FiniteField(p)
+    tampered.root_counts = (2,) * p
+    with pytest.raises(ArithmeticError, match=f"Hasse bound violated: {2 * p + 1} points"):
+        elliptic._row_counter(tampered)(tampered.from_int(2), tampered.from_int(5))
+
+
 def test_singular_input_rejected():
     with pytest.raises(ValueError):
         EllipticCurve(F5, 0, 0, 0)  # y^2 = x^3 has a cusp
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2)])
+def test_the_discriminant_rejects_exactly_the_cubics_with_a_repeated_root(p, k):
+    # oracle: gcd(f, f') over the field, with no closed form; characteristic
+    # 3, where 18 and 27 vanish, included
+    field = FiniteField(p, k)
+    for a2, a4, a6 in product(field, repeat=3):
+        squarefree = discriminant_squarefree(Polynomial(field, [a6, a4, a2, field.one]))
+        try:
+            EllipticCurve(field, a2, a4, a6)
+        except ValueError:
+            assert not squarefree
+        else:
+            assert squarefree
 
 
 def test_count_points_raises_past_the_hasse_bound():
@@ -412,3 +484,70 @@ def test_find_curve_skips_singular_candidates_and_follows_the_test():
     assert seen[0] == 6 and hit > 0
     with pytest.raises(RuntimeError, match="exhausted"):
         find_curve(F5, lambda n: False)
+
+
+# PR 34's three mutants of the pair law, each as edits of its source
+_ADD_MUTANTS = {
+    "conjugate-sign-in-slope": [(
+        "(nu * du + nv * dv) * w % p, (nv * du - nu * dv) * w % p",
+        "(nu * du - nv * dv) * w % p, (nv * du + nu * dv) * w % p",
+    )],
+    "no-a2-in-tangent": [
+        (" + 2 * (b2 * r1 - c2 * s1) + b4", " + b4"),
+        (" + 2 * (b2 * s1 + c2 * r1) + c4", " + c4"),
+    ],
+    "y3-i-part-negated": [(
+        "(lu * (s1 - s3) + lv * (r1 - r3) - v1) % p",
+        "-(lu * (s1 - s3) + lv * (r1 - r3) - v1) % p",
+    )],
+}
+
+
+@pytest.mark.parametrize("name", _ADD_MUTANTS)
+def test_the_p3_report_fails_a_wrong_group_law(name, monkeypatch):
+    # the first and third mutants keep every sum Q + P that the torsion
+    # search checks on the curve: only the translation check sees them, by a
+    # sum off the curve.  The second breaks a doubling in the torsion search
+    source = inspect.getsource(elliptic._add)
+    for old, new in _ADD_MUTANTS[name]:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = dict(vars(elliptic))
+    exec(source, namespace)
+    monkeypatch.setattr(elliptic, "_add", namespace["_add"])
+    failed = {r.id: r.witness for r in build_report(construction(3)).failed()}
+    assert failed and all(cid.startswith("elliptic.") for cid in failed)
+    assert None not in failed.values()
+    if name != "no-a2-in-tangent":
+        assert list(failed) == ["elliptic.translation_free"]
+        assert failed["elliptic.translation_free"].endswith(", off the curve")
+
+
+@pytest.mark.parametrize("law", ["identity", "constant"])
+def test_a_wrong_law_fails_the_translation_check_at_its_first_bad_point(law, monkeypatch):
+    # two laws whose sums all lie on the curve: Q + P = Q, a permutation
+    # fixing every point, and Q + P = L, the last listed point, which first
+    # repeats at the first affine point Q1 (O + P = L is neither O nor off
+    # the curve); the torsion point is found before the law is patched
+    c = construction(5)
+    curve, pt = c.elliptic
+    listing = list(elliptic._listing(curve.field, elliptic._coefficients(curve)))
+    sums = {"identity": lambda coeffs, a, b: a, "constant": lambda coeffs, a, b: listing[-1]}
+    monkeypatch.setattr(elliptic, "_add", sums[law])
+    assert not translation_is_fixed_point_free(curve, pt)
+    witness = {r.id: r.witness for r in build_report(c).failed()}["elliptic.translation_free"]
+    first, last = (elliptic._to_point(curve.field, listing[i]) for i in (1, -1))
+    expected = {"identity": f"O + {pt!r} = O", "constant": f"{first!r} + {pt!r} = {last!r} = O + {pt!r}"}
+    assert witness == expected[law]
+
+
+@pytest.mark.parametrize("counts, n", [((1, 0, 0, 0, 0), 1), ((2, 2, 2, 2, 0), 11)])
+def test_a_row_past_the_hasse_bound_at_one_end_raises(counts, n):
+    # false root counts on a field of its own: with the histogram
+    # (3, 1, 0, 0, 1) of x^3 - x over F_5, the first gives the row 4, 2, 1,
+    # 1, 2 points (only its least is out of bounds), the second 9, 11, 11,
+    # 9, 5 (only its greatest)
+    f5 = FiniteField(5)
+    f5.root_counts = counts
+    with pytest.raises(ArithmeticError, match=f"Hasse bound violated: {n} points"):
+        count_points(EllipticCurve(f5, 0, -1, 0))
