@@ -1,11 +1,15 @@
 """Shared exact-arithmetic kit: finite fields F_p and F_p[i], dense univariate
 polynomials over an arbitrary coefficient field, and exact kernels of sparse
 integer matrices (rows as ``{column: entry}`` dicts of their nonzeros), by
-row-echelon insertion over F_l, and a dense Bareiss fallback over Q.
+one row-echelon insertion over F_l, whose ranks mod several primes also give
+the kernel over Q.
 
 Everything is immutable and pure; no floats appear anywhere in this module.
 A "coefficient field" is any object exposing ``zero``, ``one`` and
 ``coerce(x)``, whose elements overload ``+ - *`` and provide ``inv()``.
+The reflected operators, such as ``1 - x``, belong to that protocol, as
+does ``/`` on the cyclotomic elements: the package's own code reaches few
+of them, and the tests write them throughout.
 Both :class:`FiniteField` here and the cyclotomic fields elsewhere qualify.
 :func:`poly_gcd` also runs over ``cyclotomic.SplitPrime``, at the second
 prime of ``curves.modular_squarefree``: a product of fields whose ``inv``
@@ -27,6 +31,7 @@ so the elements it holds are that object's.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import Iterator, Optional
@@ -156,6 +161,8 @@ class FiniteField:
         return tuple(len(roots.get(s, ())) for s in self)
 
     def __eq__(self, other) -> bool:
+        """Identity first, then by value: a field object built apart, with
+        the same p and k, is the same field, and a test pins that."""
         return other is self or (
             isinstance(other, FiniteField)
             and other.p == self.p
@@ -332,7 +339,10 @@ class Polynomial:
         f(beta*u): self is scaled by the powers of beta unless beta = 1, then
         one binomial chain (:func:`_binomial_chain`) runs, a sparse times
         dense product per step when the outer and alpha are sparse, as pi
-        is.  An inner of degree > 1 raises ValueError."""
+        is.  A passing report never has beta outside {0, 1}; a map that
+        translates by another beta, such as the tests' perturbation
+        ``sigma-translation-2``, needs the scaling by beta.  An inner of
+        degree > 1 raises ValueError."""
         inner = self._check(inner)
         if inner.degree > 1:
             raise ValueError(f"compose needs an inner of degree <= 1, got {inner.degree}")
@@ -369,9 +379,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.coeffs))
 
     def __repr__(self) -> str:
         return f"Polynomial[{self.render()}]"
@@ -524,51 +531,31 @@ def kernel_dim_mod_p(rows, p: int, cols: int) -> int:
     return cols - len(pivots)
 
 
-# 2^61 - 1, a Mersenne prime: the modulus of kernel_dim_rational's certificate
-_M61 = 2**61 - 1
-
-
 def kernel_dim_rational(rows, cols: int) -> int:
     """dim over Q of the kernel of a sparse integer matrix with ``cols``
-    columns (rows as in :func:`kernel_dim_mod_p`).
+    columns (rows as in :func:`kernel_dim_mod_p`), from its ranks mod primes
+    by that one elimination.
 
-    First a one-sided certificate: reducing an integer matrix mod a prime l
-    can only lower its rank, so a zero kernel mod l = 2^61 - 1 proves a zero
-    kernel over Q, and 0 is returned at once.  l is a fixed large prime, not
-    the characteristic the caller cares about: mod p the matrix of g - 1 has
-    the norm element in its kernel and would never certify.  Otherwise the
-    exact answer comes from :func:`_bareiss_kernel_dim` on the dense rows.
+    Reduction mod a prime l can only lower the rank, so the largest rank r
+    seen is at most the rank over Q, and equals it once r is as large as
+    the shape allows.  Otherwise every (r + 1)-minor is divisible by each
+    prime tried, and by Hadamard's inequality none exceeds the product of
+    the r + 1 largest row norms: once the product of the primes exceeds that
+    bound, every such minor is 0 and the rank over Q is r (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, 5.5 and Theorem 16.6).  The first
+    prime is 2^61 - 1, not the characteristic the caller cares about: mod p
+    the norm element lies in the kernel of g - 1, while mod 2^61 - 1 g - 1
+    has full rank, so the report stops at that prime with no norm computed.
+    The primes after it are those above 2^30, few enough divisions for
+    :func:`is_prime`.
     """
-    if kernel_dim_mod_p(rows, _M61, cols) == 0:
-        return 0
-    return _bareiss_kernel_dim([[row.get(j, 0) for j in range(cols)] for row in rows], cols)
-
-
-def _bareiss_kernel_dim(entries, cols: int) -> int:
-    """dim over Q of the kernel of a dense integer matrix with ``cols``
-    columns, by fraction-free (Bareiss) elimination: the fallback of
-    :func:`kernel_dim_rational` and the tests' oracle for it.
-
-    After each pivot, every entry below it is a minor of the input, so the
-    division by the previous pivot is exact (Sylvester's identity) and the
-    entries stay integers of bounded size.
-    """
-    a = [list(row) for row in entries]
-    rows = len(a)
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top = a[rank]
-        piv = top[col]
-        for i in range(rank + 1, rows):
-            f = a[i][col]
-            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = piv
-        rank += 1
-        if rank == rows:
-            break
-    return cols - rank
+    most, rank, modulus, norms = min(len(rows), cols), 0, 1, None
+    for ell in itertools.chain([2**61 - 1], filter(is_prime, itertools.count(2**30 + 1))):
+        rank = max(rank, cols - kernel_dim_mod_p(rows, ell, cols))
+        modulus *= ell
+        if rank == most:
+            return cols - rank
+        if norms is None:  # squared, against modulus^2
+            norms = sorted((sum(x * x for x in row.values()) for row in rows), reverse=True)
+        if modulus * modulus > math.prod(norms[: rank + 1]):
+            return cols - rank

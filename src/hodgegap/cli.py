@@ -30,7 +30,7 @@ from .curves import (
     x_map,
     x_multiplier,
 )
-from .elliptic import add_points, count_points, scalar_mul, translation_is_fixed_point_free
+from .elliptic import count_points, scalar_mul, translation_failure
 from .invariants import form_weights, least_squares_slope, witness_form_weight
 
 PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
@@ -131,22 +131,8 @@ def _torsion_point(c):
 
 
 def _translation_free(c):
-    curve, pt = c.elliptic
-    if translation_is_fixed_point_free(curve, pt):
-        return True, None
-    # the first Q in listing order whose sum is Q itself (O when P = O), is
-    # no listed point, or is the sum of an earlier point
-    points, earlier = list(curve.points()), {}
-    listed = set(points)
-    for q in points:
-        total = add_points(curve, q, pt)
-        if total == q:
-            return False, f"{q!r} + {pt!r} = {q!r}"
-        if total not in listed:
-            return False, f"{q!r} + {pt!r} = {total!r}, off the curve"
-        if total in earlier:
-            return False, f"{q!r} + {pt!r} = {total!r} = {earlier[total]!r} + {pt!r}"
-        earlier[total] = q
+    failure = translation_failure(*c.elliptic)
+    return failure is None, failure
 
 
 def _weights(c):

@@ -602,8 +602,10 @@ def affine_fixed_points(m: AffineCurveMap, model: HyperellipticModel) -> list[tu
     identity on u; each u left reads the roots of f(u) from the field's
     ``square_roots`` and keeps the v with gamma*v = v (v = 0 unless
     gamma = 1).  So f is evaluated once, or not at all, unless the map fixes
-    u.  The scan of every (u, v) is the tests' oracle.  Maps of this shape
-    always fix the single point at infinity, so it is not listed."""
+    u.  A passing report's map moves every u; the identity on u is the
+    tests' perturbation ``sigma0-identity``.  The scan of every (u, v) is
+    the tests' oracle.  Maps of this shape always fix the single point at
+    infinity, so it is not listed."""
     fq = m.ring
     if not isinstance(fq, FiniteField):
         raise ValueError("fixed-point search needs a finite coefficient field")

@@ -318,23 +318,38 @@ def torsion_point_of_exact_order(curve: EllipticCurve, ell: int) -> CurvePoint:
     raise ValueError(f"no rational point of exact order {ell}")
 
 
-def translation_is_fixed_point_free(curve: EllipticCurve, pt: CurvePoint) -> bool:
-    """Q -> Q + P is a permutation of the rational points with no fixed
-    point, checked exhaustively: no sum equals its Q, and the sums are
-    exactly the point listing, so each lies on the curve and no two Q share
-    one.  False for P = infinity, whose translation is the identity:
-    replacing the report's point by O is the control that fails the check.
-    Given a correct group law it holds for every P != O; a law that sends a
-    sum off the curve, or two Q to one sum, fails it.  P is checked on the
-    curve once; each Q comes from the point listing, all on pairs."""
+def translation_failure(curve: EllipticCurve, pt: CurvePoint) -> Optional[str]:
+    """Why Q -> Q + P is not a fixed-point-free permutation of the rational
+    points, or None when it is, checked exhaustively: no sum equals its Q,
+    and the sums are exactly the point listing, so each lies on the curve
+    and no two Q share one.  P = infinity, whose translation is the
+    identity, fails it: replacing the report's point by O is the control
+    that fails the check.  Given a correct group law it holds for every
+    P != O; a law that sends a sum off the curve, or two Q to one sum,
+    fails it.  P is checked on the curve once; each Q comes from the point
+    listing, all on pairs.  Only a failure reads its witness from the same
+    sums, as :class:`CurvePoint`s: the first Q in listing order whose sum is
+    Q itself, is no listed point, or is the sum of an earlier Q."""
     coeffs = _coefficients(curve)
     by = _checked(coeffs, _to_pairs(curve, pt))
-    if by is None:
-        return False
-    listing, sums = list(_listing(curve.field, coeffs)), set()
-    for q in listing:
-        total = _add(coeffs, q, by)
+    listing = list(_listing(curve.field, coeffs))
+    sums = [_add(coeffs, q, by) for q in listing]
+    listed = set(listing)
+    if set(sums) == listed and not any(q == total for q, total in zip(listing, sums)):
+        return None
+    earlier = {}
+    for q, total in zip(listing, sums):
+        q_pt, sum_pt = _to_point(curve.field, q), _to_point(curve.field, total)
         if total == q:
-            return False
-        sums.add(total)
-    return sums == set(listing)
+            return f"{q_pt!r} + {pt!r} = {q_pt!r}"
+        if total not in listed:
+            return f"{q_pt!r} + {pt!r} = {sum_pt!r}, off the curve"
+        if total in earlier:
+            return f"{q_pt!r} + {pt!r} = {sum_pt!r} = {earlier[total]!r} + {pt!r}"
+        earlier[total] = q_pt
+
+
+def translation_is_fixed_point_free(curve: EllipticCurve, pt: CurvePoint) -> bool:
+    """Whether :func:`translation_failure` finds no failure: the benchmark
+    and CI call it."""
+    return translation_failure(curve, pt) is None

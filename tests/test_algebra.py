@@ -424,6 +424,32 @@ def _kernel_size_mod_5(m, cols):
 
 
 M61 = 2**61 - 1
+# the first two primes above 2^30: the second and third that
+# kernel_dim_rational tries
+L2, L3 = itertools.islice(filter(is_prime, itertools.count(2**30 + 1)), 2)
+
+
+def _bareiss_kernel_dim(entries, cols):
+    """Oracle: dim over Q of the kernel of a dense integer matrix with
+    ``cols`` columns, by fraction-free (Bareiss) elimination, an algorithm
+    apart from the kernels' row-echelon insertion.  After each pivot, every
+    entry below it is a minor of the input, so the division by the previous
+    pivot is exact (Sylvester's identity)."""
+    a = [list(row) for row in entries]
+    rank, prev = 0, 1
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        piv = top[col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = piv
+        rank += 1
+    return cols - rank
 
 # rows x0 + x1, x0 + x2 and x2 - x1 over 3 columns
 FILL_IN = [{0: 1, 1: 1}, {0: 1, 2: 1}, {1: -1, 2: 1}]
@@ -517,8 +543,8 @@ def test_sparse_rank_agrees_with_bareiss_and_the_f5_oracle():
         # the order of the rows sets the cost only, never the answer
         for rows in (_sparse(m), _sparse(m[::-1])):
             assert 5 ** kernel_dim_mod_p(rows, 5, cols) == _kernel_size_mod_5(m, cols), m
-            assert kernel_dim_mod_p(rows, M61, cols) == algebra._bareiss_kernel_dim(m, cols), m
-            assert kernel_dim_rational(rows, cols) == algebra._bareiss_kernel_dim(m, cols), m
+            assert kernel_dim_mod_p(rows, M61, cols) == _bareiss_kernel_dim(m, cols), m
+            assert kernel_dim_rational(rows, cols) == _bareiss_kernel_dim(m, cols), m
     assert dense_rows > 100
 
 
@@ -559,30 +585,64 @@ def test_certificate_mod_m61_agrees_with_bareiss():
     assert any(kernel == 0 for *_, kernel in cases) and any(kernel for *_, kernel in cases)
     for rows, m, kernel in cases:
         cols = len(m[0])
-        assert kernel_dim_mod_p(rows, M61, cols) == algebra._bareiss_kernel_dim(m, cols) == kernel
+        assert kernel_dim_mod_p(rows, M61, cols) == _bareiss_kernel_dim(m, cols) == kernel
+
+
+def _dependent_matrices():
+    """1,000 seeded dense integer matrices of 0-8 rows and columns, entries up
+    to 10^20 in size, a third of them with rows forced dependent: a random
+    combination of the others replaces some rows."""
+    rng = random.Random(1000)
+    for n in range(1000):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        size = 10 ** rng.choice([1, 3, 20])
+        m = [[rng.randint(-size, size) for _ in range(cols)] for _ in range(rows)]
+        if n % 3 == 0 and rows > 1:
+            for i in rng.sample(range(rows), rng.randint(1, rows - 1)):
+                weights = [rng.randint(-3, 3) for _ in range(rows)]
+                m[i] = [sum(w * row[j] for w, row in zip(weights, m) if row is not m[i])
+                        for j in range(cols)]
+        yield m, cols
+
+
+def test_rational_kernel_agrees_with_bareiss_on_large_entries():
+    kernels = set()
+    for m, cols in _dependent_matrices():
+        kernel = _bareiss_kernel_dim(m, cols)
+        assert kernel_dim_rational(_sparse(m), cols) == kernel, m
+        kernels.add(kernel - max(cols - len(m), 0))
+    assert {0, 1, 2} <= kernels  # kernels past the shape's own, of several sizes
 
 
 @pytest.mark.parametrize(
-    "m, kernel",
-    [([[M61]], 0), ([[1, 2], [2, 4]], 1), ([[0, 0], [0, 0]], 2), ([[3, M61 + 6], [1, 2]], 0)],
-    ids=["l", "rank-one", "zero", "singular-mod-l"],
+    "m, kernel, primes",
+    [([[M61]], 0, [M61, L2]),
+     ([[1, 2], [2, 4]], 1, [M61]),
+     ([[0, 0], [0, 0]], 2, [M61]),
+     ([[3, M61 + 6], [1, 2]], 0, [M61, L2]),
+     ([[M61, 0], [0, M61 * L2]], 0, [M61, L2, L3]),
+     ([[M61 * L2]], 0, [M61, L2, L3]),
+     ([[3, M61 * L2 + 6], [1, 2]], 0, [M61, L2, L3])],
+    ids=["l", "rank-one", "zero", "singular-mod-l", "diag-l-l*l2", "l*l2", "singular-mod-l-l2"],
 )
-def test_rational_kernel_falls_back_to_bareiss_once(monkeypatch, m, kernel):
-    # [[l]] and [[3, l + 6], [1, 2]] have kernel 1 mod l and 0 over Q; the
-    # fallback gets the dense rows back
-    calls = recorded(monkeypatch, algebra, "_bareiss_kernel_dim")
+def test_rational_kernel_takes_primes_until_the_rank_is_certain(monkeypatch, m, kernel, primes):
+    # [[l]] and [[3, l + 6], [1, 2]] have kernel 1 mod l and 0 over Q, and
+    # the last three are singular mod l and l2 as well.  The rank-one and
+    # zero matrices stop at l: l^2 exceeds the product of the squared row
+    # norms (20 * 5, and 0) that bounds the minors one size past the rank
+    calls = recorded(monkeypatch, algebra, "kernel_dim_mod_p")
     cols = len(m[0])
+    assert kernel_dim_rational(_sparse(m), cols) == kernel == _bareiss_kernel_dim(m, cols)
+    assert [ell for _, ell, _ in calls] == primes
     assert kernel_dim_mod_p(_sparse(m), M61, cols) > 0
-    assert kernel_dim_rational(_sparse(m), cols) == kernel
-    assert calls == [(m, cols)]
 
 
-def test_rational_kernel_certified_takes_no_bareiss(monkeypatch):
-    calls = recorded(monkeypatch, algebra, "_bareiss_kernel_dim")
+def test_rational_kernel_certified_takes_one_prime(monkeypatch):
+    calls = recorded(monkeypatch, algebra, "kernel_dim_mod_p")
     assert kernel_dim_rational(_sparse([[1, 0], [0, 1]]), 2) == 0
     assert kernel_dim_rational(_sparse([[2, 1], [M61, 3]]), 2) == 0  # det 6 - l, a unit mod l
     assert kernel_dim_rational([], 0) == 0
-    assert calls == []
+    assert [ell for _, ell, _ in calls] == [M61] * 3
 
 
 def test_sqrt_examples():

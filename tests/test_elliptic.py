@@ -366,20 +366,24 @@ def _chord_tangent(curve, p1, p2):
     return CurvePoint(x3, y3)
 
 
+def _seeded_curves(field, n, rng, a2s):
+    # n nonsingular curves over field, a2 drawn from a2s, a4 and a6 from field
+    elements = list(field)
+    curves = []
+    while len(curves) < n:
+        try:
+            curves.append(EllipticCurve(field, rng.choice(a2s), rng.choice(elements), rng.choice(elements)))
+        except ValueError:  # singular
+            continue
+    return curves
+
+
 def _law_curves(q):
     # four seeded nonsingular curves over F_q, or the report's own p = 3 curve
     if q == "report-p3":
         return [construction(3).elliptic[0]]
     field = F9 if q == 9 else FiniteField(q)
-    rng = random.Random(q)
-    elements = list(field)
-    curves = []
-    while len(curves) < 4:
-        try:
-            curves.append(EllipticCurve(field, *(rng.choice(elements) for _ in range(3))))
-        except ValueError:  # singular
-            continue
-    return curves
+    return _seeded_curves(field, 4, random.Random(q), list(field))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, "report-p3"])  # p = 1 and 3 (mod 4)
@@ -402,6 +406,21 @@ def test_pair_law_matches_the_fq_chord_tangent(q):
                 expected = _chord_tangent(curve, expected, pt)
             assert expected == pt  # #E * Q = O, and one more Q
     assert two_torsion
+
+
+@pytest.mark.parametrize("p", [p for p in primes_upto(83) if p % 4 == 3 and p >= 7])
+def test_pair_law_matches_the_fq_chord_tangent_on_sampled_sums_over_fp2(p):
+    # F_p[i] past F_9, where every ordered pair is too many: two seeded
+    # curves with a2 != 0, and on each 200 seeded pairs of an affine Q and
+    # any R, the sums Q + R, Q + Q and Q + (-Q)
+    field = FiniteField(p, 2)
+    rng = random.Random(p)
+    for curve in _seeded_curves(field, 2, rng, list(field)[1:]):
+        pts = list(curve.points())
+        for _ in range(200):
+            q, r = rng.choice(pts[1:]), rng.choice(pts)
+            for a, b in ((q, r), (q, q), (q, CurvePoint(q.x, -q.y))):
+                assert add_points(curve, a, b) == _chord_tangent(curve, a, b)
 
 
 def _over(field, pt):

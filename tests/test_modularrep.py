@@ -1,7 +1,7 @@
 import pytest
 from conftest import recorded
 
-from hodgegap import algebra
+from hodgegap import algebra, modularrep
 from hodgegap.algebra import kernel_dim_mod_p, kernel_dim_rational, primes_upto
 from hodgegap.modularrep import H1Report, g_minus_one, h1_de_rham_report
 
@@ -141,13 +141,16 @@ def test_h1_report_all_small_primes():
         assert (r.h1_special, r.h1_generic, r.torsion_dim) == (4, 2, 2)
 
 
-def test_h1_report_never_runs_bareiss(monkeypatch):
-    # g - 1 has no kernel mod 2^61 - 1, which certifies its zero kernel over
-    # Q, so the report never reaches the fraction-free elimination
-    calls = recorded(monkeypatch, algebra, "_bareiss_kernel_dim")
+def test_h1_report_runs_the_elimination_twice(monkeypatch):
+    # once mod p, and once mod 2^61 - 1 for the kernel over Q: g - 1 has full
+    # rank mod 2^61 - 1, which is as large as its shape allows
+    special = recorded(monkeypatch, modularrep, "kernel_dim_mod_p")
+    generic = recorded(monkeypatch, algebra, "kernel_dim_mod_p")
     for p in primes_upto(61)[1:]:
         assert h1_de_rham_report(p) == H1Report(4, 2, 2)
-    assert calls == []
+        assert [ell for _, ell, _ in special + generic] == [p, 2**61 - 1]
+        special.clear()
+        generic.clear()
 
 
 def test_h1_report_rejects_bad_p():

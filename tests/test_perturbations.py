@@ -13,7 +13,7 @@ import itertools
 import pytest
 from conftest import _with, recorded, replaced
 
-from hodgegap import cli
+from hodgegap import elliptic
 from hodgegap.algebra import Polynomial
 from hodgegap.cli import CHECKS, build_report
 from hodgegap.curves import (
@@ -243,17 +243,20 @@ def test_a_failed_sigma_reduction_names_what_failed(name, p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_a_fixed_translation_names_its_first_fixed_point(p, monkeypatch):
     # P = O: the translation is the identity, so the first point of the
-    # listing, O itself, is fixed.  A passing report lists no point for the
-    # witness: its only scan is the check's own, on integer pairs
+    # listing, O itself, is fixed.  A passing report builds no CurvePoint
+    # for the witness: past its elliptic factor, the one it builds is the
+    # torsion check's p*P = O
     checks = {r.id: r for r in build_report(PERTURBATIONS["P-is-O"][0](construction(p))).checks}
     assert checks["elliptic.translation_free"].status == "fail"
     assert checks["elliptic.translation_free"].witness == "O + O = O"
+    c = construction(p)
+    curve, _ = c.elliptic
     listed = recorded(monkeypatch, EllipticCurve, "points")
-    added = recorded(monkeypatch, cli, "add_points")
-    checks = {r.id: r for r in build_report(construction(p)).checks}
+    built = recorded(monkeypatch, elliptic, "_to_point")
+    checks = {r.id: r for r in build_report(c).checks}
     assert checks["elliptic.translation_free"].status == "pass"
     assert checks["elliptic.translation_free"].witness is None
-    assert listed == added == []
+    assert listed == [] and built == [(curve.field, None)]
 
 
 def test_an_unbuildable_tau_fails_its_checks_and_not_the_report():

@@ -8,10 +8,12 @@ Runs, in one process under ``sys.settrace``, the CLI commands in ``COMMANDS``
 and every item of one pass of the benchmark's ``range`` and ``reject``
 workloads (through ``perfbench/worker.py``'s ``execute``), then prints each
 statement line of src/hodgegap that none of them reached, as
-``path:line: text``.  Such a line is reached by tests alone, if at all: a
+``path:line: text``, then the count in each module, most first, and the
+total.  Such a line is reached by tests alone, if at all: a
 candidate for deletion.  Informational; it always exits 0.
 """
 
+import collections
 import contextlib
 import io
 import sys
@@ -63,14 +65,16 @@ def main() -> int:
                     execute(item, trace=False)
     finally:
         sys.settrace(None)
-    total = 0
+    by_module = collections.Counter()
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text().splitlines()
         for n in sorted(statement_lines(path)):
             if (str(path), n) not in hit:
-                total += 1
+                by_module[path.stem] += 1
                 print(f"{path.relative_to(ROOT)}:{n}: {text[n - 1].strip()}")
-    print(f"{total} statement lines unreached")
+    for module, count in by_module.most_common():
+        print(f"{count} unreached in {module}")
+    print(f"{by_module.total()} statement lines unreached")
     return 0
 
 
