@@ -23,9 +23,8 @@ operation and in ``cyclotomic.residue_map``; the constructor stores them as
 given.  A field check between elements tests the identity of their field
 objects first; elements over equal but distinct field objects still combine,
 compare and hash alike.
-A per-field table (:attr:`FiniteField.square_roots`,
-:attr:`FiniteField.root_counts`) is a cached property of its field object,
-so the elements it holds are that object's.
+The one square-root table, :attr:`FiniteField.square_roots`, is a cached
+property of its field object, keyed and valued by those coordinate pairs.
 """
 
 from __future__ import annotations
@@ -113,7 +112,6 @@ class FiniteField:
         self.p = p
         self.k = k
         self.q = p**k
-        self._hash = hash(("FiniteField", p, k))
         self.zero = FqElement(self, (0, 0))
         self.one = FqElement(self, (1, 0))
 
@@ -142,23 +140,18 @@ class FiniteField:
             yield FqElement(self, (m % p, m // p))
 
     @functools.cached_property
-    def square_roots(self) -> dict["FqElement", tuple["FqElement", ...]]:
-        """Each square s of the field mapped to every y with y^2 = s, in the
-        field's canonical order: the one place that finds square roots, built
-        in one pass over the field, once per field object, and only read."""
-        roots: dict[FqElement, tuple[FqElement, ...]] = {}
-        for y in self:
-            s = y * y
-            roots[s] = roots.get(s, ()) + (y,)
+    def square_roots(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """The pair (u, v) of each square mapped to the pairs of every y with
+        y^2 = u + v*t, in the field's canonical order: the one place that
+        finds square roots, built once per field object in one pass over
+        y = r + s*t, r = m % p and s = m // p for m < q, on plain integers
+        (y^2 = (r^2 - s^2) + 2rs*t, as t^2 = -1), and only read."""
+        p, roots = self.p, {}
+        for m in range(self.q):
+            r, s = m % p, m // p
+            key = ((r * r - s * s) % p, 2 * r * s % p)
+            roots[key] = roots.get(key, ()) + ((r, s),)
         return roots
-
-    @functools.cached_property
-    def root_counts(self) -> tuple[int, ...]:
-        """Entry m is the number of y with y^2 = the m-th element in canonical
-        order (the integer m over a prime field), read from
-        :attr:`square_roots`."""
-        roots = self.square_roots
-        return tuple(len(roots.get(s, ())) for s in self)
 
     def __eq__(self, other) -> bool:
         """Identity first, then by value: a field object built apart, with
@@ -170,7 +163,7 @@ class FiniteField:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(("FiniteField", self.p, self.k))
 
     def __repr__(self) -> str:
         if self.k == 1:
@@ -252,11 +245,10 @@ class FqElement:
         return t if a0 == 0 else f"{t}+{a0}"
 
 
-def fq_sqrt(a: FqElement) -> Optional[FqElement]:
-    """First root of ``a`` in the field's canonical order, looked up in
-    :attr:`FiniteField.square_roots`; None when ``a`` is not a square."""
-    roots = a.field.square_roots.get(a)
-    return roots[0] if roots else None
+def fq_sqrt(a: FqElement) -> tuple[FqElement, ...]:
+    """Every root of ``a`` in the field's canonical order, read from
+    :attr:`FiniteField.square_roots`; () when ``a`` is not a square."""
+    return tuple(FqElement(a.field, y) for y in a.field.square_roots.get(a.coords, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -261,10 +261,10 @@ class Construction:
         """
         fq = self.residue_field
         t = fq.from_int(self.twist)
-        root = fq_sqrt(t)
-        if root is None:
+        roots = fq_sqrt(t)
+        if not roots:
             raise ArithmeticError(f"{t} must be a square in F_{fq.q}")
-        return AffineCurveMap(t, fq.zero, root)
+        return AffineCurveMap(t, fq.zero, roots[0])
 
     @functools.cached_property
     def elliptic(self) -> tuple:
@@ -599,12 +599,12 @@ def affine_fixed_points(m: AffineCurveMap, model: HyperellipticModel) -> list[tu
     """All affine points of v^2 = f(u) fixed by the map, u-major, solved
     rather than scanned: alpha*u + beta = u leaves the one u = beta/(1 - alpha)
     when alpha != 1, no u when alpha = 1 and beta != 0, and every u for the
-    identity on u; each u left reads the roots of f(u) from the field's
-    ``square_roots`` and keeps the v with gamma*v = v (v = 0 unless
-    gamma = 1).  So f is evaluated once, or not at all, unless the map fixes
-    u.  A passing report's map moves every u; the identity on u is the
-    tests' perturbation ``sigma0-identity``.  The scan of every (u, v) is
-    the tests' oracle.  Maps of this shape always fix the single point at
+    identity on u; each u left reads the roots of f(u) from :func:`fq_sqrt`
+    and keeps the v with gamma*v = v (v = 0 unless gamma = 1).  So f is
+    evaluated once, or not at all, unless the map fixes u.  A passing
+    report's map moves every u; the identity on u is the tests'
+    perturbation ``sigma0-identity``.  The scan of every (u, v) is the
+    tests' oracle.  Maps of this shape always fix the single point at
     infinity, so it is not listed."""
     fq = m.ring
     if not isinstance(fq, FiniteField):
@@ -617,5 +617,4 @@ def affine_fixed_points(m: AffineCurveMap, model: HyperellipticModel) -> list[tu
         return []
     else:
         us = fq
-    roots = fq.square_roots
-    return [(u, v) for u in us for v in roots.get(model.f(u), ()) if m.apply(u, v) == (u, v)]
+    return [(u, v) for u in us for v in fq_sqrt(model.f(u)) if m.apply(u, v) == (u, v)]

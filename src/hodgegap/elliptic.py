@@ -8,19 +8,21 @@ Past the :class:`CurvePoint`s that the public functions take and return,
 everything runs on integers: the pairs (u, v) that are the elements' own
 coordinates, u + v*i with i^2 = -1 over F_9 = F_3[i], the one non-prime
 field, and v = 0 over F_p.  One chord-tangent law on such pairs serves both
-fields; the point listing (lazy, in O(q), each x reading the roots of rhs(x)
-from the field's ``square_roots``), scalar multiples, the torsion search and
-the translation check run on it.
+fields; the point listing (lazy, in O(q), each x reading the root pairs of
+rhs(x) from the field's ``square_roots``), scalar multiples, the torsion
+search, the translation check and :func:`count_points` run on it.
 
-A count splits the cubic at its constant term: one histogram of
-x^3 + a2*x^2 + a4*x, by one Horner step per x (plain ints over F_p, pairs
-over F_9), then, for all q values of a6 at once, its correlation with the
-field's ``root_counts`` over the additive group of the field, as one
-integer product with small fixed-width slots (:func:`_row_counter`).  The
-one coefficient search, :func:`find_curve`, scans (a2, a4, a6) in the
-field's canonical order, so results are deterministic; it builds one row of
-counts per (a2, a4) and tests singularity only on a candidate whose count
-passes.  :func:`count_points` reads its a6 from the same row.
+The one coefficient search, :func:`find_curve`, counts otherwise: it splits
+the cubic at its constant term, one histogram of x^3 + a2*x^2 + a4*x by one
+Horner step per x (plain ints over F_p, pairs over F_9), then, for all q
+values of a6 at once, its correlation with the number of square roots of
+each element over the additive group of the field, as one integer product
+with small fixed-width slots (:func:`_row_counter`).  It scans
+(a2, a4, a6) in the field's canonical order, so results are deterministic,
+builds one row of counts per (a2, a4) and tests singularity only on a
+candidate whose count passes.  So the report's point count, taken from the
+chosen curve's own listing, checks the search's row against an independent
+count.
 """
 
 from __future__ import annotations
@@ -121,20 +123,23 @@ def _row_counter(field: FiniteField) -> Callable[[FqElement, FqElement], list[in
     order, singular or not, each checked against the Hasse bound (which a
     singular cubic, with q, q + 1 or q + 2 points, never crosses).
 
-    With H the :func:`_cubic_histogram` and R the field's ``root_counts``,
-    the count at a6 = c is the correlation sum_m H[m] R[m + c] over the
-    additive group (Z/p)^k, and one integer product (Kronecker substitution;
-    Harvey, *J. Symb. Comput.* 44, 2009): H and R lie with the second
-    coordinate at stride 3p, R doubled in each coordinate and reversed, and
-    the count at c = c0 + c1*i is the product's slot top - (c0 + 3p*c1).  No
-    slot exceeds 2q, so 2-byte slots serve while 2q < 2^16 and 4-byte slots
-    above, and ``memoryview.cast`` reads the q counts back."""
-    p, q, s, counts = field.p, field.q, 3 * field.p, field.root_counts
+    With H the :func:`_cubic_histogram` and R[m] the number of square roots
+    of the m-th element in canonical order, read from the field's
+    ``square_roots``, the count at a6 = c is the correlation
+    sum_m H[m] R[m + c] over the additive group (Z/p)^k, and one integer
+    product (Kronecker substitution; Harvey, *J. Symb. Comput.* 44, 2009):
+    H and R lie with the second coordinate at stride 3p, R doubled in each
+    coordinate and reversed, and the count at c = c0 + c1*i is the
+    product's slot top - (c0 + 3p*c1).  No slot exceeds 2q, so 2-byte slots
+    serve while 2q < 2^16 and 4-byte slots above, and ``memoryview.cast``
+    reads the q counts back."""
+    p, q, s, table = field.p, field.q, 3 * field.p, field.square_roots
+    counts = [len(table.get((m % p, m // p), ())) for m in range(q)]
     w, fmt = (2, "H") if 2 * q < 1 << 16 else (4, "I")
     grid = []
     for j in range(2 * q // p - 1):  # each coordinate of m + c is below 2p - 1
         row = counts[j % p * p : j % p * p + p]
-        grid += row + row + (0,) * p
+        grid += row + row + [0] * p
     del grid[-p - 1 :]  # past the last entry that m + c reaches
     roots, top = _pack(grid[::-1], w), len(grid) - 1
 
@@ -153,10 +158,11 @@ def _row_counter(field: FiniteField) -> Callable[[FqElement, FqElement], list[in
 
 
 def count_points(curve: EllipticCurve) -> int:
-    """Exact number of rational points, point at infinity included: the a6
-    entry of the row of counts of the curve's (a2, a4)."""
-    field, (u, v) = curve.field, curve.a6.coords
-    return 1 + _row_counter(field)(curve.a2, curve.a4)[u + field.p * v]
+    """Exact number of rational points, point at infinity included: the
+    length of the curve's own point listing, which reads the square-root
+    table but not the row counts that :func:`find_curve` chose the curve by,
+    so a wrong row fails the report's count instead of passing it."""
+    return sum(1 for _ in _listing(curve.field, _coefficients(curve)))
 
 
 # The group law on integer pairs: an element's ``coords``, the pair (u, v) of
@@ -237,16 +243,13 @@ def _add(coeffs: tuple, pt1, pt2):
 def _listing(field: FiniteField, coeffs: tuple) -> Iterator:
     """Every rational point on pairs, lazily, in :meth:`EllipticCurve.points`
     order: None, then x in the field's canonical order and, for each x, the
-    roots of rhs(x) read from ``field.square_roots``, looked up only where
-    ``field.root_counts`` says there are some."""
+    root pairs of rhs(x) read from ``field.square_roots``."""
     yield None
-    p, roots, counts = field.p, field.square_roots, field.root_counts
+    p, roots = field.p, field.square_roots
     for m in range(field.q):
         x = (m % p, m // p)
-        u, v = rhs = _rhs(coeffs, x)
-        if counts[u + p * v]:
-            for y in roots[FqElement(field, rhs)]:
-                yield x, y.coords
+        for y in roots.get(_rhs(coeffs, x), ()):
+            yield x, y
 
 
 def _multiple(coeffs: tuple, k: int, pt):

@@ -130,11 +130,12 @@ def test_every_result_is_canonical_and_matches_the_raw_integers_mod_p(field):
         check(z, (m % p, m // p))
     check(field.zero, (0, 0))
     check(field.one, (1, 0))
+    # the square-root table holds coordinate pairs, each canonical
     for s, ys in field.square_roots.items():
-        canonical(s)
-        for y in ys:
+        canonical(FqElement(field, s))
+        for y in (FqElement(field, c) for c in ys):
             canonical(y)
-            assert y * y == s
+            assert (y * y).coords == s
 
 
 def test_equal_fields_are_one_field_for_arithmetic_and_hashing(monkeypatch):
@@ -646,33 +647,37 @@ def test_rational_kernel_certified_takes_one_prime(monkeypatch):
 
 
 def test_sqrt_examples():
-    assert fq_sqrt(F5.from_int(4)) == 2  # smaller of the two lifts comes first
-    assert fq_sqrt(F5.from_int(2)) is None
+    assert fq_sqrt(F5.from_int(4)) == (2, 3)  # smaller of the two lifts comes first
+    assert fq_sqrt(F5.from_int(2)) == ()
     t = F9.gen()
-    r = fq_sqrt(F9.from_int(2))
-    assert r in (t, 2 * t)
-    assert r == t  # canonical enumeration order
+    assert fq_sqrt(F9.from_int(2)) == (t, 2 * t)  # canonical enumeration order
+    # the table itself, on coordinate pairs: v = 0 over F_p
+    assert F5.square_roots[4, 0] == ((2, 0), (3, 0))
+    assert (2, 0) not in F5.square_roots
+    assert F9.square_roots[2, 0] == ((0, 1), (0, 2))
 
 
 @pytest.mark.parametrize("field", [F5, F7, F9])
 def test_sqrt_squares_back(field):
     for a in field:
-        r = fq_sqrt(a)
-        if r is not None:
+        for r in fq_sqrt(a):
             assert r * r == a
     # every square has a root
     for a in field:
-        assert fq_sqrt(a * a) is not None
+        assert fq_sqrt(a * a)
 
 
 @pytest.mark.parametrize("field", [F5, F7, F9])
 def test_square_roots_table_against_a_scan(field):
     # oracle: every y whose square is s, in the field's canonical order
+    # by FqElement arithmetic; the table holds their coordinate pairs and
+    # fq_sqrt hands back the elements themselves
     table = field.square_roots
     for s in field:
         roots = tuple(y for y in field if y * y == s)
-        assert table.get(s, ()) == roots
-        assert fq_sqrt(s) == (roots[0] if roots else None)
+        assert table.get(s.coords, ()) == tuple(y.coords for y in roots)
+        found = fq_sqrt(s)
+        assert found == roots and all(y.field is field for y in found)
     assert sum(len(roots) for roots in table.values()) == field.q
 
 

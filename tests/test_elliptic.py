@@ -95,16 +95,18 @@ def test_f9_count_on_gaussian_integers_matches_fq_arithmetic():
     # in the search's order
     roots = F9.square_roots
     naive = [
-        1 + sum(len(roots.get(((x + a2) * x + a4) * x + a6, ())) for x in F9)
+        1 + sum(len(roots.get((((x + a2) * x + a4) * x + a6).coords, ())) for x in F9)
         for a2, a4, a6 in product(F9, repeat=3)
     ]
     assert _search_counts(F9) == naive
 
 
 def _translated_root_counts(field):
-    # entry a6 is root_counts translated by a6, by FqElement addition: entry m
-    # counts the y with y^2 = (the m-th element) + a6
-    counts, index = field.root_counts, {x: m for m, x in enumerate(field)}
+    # entry a6 is the number of square roots of each element, read from the
+    # table, translated by a6 by FqElement addition: entry m counts the y
+    # with y^2 = (the m-th element) + a6
+    counts = [len(field.square_roots.get(x.coords, ())) for x in field]
+    index = {x: m for m, x in enumerate(field)}
     return [tuple(counts[index[x + a6]] for x in field) for a6 in field]
 
 
@@ -135,13 +137,14 @@ def test_each_row_of_counts_is_one_dot_product_per_a6(p, k):
 
 def test_a_row_in_four_byte_slots_matches_direct_dot_products():
     # 2q >= 2^16, so each slot takes 4 bytes; one row, no search, against
-    # the histogram on integers dotted with root_counts rotated by a6
+    # the histogram on integers dotted with the square-root counts rotated
+    # by a6
     p = 32771
     assert 2 * p >= 1 << 16
     field = FiniteField(p)
     a2, a4 = field.from_int(2), field.from_int(5)
     row = elliptic._row_counter(field)(a2, a4)
-    hist, counts = [0] * p, field.root_counts
+    hist, counts = [0] * p, [len(field.square_roots.get((x, 0), ())) for x in range(p)]
     for x in range(p):
         hist[((x + 2) * x + 5) * x % p] += 1
     for a6 in (0, 1, 2, 1009, p - 1):
@@ -149,7 +152,7 @@ def test_a_row_in_four_byte_slots_matches_direct_dot_products():
     # two square roots claimed for every element, on a field of its own:
     # each count reaches 2q, past 2 bytes, and the check reads it whole
     tampered = FiniteField(p)
-    tampered.root_counts = (2,) * p
+    tampered.square_roots = {(x, 0): ((0, 0), (1, 0)) for x in range(p)}
     with pytest.raises(ArithmeticError, match=f"Hasse bound violated: {2 * p + 1} points"):
         elliptic._row_counter(tampered)(tampered.from_int(2), tampered.from_int(5))
 
@@ -174,37 +177,54 @@ def test_the_discriminant_rejects_exactly_the_cubics_with_a_repeated_root(p, k):
             assert squarefree
 
 
-def test_count_points_raises_past_the_hasse_bound():
-    # a field of its own, so the false root counts reach no other test
+def test_find_curve_raises_past_the_hasse_bound():
+    # a field of its own, so the false square roots reach no other test: two
+    # claimed for every element put 2 points over every x.  The search's row
+    # raises; count_points counts the listing, as tampered, and checks no bound
     f5 = FiniteField(5)
     curve = EllipticCurve(f5, 0, -1, 0)
-    f5.root_counts = (2,) * f5.q
-    with pytest.raises(ArithmeticError, match="Hasse"):  # 2 points over every x
-        count_points(curve)
+    f5.square_roots = {(x, 0): ((0, 0), (1, 0)) for x in range(5)}
+    assert count_points(curve) == len(list(curve.points())) == 11
     with pytest.raises(ArithmeticError, match="Hasse"):
         find_curve(f5, lambda n: True)
 
 
 def test_count_points_builds_one_squares_table_per_field():
-    # count_points reads one root-count tuple per field object, built from the
-    # one square_roots table that points() and fq_sqrt read; each is built on
-    # first use, kept on the field and then handed back as is.  An equal but
-    # distinct field builds its own, of its own elements
+    # count_points, points(), the search's rows and fq_sqrt read the one
+    # square_roots table per field object, built on first use, kept on the
+    # field and then handed back as is; there is no second table.  An equal
+    # but distinct field builds its own, and fq_sqrt hands back its elements
     f7 = FiniteField(7)
-    assert not {"square_roots", "root_counts"} & set(vars(f7))
+    assert "square_roots" not in vars(f7)
     for b in range(1, 7):
         count_points(EllipticCurve(f7, 0, 0, b))
+    roots = vars(f7)["square_roots"]
     assert len(list(EllipticCurve(f7, 0, 0, 1).points())) == 12
-    assert fq_sqrt(f7.from_int(2)) == 3
-    roots, counts = vars(f7)["square_roots"], vars(f7)["root_counts"]
-    assert f7.square_roots is roots and f7.root_counts is counts
+    assert fq_sqrt(f7.from_int(2)) == (3, 4)
+    elliptic._row_counter(f7)(f7.zero, f7.zero)
+    assert f7.square_roots is roots and vars(f7)["square_roots"] is roots
+    assert not hasattr(f7, "root_counts")
     other = FiniteField(7)
     assert count_points(EllipticCurve(other, 0, 0, 1)) == count_points(EllipticCurve(f7, 0, 0, 1))
-    assert other.root_counts == counts
-    assert other.root_counts is not counts
     other_roots = other.square_roots
-    assert other_roots == roots
-    assert all(y.field is other for ys in other_roots.values() for y in ys)
+    assert other_roots == roots and other_roots is not roots
+    assert all(y.field is other for y in fq_sqrt(other.from_int(2)))
+
+
+def test_a_row_read_one_a6_off_fails_the_point_count(monkeypatch):
+    # a search whose every a6 reads its neighbour's count picks a curve with
+    # the wrong number of points; the report counts that curve's own listing,
+    # so its point-count check fails.  At p = 5 every other check passes (at
+    # p >= 7 the torsion search fails too), so the count is what catches it
+    real = elliptic._row_counter
+
+    def rotated(field):
+        row_counts = real(field)
+        return lambda a2, a4: (lambda row: row[1:] + row[:1])(row_counts(a2, a4))
+
+    monkeypatch.setattr(elliptic, "_row_counter", rotated)
+    failed = {r.id: r.witness for r in build_report(construction(5)).failed()}
+    assert failed == {"elliptic.trace_one": "E[y^2 = x^3 + (0)x^2 + (3)x + (0) / GF(5)] with 10 points"}
 
 
 def _points_by_pairs(curve):
@@ -562,11 +582,11 @@ def test_a_wrong_law_fails_the_translation_check_at_its_first_bad_point(law, mon
 
 @pytest.mark.parametrize("counts, n", [((1, 0, 0, 0, 0), 1), ((2, 2, 2, 2, 0), 11)])
 def test_a_row_past_the_hasse_bound_at_one_end_raises(counts, n):
-    # false root counts on a field of its own: with the histogram
-    # (3, 1, 0, 0, 1) of x^3 - x over F_5, the first gives the row 4, 2, 1,
-    # 1, 2 points (only its least is out of bounds), the second 9, 11, 11,
-    # 9, 5 (only its greatest)
+    # a false square-root table on a field of its own, with counts[u] roots
+    # of u: with the histogram (3, 1, 0, 0, 1) of x^3 - x over F_5, the
+    # first gives the row 4, 2, 1, 1, 2 points (only its least is out of
+    # bounds), the second 9, 11, 11, 9, 5 (only its greatest)
     f5 = FiniteField(5)
-    f5.root_counts = counts
+    f5.square_roots = {(u, 0): ((0, 0), (1, 0))[:c] for u, c in enumerate(counts) if c}
     with pytest.raises(ArithmeticError, match=f"Hasse bound violated: {n} points"):
-        count_points(EllipticCurve(f5, 0, -1, 0))
+        elliptic._row_counter(f5)(f5.zero, f5.from_int(-1))
