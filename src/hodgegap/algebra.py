@@ -538,11 +538,11 @@ def kernel_dim_rational(rows, cols: int) -> int:
     prime is 2^61 - 1, not the characteristic the caller cares about: mod p
     the norm element lies in the kernel of g - 1, while mod 2^61 - 1 g - 1
     has full rank, so the report stops at that prime with no norm computed.
-    The primes after it are those above 2^30, few enough divisions for
-    :func:`is_prime`.
+    The primes after it are those above 2^20, the bound of the split primes
+    in ``curves``: :func:`is_prime` finds each by a few hundred divisions.
     """
     most, rank, modulus, norms = min(len(rows), cols), 0, 1, None
-    for ell in itertools.chain([2**61 - 1], filter(is_prime, itertools.count(2**30 + 1))):
+    for ell in itertools.chain([2**61 - 1], filter(is_prime, itertools.count(2**20 + 1))):
         rank = max(rank, cols - kernel_dim_mod_p(rows, ell, cols))
         modulus *= ell
         if rank == most:

@@ -2,7 +2,11 @@
 pass/fail report (text or JSON), tabulate the h^{3,0} discrepancy growth, or
 print the exact curve coefficients.  :data:`CHECKS` is the one list of the
 report's checks: each row is written once there, and :func:`build_report`
-runs the rows in order."""
+runs the rows in order.  :data:`COMMANDS` is the one command-line grammar:
+:func:`parse_args` reads a fully spelled line by it with no import, and
+argparse, built from it, reads every other line (help, errors, prefixes,
+``--flag=value``, negative numbers), so argparse defines the grammar on
+every Python version."""
 
 from __future__ import annotations
 
@@ -328,11 +332,9 @@ def cmd_curve(args, out) -> int:
 
 REQUIRED = object()  # the default of a flag that must be given
 SWITCH = (None, None, False)  # a flag that takes no value and stores True
-HELP = {"-h": SWITCH, "--help": SWITCH}
 
 # The command-line grammar: each command's help line and its flags, each flag
 # as (type, choices, default), the choices checked on the converted value.
-# parse_args reads a command line by it as argparse read the same parsers.
 COMMANDS = {
     "verify": ("run every check for one odd prime", {
         "--p": (int, None, REQUIRED),
@@ -350,111 +352,62 @@ COMMANDS = {
         "--no-banner": SWITCH,
     }),
 }
-# The flags in scope before the command (None) and after each command.
-FLAGS = {None: HELP, **{name: {**HELP, **flags} for name, (_, flags) in COMMANDS.items()}}
 
 
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _usage(command: str, text: str, flags: dict) -> str:
-    parts = []
-    for flag, (kind, choices, default) in flags.items():
-        value = "{" + ",".join(map(str, choices)) + "}" if choices else _dest(flag).upper()
-        shown = flag if kind is None else f"{flag} {value}"
-        parts.append(shown if default is REQUIRED else f"[{shown}]")
-    return f"usage: hodgegap {command} [-h] {' '.join(parts)}\n\n{text}"
+def parse_args(argv: list) -> Optional[dict]:
+    """The fields of ``argv`` by :data:`COMMANDS`, ``{"command": name, dest:
+    value, ...}`` with one dest for each flag of the command (its name
+    without the dashes, "-" as "_"), for a line that argparse reads the same
+    way: the command first, then flags spelled out in full, each value the
+    next token, not starting with "-", converting by its flag's type and
+    lying in its choices, with every required flag given.  None for any
+    other line: :func:`_argparse` reads those."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = COMMANDS[argv[0]][1]
+    fields = {"command": argv[0], **{_dest(f): spec[2] for f, spec in flags.items()}}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags:
+            return None
+        kind, choices, _ = flags[flag]
+        value = True
+        if kind is not None:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+            if choices and value not in choices:
+                return None
+        fields[_dest(flag)] = value
+    return None if REQUIRED in fields.values() else fields
 
 
-# What -h/--help prints, and what follows the message of an invalid command
-# line: the usage of each command, and of the program under None.
-USAGE = {name: _usage(name, *spec) for name, spec in COMMANDS.items()}
-USAGE[None] = "\n".join([
-    f"usage: hodgegap [-h] {{{','.join(COMMANDS)}}} ...", "",
-    "exact verification of the two-liftings Hodge-number gap", "",
-    *(f"  {name:<7} {text}" for name, (text, _) in COMMANDS.items()),
-])
+def _argparse(argv: list) -> dict:
+    """The fields of ``argv`` as argparse reads it, by parsers built from
+    :data:`COMMANDS`: help, parse errors, prefixes, "--flag=value", negative
+    numbers.  Help and errors end in argparse's own SystemExit."""
+    import argparse  # with gettext and locale: only the lines parse_args leaves pay it
 
-
-class UsageExit(Exception):
-    """A command line that runs no command.  Its args are the command in
-    scope (None before one) and what is wrong with the line, or None when -h
-    or --help asked for the usage."""
-
-
-def _classify(token: str, command: Optional[str]) -> tuple:
-    """How argparse reads ``token`` among the flags of ``command``: (flag, the
-    value after "=" or None) when it names a flag, in full or by a prefix of
-    that flag alone; ("", None) when it is another option; (None, None) when
-    it is a value: no leading dash, or "-", a negative number (-5, -.5, -1.5)
-    or a string with a space.  Raises :class:`UsageExit` on a prefix of two
-    flags."""
-    flags = FLAGS[command]
-    name, eq, value = token.partition("=")
-    hits = [token] if token in flags else [name] if eq and name in flags else [
-        f for f in flags if name.startswith("--") and f.startswith(name)]
-    if len(hits) > 1:
-        raise UsageExit(command, f"ambiguous option {name} ({', '.join(hits)})")
-    if hits:
-        return hits[0], value if eq else None
-    negative = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
-    option = token[:1] == "-" and token != "-" and not negative and " " not in token
-    return ("", None) if option else (None, None)
-
-
-def parse_args(argv) -> dict:
-    """The fields of ``argv`` by :data:`COMMANDS`, as argparse read it:
-    ``{"command": name, dest: value, ...}``, one dest for each flag of the
-    command (its name without the dashes, "-" as "_").  A flag's value follows
-    it, as the next token or after "="; of repeated flags the last wins.  An
-    unknown option, a value that no flag takes and a missing required flag are
-    reported once the parse is over, so a later -h or --help (or a prefix of
-    it) still prints the usage; so is "--", after which argparse reads every
-    token as a value.  Raises :class:`UsageExit`."""
-    argv = list(argv)
-    stray = "--" if "--" in argv else None
-    tokens = argv[: argv.index("--")] if stray else argv
-    command, flag, fields, problem = None, None, {"command": None}, None
-    pending = iter(enumerate(tokens))
-    for i, token in pending:
-        flag, value = _classify(token, command)
-        if flag is None and command is None and token in COMMANDS:
-            command, (_, own) = token, COMMANDS[token]
-            for later in tokens[i + 1:]:  # an ambiguous prefix fails before any flag acts
-                _classify(later, command)
-            fields = {"command": command, **{_dest(f): spec[2] for f, spec in own.items()}}
-        elif flag is None and command is None:
-            problem = f"invalid command {token!r} (choose from {', '.join(COMMANDS)})"
-        elif not flag:  # another option, or a value that no flag takes
-            stray = token if stray is None else stray
-        else:
-            kind, choices, _ = FLAGS[command][flag]
-            if kind is None:  # a switch
-                problem = value is not None and f"{flag} takes no value"
-                value = True
-            elif value is None:
-                value = next(pending, (i, None))[1]
-                if value is None or _classify(value, command)[0] is not None:
-                    problem = f"{flag} expects a value"
-            if kind is not None and not problem:
-                try:
-                    value = kind(value)
-                except ValueError:
-                    problem = f"invalid {flag} value {value!r}"
-                if choices and value not in choices:
-                    problem = f"invalid {flag} value {value!r}"
-            fields[_dest(flag)] = value
-        if problem or flag in HELP:
-            break
-    else:
-        missing = [dest for dest, default in fields.items() if default is REQUIRED]
-        problem = ("a command is required" if command is None
-                   else f"unrecognized argument {stray!r}" if stray is not None
-                   else missing and f"--{missing[0]} is required")
-    if problem or flag in HELP:
-        raise UsageExit(command, problem or None)
-    return fields
+    parser = argparse.ArgumentParser(
+        prog="hodgegap", description="exact verification of the two-liftings Hodge-number gap")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (text, flags) in COMMANDS.items():
+        command = commands.add_parser(name, help=text, description=text)
+        for flag, (kind, choices, default) in flags.items():
+            if kind is None:
+                command.add_argument(flag, action="store_true")
+            else:
+                command.add_argument(flag, type=kind, choices=choices, default=default,
+                                     required=default is REQUIRED)
+    return vars(parser.parse_args(argv))
 
 
 def _input_error(args: dict) -> Optional[str]:
@@ -472,16 +425,15 @@ def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
     return its exit status: 0, 1 when a check fails, 2 on invalid input, with
     the message on stderr; -h or --help prints the usage on stdout, status 0."""
-    out = sys.stdout
+    out, argv = sys.stdout, list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        status, text = 2, _input_error(args)
-    except UsageExit as exc:  # -h/--help, or a command line argparse would reject
-        usage, problem = USAGE[exc.args[0]], exc.args[1]
-        status, text = (2, f"hodgegap: error: {problem}\n{usage}") if problem else (0, usage)
+        args = parse_args(argv) or _argparse(argv)
+    except SystemExit as exc:  # argparse printed the usage, or its error
+        return exc.code
+    text = _input_error(args)
     if text is not None:
-        print(text, file=sys.stderr if status else out)
-        return status
+        print(text, file=sys.stderr)
+        return 2
     if not args["no_banner"]:
         _banner(out)
     if args["command"] == "verify":

@@ -425,9 +425,9 @@ def _kernel_size_mod_5(m, cols):
 
 
 M61 = 2**61 - 1
-# the first two primes above 2^30: the second and third that
+# the first two primes above 2^20: the second and third that
 # kernel_dim_rational tries
-L2, L3 = itertools.islice(filter(is_prime, itertools.count(2**30 + 1)), 2)
+L2, L3 = itertools.islice(filter(is_prime, itertools.count(2**20 + 1)), 2)
 
 
 def _bareiss_kernel_dim(entries, cols):

@@ -25,7 +25,7 @@ COMMANDS = [
     "verify --p 3 --format json", "verify --p 23 --format json",
     "verify --p 61 --format json", "verify --p 13",
     "table --max 1000", "table --max 200 --format json", "curve --p 3 --chart 2",
-    "curve --p 5",
+    "curve --p 5", "verify --p=13 --fo json", "verify --help",
 ]
 
 
