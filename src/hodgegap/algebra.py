@@ -182,39 +182,44 @@ class FqElement:
         self.field = field
         self.coords = coords
 
-    def _co(self, other) -> "FqElement":
-        if other.__class__ is FqElement and other.field is self.field:
-            return other
-        return self.field.coerce(other)
-
     def __add__(self, other):
-        (a0, a1), (b0, b1), p = self.coords, self._co(other).coords, self.field.p
+        if other.__class__ is not FqElement or other.field is not self.field:
+            other = self.field.coerce(other)
+        (a0, a1), (b0, b1), p = self.coords, other.coords, self.field.p
         return FqElement(self.field, ((a0 + b0) % p, (a1 + b1) % p))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        (a0, a1), (b0, b1), p = self.coords, self._co(other).coords, self.field.p
+        if other.__class__ is not FqElement or other.field is not self.field:
+            other = self.field.coerce(other)
+        (a0, a1), (b0, b1), p = self.coords, other.coords, self.field.p
         return FqElement(self.field, ((a0 - b0) % p, (a1 - b1) % p))
 
     def __rsub__(self, other):
-        return self._co(other) - self
+        return self.field.coerce(other) - self
 
     def __neg__(self):
         (a0, a1), p = self.coords, self.field.p
         return FqElement(self.field, (-a0 % p, -a1 % p))
 
     def __mul__(self, other):
-        (a0, a1), (b0, b1), p = self.coords, self._co(other).coords, self.field.p
-        return FqElement(self.field, ((a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * b0) % p))
+        if other.__class__ is not FqElement or other.field is not self.field:
+            other = self.field.coerce(other)
+        (a0, a1), (b0, b1), p = self.coords, other.coords, self.field.p
+        if a1 | b1:
+            return FqElement(self.field, ((a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * b0) % p))
+        return FqElement(self.field, (a0 * b0 % p, 0))  # both in F_p: no v-products
 
     __rmul__ = __mul__
 
     def inv(self) -> "FqElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        # conjugate over F_p divided by the norm, both exact
+        # 1/u when v = 0, else the conjugate over F_p divided by the norm
         (a0, a1), p = self.coords, self.field.p
+        if not a1:
+            if not a0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return FqElement(self.field, (pow(a0, -1, p), 0))
         ninv = pow(a0 * a0 + a1 * a1, -1, p)
         return FqElement(self.field, (a0 * ninv % p, -a1 * ninv % p))
 
@@ -355,9 +360,10 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
+        """f', coefficient k times the int k by the ring's integer product."""
         return Polynomial(
             self.ring,
-            [self.ring.coerce(k) * c for k, c in enumerate(self.coeffs)][1:],
+            [c * k for k, c in enumerate(self.coeffs)][1:],
         )
 
     def monic(self) -> "Polynomial":

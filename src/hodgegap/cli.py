@@ -331,24 +331,26 @@ def cmd_curve(args, out) -> int:
 
 
 REQUIRED = object()  # the default of a flag that must be given
-SWITCH = (None, None, False)  # a flag that takes no value and stores True
+# a flag that takes no value and stores True
+SWITCH = (None, None, False, "omit the first line, the version and time stamp")
 
 # The command-line grammar: each command's help line and its flags, each flag
-# as (type, choices, default), the choices checked on the converted value.
+# as (type, choices, default, help), the choices checked on the converted
+# value; only argparse reads the help.
 COMMANDS = {
     "verify": ("run every check for one odd prime", {
-        "--p": (int, None, REQUIRED),
-        "--format": (str, ("text", "json"), "text"),
+        "--p": (int, None, REQUIRED, "odd prime"),
+        "--format": (str, ("text", "json"), "text", "report format (default: text)"),
         "--no-banner": SWITCH,
     }),
     "table": ("tabulate hX, hY and their gap by prime", {
-        "--max": (int, None, REQUIRED),
-        "--format": (str, ("tsv", "json"), "tsv"),
+        "--max": (int, None, REQUIRED, "largest prime included"),
+        "--format": (str, ("tsv", "json"), "tsv", "table format (default: tsv)"),
         "--no-banner": SWITCH,
     }),
     "curve": ("print exact curve coefficients", {
-        "--p": (int, None, REQUIRED),
-        "--chart": (int, (1, 2), 1),
+        "--p": (int, None, REQUIRED, "odd prime"),
+        "--chart": (int, (1, 2), 1, "chart 1, v^2 = f(u), or 2, t^2 = g(s) (default: 1)"),
         "--no-banner": SWITCH,
     }),
 }
@@ -374,7 +376,7 @@ def parse_args(argv: list) -> Optional[dict]:
     for flag in tokens:
         if flag not in flags:
             return None
-        kind, choices, _ = flags[flag]
+        kind, choices = flags[flag][:2]
         value = True
         if kind is not None:
             value = next(tokens, "-")
@@ -401,12 +403,12 @@ def _argparse(argv: list) -> dict:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (text, flags) in COMMANDS.items():
         command = commands.add_parser(name, help=text, description=text)
-        for flag, (kind, choices, default) in flags.items():
+        for flag, (kind, choices, default, help_text) in flags.items():
             if kind is None:
-                command.add_argument(flag, action="store_true")
+                command.add_argument(flag, action="store_true", help=help_text)
             else:
                 command.add_argument(flag, type=kind, choices=choices, default=default,
-                                     required=default is REQUIRED)
+                                     required=default is REQUIRED, help=help_text)
     return vars(parser.parse_args(argv))
 
 

@@ -29,9 +29,9 @@ for n = p itself (pi = zeta_p - 1, residue field F_p) and holds no p = 3 data:
 a report's engine, at p = 3 (pi = zeta_12^4 - 1, residue field F_9) as at
 p >= 5, is built by ``curves.Construction.spec`` from the residue field and
 the image of zeta that the construction holds.
-:class:`SplitPrime` applies :func:`residue_map` in all phi(n) embeddings
-into F_l, for a prime l that splits completely, and goes back by
-interpolation and rational reconstruction.
+:class:`SplitPrime` reduces into all phi(n) embeddings into F_l, for a prime
+l that splits completely, by integer dot products with tables built once,
+and goes back by interpolation and rational reconstruction.
 Every division by pi is one step, :meth:`PiSpec._divide_once`: for
 pi = zeta_p - 1 a prefix-sum pass in O(p) (synthetic division by a linear
 factor, Knuth, TAOCP vol. 2, 4.6.1, folded by Phi_p), which also gives
@@ -122,11 +122,16 @@ class CyclotomicField:
         """Reduced product of two integer coordinate vectors.  The outer loop
         runs over the operand with more zero coordinates and skips them, so
         a sparse factor (pi, zeta^k, a conjugate) costs its nonzero count
-        times the other's length, in either argument order."""
+        times the other's length, in either argument order.  The product is
+        sized to that operand's last nonzero coordinate, so a product by a
+        rational or by pi has nothing to fold modulo z^n - 1."""
         if b.count(0) > a.count(0):
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+        top = len(a)
+        while top and not a[top - 1]:
+            top -= 1
+        out = [0] * (top + len(b) - 1)
+        for i, x in enumerate(a[:top]):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
@@ -149,6 +154,25 @@ class CyclotomicField:
 
     def __repr__(self) -> str:
         return f"Q(zeta_{self.n})"
+
+
+def _termwise(op):
+    """``+`` or ``-`` of cyclotomic elements, for op = operator.add or
+    operator.sub: the coordinates combine over the least common denominator,
+    into one new element."""
+
+    def combine(self, other):
+        o = self._co(other)
+        da, db = self.den, o.den
+        if da == db:
+            return CycloElement(self.field, tuple(map(op, self.num, o.num)), da)
+        g = math.gcd(da, db)
+        la, lb = db // g, da // g
+        return CycloElement(
+            self.field, tuple([op(a * la, b * lb) for a, b in zip(self.num, o.num)]), da * la
+        )
+
+    return combine
 
 
 class CycloElement:
@@ -179,23 +203,8 @@ class CycloElement:
             return other
         return self.field.coerce(other)
 
-    def __add__(self, other):
-        o = self._co(other)
-        da, db = self.den, o.den
-        if da == db:
-            return CycloElement(self.field, tuple(map(operator.add, self.num, o.num)), da)
-        g = math.gcd(da, db)
-        la, lb = db // g, da // g
-        return CycloElement(
-            self.field,
-            tuple(a * la + b * lb for a, b in zip(self.num, o.num)),
-            da * la,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._co(other))
+    __add__ = __radd__ = _termwise(operator.add)
+    __sub__ = _termwise(operator.sub)
 
     def __rsub__(self, other):
         return self._co(other) - self
@@ -326,30 +335,44 @@ def try_divide_exact(
     return q
 
 
+def _checked_columns(field: CyclotomicField, p: int, columns: list, image, where: str) -> list:
+    """``columns``, each the images mod p of 1, z, ..., z^(phi(n)) under a
+    map sending zeta_n to ``image`` in ``where``, unless one does not make
+    Phi_n vanish mod p: then ValueError."""
+    if any(sum(map(operator.mul, field.modulus, col)) % p for col in columns):
+        raise ValueError(f"{image} is not a root of Phi_{field.n} in {where}")
+    return columns
+
+
+def _residues(field: CyclotomicField, z, columns: list, p: int) -> list[int]:
+    """The residues of z = num/den by the checked ``columns``: num/den
+    reduced mod p, then one dot product per column (stopping at num's
+    phi(n) coordinates), mod p; ValueError when p divides den."""
+    z = field.coerce(z)
+    if z.den % p == 0:
+        raise ValueError(f"{p} divides the denominator")
+    d = pow(z.den, -1, p)
+    num = [c * d % p for c in z.num]
+    return [sum(map(operator.mul, num, c)) % p for c in columns]
+
+
 def residue_map(field: CyclotomicField, residue_field: FiniteField, zeta_image: FqElement):
     """The map into F_q sending zeta_n to ``zeta_image``, the one reduction of
-    Z[zeta_n] into a finite field.  ValueError unless the images of 1, z, ...,
-    z^(phi(n)), built once, make Phi_n vanish.  num/den maps to one integer dot
-    product of num per coordinate of F_q, times 1/den, reduced mod p, the
-    coordinates the F_q element is built from, with v = 0 over F_p (no
-    second dot product); ValueError when p divides den.  For
-    :class:`PiSpec`'s residue, with one prime above p, that means v_pi < 0
-    for a canonical element."""
+    Z[zeta_n] into a finite field, which :class:`SplitPrime` shares: the
+    checked images of 1, z, ..., z^(phi(n)) give a column per coordinate of
+    F_q, with v = 0 over F_p (no second column), and z its :func:`_residues`.
+    ValueError when p divides den; for :class:`PiSpec`'s residue, with one
+    prime above p, that means v_pi < 0 for a canonical element."""
     powers = [residue_field.one]  # each product coerces zeta_image into F_q
     for _ in range(field.degree):
         powers.append(powers[-1] * zeta_image)
-    columns = [tuple(x.coords[j] for x in powers) for j in range(residue_field.k)]
     p, pad = residue_field.p, (0,) * (2 - residue_field.k)
-    if any(sum(map(operator.mul, field.modulus, col)) % p for col in columns):
-        raise ValueError(f"{zeta_image} is not a root of Phi_{field.n} in {residue_field!r}")
+    columns = _checked_columns(
+        field, p, [tuple(x.coords[j] for x in powers) for j in range(residue_field.k)],
+        zeta_image, repr(residue_field))
 
     def residue(z) -> FqElement:
-        z = field.coerce(z)
-        if z.den % p == 0:
-            raise ValueError(f"{p} divides the denominator")
-        d = pow(z.den, -1, p)  # each dot product stops at num's phi(n) coordinates
-        dots = [sum(map(operator.mul, z.num, c)) * d % p for c in columns]
-        return FqElement(residue_field, (*dots, *pad))
+        return FqElement(residue_field, (*_residues(field, z, columns, p), *pad))
 
     return residue
 
@@ -358,18 +381,26 @@ class SplitPrime:
     """Q(zeta_n) at a prime l = 1 (mod n), where Phi_n has the phi(n) roots
     w^i, i in (Z/n)^*, for w of exact order n in F_l: the coefficient ring of
     the vectors of residues in all embeddings zeta -> w^i at once, where a
-    product costs phi(n) products mod l.  An element reduces by one
-    :func:`residue_map` per embedding (ValueError when l divides its
-    denominator), and :meth:`lift` goes back.  The elements carry what
-    ``algebra.poly_gcd`` needs: ``-``, ``*`` and ``inv``, which raises
-    ZeroDivisionError on a vector with a zero entry."""
+    product costs phi(n) products mod l.  One power table of w gives its
+    integer tables: per embedding, the checked images of 1, z, ...,
+    z^(phi(n)), so an element reduces by its :func:`_residues` (ValueError
+    when l divides its denominator), and the rows of :meth:`lift`.  The
+    elements carry what ``algebra.poly_gcd`` needs: ``-``, ``*`` and ``inv``,
+    which raises ZeroDivisionError on a vector with a zero entry."""
 
     def __init__(self, field: CyclotomicField, ell: int):
-        n, fl, w = field.n, FiniteField(ell), element_of_order(field.n, ell)
+        n, d, w = field.n, field.degree, element_of_order(field.n, ell)
         self.field, self.ell = field, ell
         self.units = [i for i in range(1, n) if math.gcd(i, n) == 1]
-        self._powers = [pow(w, j, ell) for j in range(n)]
-        self._maps = [residue_map(field, fl, fl.from_int(self._powers[i])) for i in self.units]
+        powers = [pow(w, j, ell) for j in range(n)]
+        self._columns = _checked_columns(
+            field, ell, [tuple([powers[i * j % n] for j in range(d + 1)]) for i in self.units],
+            w, f"GF({ell})")
+        # lift's inverse-DFT rows: unit i's w^(-ij)/n, j < n, reduced mod Phi_n
+        # and stored by coordinate, not reduced mod l (lift's reconstruction is)
+        scale = pow(n, -1, ell)
+        rows = [field._reduce([powers[-i * j % n] * scale for j in range(n)]) for i in self.units]
+        self._rows = list(zip(*rows))
         self.zero, self.one = self.coerce(0), self.coerce(1)
 
     def coerce(self, x) -> "SplitResidues":
@@ -377,7 +408,7 @@ class SplitPrime:
             return x
         if isinstance(x, int):
             return SplitResidues(self, (x % self.ell,) * len(self.units))
-        return SplitResidues(self, tuple([r(x).coords[0] for r in self._maps]))
+        return SplitResidues(self, tuple(_residues(self.field, x, self._columns, self.ell)))
 
     def lift(self, x: "SplitResidues") -> CycloElement:
         """The element with the residues x whose coordinates are fractions
@@ -385,13 +416,12 @@ class SplitPrime:
         fraction.  The inverse DFT over the n-th roots of unity of x, set to
         0 at the non-primitive ones, is a polynomial b of degree < n that
         takes x's values at the primitive ones; so does b mod Phi_n, whose
-        coordinates are therefore the element's mod l, each rationally
-        reconstructed (:func:`~hodgegap.algebra.rational_reconstruction`)."""
-        n, ell, w = self.field.n, self.ell, self._powers
-        scale = pow(n, -1, ell)
-        b = [sum(v * w[-i * j % n] for i, v in zip(self.units, x.values)) * scale
-             for j in range(n)]
-        fractions = [rational_reconstruction(c, ell) for c in self.field._reduce(b)]
+        coordinates, a dot product of x with a row each, are therefore the
+        element's mod l, each rationally reconstructed
+        (:func:`~hodgegap.algebra.rational_reconstruction`)."""
+        ell = self.ell
+        fractions = [rational_reconstruction(sum(map(operator.mul, x.values, row)), ell)
+                     for row in self._rows]
         if None in fractions:
             raise ValueError(f"a coordinate is out of reach mod {ell}")
         den = math.lcm(*(s for _, s in fractions))

@@ -21,13 +21,34 @@ from hodgegap.algebra import (
     rational_reconstruction,
 )
 from hodgegap.curves import AffineCurveMap, construction, map_power
-from hodgegap.cyclotomic import CyclotomicField, cyclotomic_field
+from hodgegap.cyclotomic import CyclotomicField, SplitPrime, cyclotomic_field
 from hodgegap.modularrep import g_minus_one
 
 F5 = FiniteField(5)
 F7 = FiniteField(7)
 F9 = FiniteField(3, 2)
 K5 = cyclotomic_field(5)
+
+
+def test_derivative_multiplies_by_the_int_k_as_by_the_coerced_k():
+    # coefficient k times the int k, by each ring's own integer product,
+    # equals the product with k coerced into the ring, zeros (k = 0 mod p)
+    # included
+    split = SplitPrime(K5, 11)
+    rng = random.Random(40)
+    elements = {
+        F7: list(F7), F9: list(F9),
+        K5: [K5.element([rng.randint(-9, 9) for _ in range(4)], rng.randint(1, 5))
+             for _ in range(9)],
+        split: [split.coerce(K5.element([rng.randint(-9, 9) for _ in range(4)]))
+                for _ in range(9)],
+    }
+    for ring, pool in elements.items():
+        for _ in range(5):
+            f = Polynomial(ring, [rng.choice(pool) for _ in range(12)] + [ring.one])
+            expected = [ring.coerce(k) * c for k, c in enumerate(f.coeffs)][1:]
+            assert f.derivative() == Polynomial(ring, expected)
+            assert (f.derivative().degree == 11) is bool(ring.coerce(12))  # 12 = 0 in F_9
 
 
 def test_is_prime():

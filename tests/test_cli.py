@@ -666,6 +666,23 @@ def test_help_prints_the_usage_on_stdout_and_exits_zero(capsys, argv, command):
         assert flag in out
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_each_commands_help_describes_each_flag(capsys, command):
+    # each flag's invocation, then its help text from COMMANDS, whitespace
+    # folded, since argparse wraps to the terminal's width
+    code, out, err = _run(capsys, [command, "--help"])
+    assert (code, err) == (0, "")
+    out = " ".join(out.split())
+    for flag, (kind, choices, _, text) in cli.COMMANDS[command][1].items():
+        if kind is None:
+            invocation = flag
+        elif choices:
+            invocation = f"{flag} {{{','.join(map(str, choices))}}}"
+        else:
+            invocation = f"{flag} {flag[2:].upper()}"
+        assert text and f" {invocation} {' '.join(text.split())}" in out, flag
+
+
 def _fully_spelled_lines(rng, count):
     """``count`` seeded command lines of whole tokens: a command (or a stray
     token in its place), mostly a required flag with a value, then flags

@@ -322,6 +322,12 @@ def test_residue_is_a_ring_homomorphism():
             assert spec.residue(a * b) == spec.residue(a) * spec.residue(b)
 
 
+def _certificate_prime(n):
+    """The least prime l = 1 (mod 2n) above 2^20: the second prime of
+    ``curves.modular_squarefree``."""
+    return next(m for m in range(2 * n + 1, 2**21, 2 * n) if m > 2**20 and is_prime(m))
+
+
 @pytest.mark.parametrize("n", [5, 12, 13])
 def test_split_prime_reduces_in_every_embedding_and_lifts_back(n):
     # at the least prime l = 1 (mod 2n) above 2^20 the residues of an element
@@ -329,7 +335,7 @@ def test_split_prime_reduces_in_every_embedding_and_lifts_back(n):
     # sum; differences and products map to differences and products, and an
     # element whose coordinates are small fractions lifts back to itself
     k = cyclotomic_field(n)
-    ell = next(m for m in range(2 * n + 1, 2**21, 2 * n) if m > 2**20 and is_prime(m))
+    ell = _certificate_prime(n)
     split = SplitPrime(k, ell)
     w = element_of_order(n, ell)
     assert split.units == [i for i in range(1, n) if math.gcd(i, n) == 1]
@@ -354,6 +360,80 @@ def test_split_prime_reduces_in_every_embedding_and_lifts_back(n):
     with pytest.raises(ZeroDivisionError):  # zeta - w is 0 in the embedding zeta -> w only
         split.coerce(k.zeta - w).inv()
     assert sum(v == 0 for v in split.coerce(k.zeta - w).values) == 1
+
+
+@pytest.mark.parametrize("n", [5, 12, 13, 61])
+def test_split_prime_residues_are_the_residue_map_of_each_embedding(n):
+    # embedding i of coerce, read off the integer tables, is residue_map at
+    # zeta -> w^i, on elements with large coordinates and a denominator; both
+    # raise when l divides the denominator
+    k, ell = cyclotomic_field(n), _certificate_prime(n)
+    split, fl, w = SplitPrime(k, ell), FiniteField(ell), element_of_order(n, ell)
+    maps = [residue_map(k, fl, fl.from_int(pow(w, i, ell))) for i in split.units]
+    rng = random.Random(40 * n)
+    for _ in range(12):
+        den = rng.randint(1, 10**6)  # below l, so prime to it
+        x = k.element([rng.randint(-10**30, 10**30) for _ in range(k.degree)], den)
+        assert split.coerce(x).values == tuple(r(x).coords[0] for r in maps)
+    assert split.coerce(k.zeta).values == tuple(pow(w, i, ell) for i in split.units)
+    bad = k.element([rng.randint(1, 99) for _ in range(k.degree)], 3 * ell)
+    for reduce in (split.coerce, maps[0], maps[-1]):
+        with pytest.raises(ValueError, match=f"^{ell} divides the denominator$"):
+            reduce(bad)
+
+
+@pytest.mark.parametrize("n", [5, 12, 13, 61])
+def test_split_prime_lift_inverts_coerce_on_small_fractions(n):
+    # coordinates r/s with |r|, s <= isqrt(l // 2), each over its own s, are
+    # within rational reconstruction's reach and come back exactly
+    k, ell = cyclotomic_field(n), _certificate_prime(n)
+    split, bound = SplitPrime(k, ell), math.isqrt(ell // 2)
+    rng = random.Random(n)
+    for _ in range(10):
+        x = k.zero
+        for j in range(k.degree):
+            x += k.element([0] * j + [rng.randint(-bound, bound)], rng.randint(1, bound))
+        assert split.lift(split.coerce(x)) == x
+    assert split.lift(split.coerce(k.zeta)) == k.zeta
+    assert split.lift(split.zero) == k.zero
+
+
+def _schoolbook(k, a, b):
+    """a*b reduced, by the full (len(a) + len(b) - 1)-long schoolbook product."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return k._reduce(out)
+
+
+@pytest.mark.parametrize("n", [5, 12, 13])
+def test_product_sized_to_the_sparse_operand_is_the_schoolbook_product(n):
+    # zero, rationals, zeta^k and pi against each other and against dense
+    # seeded elements, in both argument orders
+    k = cyclotomic_field(n)
+    rng = random.Random(n)
+    sparse = [k.zero, k.from_int(-7), k.one / 3, k.zeta - 1, 2 * (k.zeta - 1)]
+    sparse += [k.zeta**e for e in range(1, n)]
+    dense = [k.element([rng.randint(-99, 99) for _ in range(k.degree)], rng.randint(1, 9))
+             for _ in range(6)]
+    for a in sparse + dense:
+        for b in sparse + dense:
+            assert k._mul(a.num, b.num) == _schoolbook(k, a.num, b.num)
+            assert a * b == k.element(_schoolbook(k, a.num, b.num), a.den * b.den)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_difference_is_the_sum_with_the_negative(n):
+    k = cyclotomic_field(n)
+    rng = random.Random(n)
+    for _ in range(40):
+        a, b = (k.element([rng.randint(-9, 9) for _ in range(k.degree)], rng.randint(1, 12))
+                for _ in range(2))
+        assert a - b == a + (-b)
+        assert a - a == k.zero and (a - 3) == a + (-3) and 3 - a == -(a - 3)
+    same = k.element([1, 2], 6) - k.element([1, -4], 6)  # equal denominators, cancelled
+    assert (same.num[:2], same.den) == ((0, 1), 1)
 
 
 def test_residue_kernel_is_pi():

@@ -102,7 +102,8 @@ def _num_reads(path: Path) -> list[int]:
 
 def test_only_cyclotomic_reads_an_elements_coordinates():
     # the power-basis-over-one-denominator format stays inside cyclotomic:
-    # every reduction into a finite field goes through its residue_map
+    # every reduction into a finite field, residue_map's and SplitPrime's,
+    # goes through its dot products
     reads = {
         path.name: _num_reads(path)
         for path in sorted(PACKAGE.glob("*.py"))
